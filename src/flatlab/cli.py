@@ -17,16 +17,18 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import parse_group_literal
-from .errors import FlatlabError, ScenarioError
+from .errors import CapExceededError, FlatlabError, ScenarioError
 from .extensions import check_flatness
 from .functors import apply
 from .permgroup import PermGroup
 from .registry import case_ids, reproduce
 from .scenario import (
-    Scenario,
+    _build_group,
+    _parse_sections,
     parse_functor_literal,
     parse_scenario,
     run_scenario,
@@ -101,7 +103,7 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     try:
         with open(args.file, encoding="utf-8") as fh:
-            scn = parse_scenario(fh.read())
+            scn = parse_scenario(fh.read(), caps)
         result = run_scenario(scn, caps)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -177,19 +179,12 @@ def cmd_localize(args) -> int:
 
 
 def _parse_group_option(text: str):
+    """A catalog literal, or the body of a scenario [group] abelian section;
+    the group is named by the literal text."""
     text = text.strip()
     if text.startswith("abelian"):
-        rest = text[len("abelian") :].strip()
-        params = {}
-        for chunk in rest.split():
-            key, _, value = chunk.partition("=")
-            params[key] = value
-        from .abelian import ab_from_invariants
-        from .scenario import _parse_int_list
-
-        rank = int(params.get("rank", "0"))
-        torsion = _parse_int_list(params.get("torsion", "[]"), 0)
-        return ab_from_invariants(rank, torsion, name=text)
+        sec = _parse_sections(f"[group G] {text}")[0]
+        return _build_group(replace(sec, name=text))
     return parse_group_literal(text)
 
 
@@ -198,7 +193,7 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     F = _parse_functor_option(args.functor)
     with open(args.extension, encoding="utf-8") as fh:
-        scn = parse_scenario(fh.read())
+        scn = parse_scenario(fh.read(), caps)
     if not scn.extensions:
         print("no [extension] defined in the file", file=sys.stderr)
         return 1
@@ -267,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CapExceededError as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
     except FlatlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,8 @@ from .perm import Permutation
 from .permgroup import (
     GroupHom,
     PermGroup,
+    find_isomorphism,
+    generated_subgroup,
     is_normal,
     normal_subgroups,
     pullback_group,
@@ -87,21 +89,17 @@ class Extension:
         self.iota = iota
         self.proj = proj
         self.name = name
+        if not iota.is_injective():
+            raise FlatlabError("extension inclusion is not injective")
+        if not proj.is_surjective():
+            raise NotSurjectiveError("extension projection is not surjective")
         if self.flavor == PERM:
-            if not iota.is_injective():
-                raise FlatlabError("extension inclusion is not injective")
-            if not proj.is_surjective():
-                raise NotSurjectiveError("extension projection is not surjective")
             image = iota.image()
             if image.element_set(caps) != proj.kernel().element_set(caps):
                 raise FlatlabError("image of inclusion != kernel of projection")
             if not is_normal(image, self.total, caps):
                 raise FlatlabError("kernel image is not normal in the total group")
         else:
-            if not iota.is_injective():
-                raise FlatlabError("extension inclusion is not injective")
-            if not proj.is_surjective():
-                raise NotSurjectiveError("extension projection is not surjective")
             im = image_lattice_basis(iota)
             ker = kernel_lattice_basis(proj)
             if not (lattice_leq(im, ker) and lattice_leq(ker, im)):
@@ -111,16 +109,12 @@ class Extension:
         if self.name:
             return self.name
         return (
-            f"{_gdesc(self.kernel_group)} -> {_gdesc(self.total)} -> "
-            f"{_gdesc(self.base)}"
+            f"{self.kernel_group.describe()} -> {self.total.describe()} -> "
+            f"{self.base.describe()}"
         )
 
     def __repr__(self) -> str:
         return f"Extension({self.describe()})"
-
-
-def _gdesc(G) -> str:
-    return G.describe()
 
 
 def from_surjection(p, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> Extension:
@@ -231,21 +225,10 @@ def pullback_along_localization(
     base must be the localization of G (same object, or isomorphic; the leg
     is aligned through the canonical identification).
     """
-    L = apply(F, G, caps)
-    eta = L.eta
-    if ext.flavor == ABELIAN:
-        if ext.base is not L.result and not ext.base.same_presentation(L.result):
-            eta = eta.then(ab_canonical_iso(L.result, ext.base))
-    else:
-        if ext.base is not L.result:
-            from .permgroup import find_isomorphism
-
-            iso = find_isomorphism(L.result, ext.base, caps)
-            if iso is None:
-                raise FlatlabError(
-                    "extension base is not the localization of the given group"
-                )
-            eta = eta.then(iso)
+    eta = _onto(
+        apply(F, G, caps).eta, ext.base, caps,
+        "extension base is not the localization of the given group",
+    )
     return pullback_extension(ext, eta, caps)
 
 
@@ -262,8 +245,12 @@ class FlatnessReport:
     witnesses: dict[str, str] = field(default_factory=dict)
 
     @property
+    def is_right_exact(self) -> bool:
+        return self.middle_exact and self.right_surjective
+
+    @property
     def is_flat(self) -> bool:
-        return self.left_injective and self.middle_exact and self.right_surjective
+        return self.left_injective and self.is_right_exact
 
     def to_dict(self) -> dict:
         return {
@@ -311,10 +298,8 @@ def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
                 "total group but lies outside the kernel's radical"
             )
             break
-    mid_gens = tuple(iota.image().generators) + tuple(RE.generators)
-    from .permgroup import _closure
-
-    M = frozenset(_closure(sorted(mid_gens), ext.total.degree, caps.order))
+    mid_gens = iota.image().generators + RE.generators
+    M = frozenset(generated_subgroup(mid_gens, ext.total.degree, caps.order)[0])
     middle = True
     for e in ext.total.elements(caps):
         if proj.apply(e) in rg and e not in M:
@@ -326,9 +311,7 @@ def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
             break
     # the induced map on quotients of a surjection is surjective
     right = True
-    return FlatnessReport(
-        _fdesc(F), ext.describe(), left, middle, right, witnesses
-    )
+    return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
 
 
 def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
@@ -367,7 +350,7 @@ def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
                 "but not in the image of the subfunctor of the total group"
             )
             break
-    return FlatnessReport(_fdesc(F), ext.describe(), left, middle, right, witnesses)
+    return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
 
 
 def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:
@@ -377,8 +360,9 @@ def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:
     K1, kincl = ab_kernel(iota_ind)
     left = K1.is_trivial()
     if not left:
-        gen = K1.generator_element(_first_nonzero_gen(K1))
-        elt = kincl.apply(gen)
+        # a generator of a kernel presentation can be zero; name a real one
+        j = next(j for j in range(K1.ngens) if any(K1.generator_element(j)))
+        elt = kincl.apply(K1.generator_element(j))
         witnesses["left"] = (
             f"localized kernel element {iota_ind.domain.format_element(elt)} "
             "dies in the localized total group"
@@ -412,55 +396,17 @@ def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:
                 )
                 break
         witnesses.setdefault("right", "localized projection has nontrivial cokernel")
-    return FlatnessReport(_fdesc(F), ext.describe(), left, middle, right, witnesses)
-
-
-def _first_nonzero_gen(K: AbGroup) -> int:
-    return 0
-
-
-def _fdesc(F: FunctorSpec) -> str:
-    return F.describe()
-
-
-@dataclass
-class RightExactnessReport:
-    functor: str
-    extension: str
-    middle_exact: bool
-    right_surjective: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_right_exact(self) -> bool:
-        return self.middle_exact and self.right_surjective
-
-    def to_dict(self) -> dict:
-        return {
-            "functor": self.functor,
-            "extension": self.extension,
-            "middle_exact": self.middle_exact,
-            "right_surjective": self.right_surjective,
-            "is_right_exact": self.is_right_exact,
-            "witnesses": dict(sorted(self.witnesses.items())),
-        }
+    return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
 
 
 def check_right_exactness(
     F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS
-) -> RightExactnessReport:
-    """Exactness at the middle and surjectivity on the right; left
-    injectivity deliberately not required."""
+) -> FlatnessReport:
+    """The flatness report of an epireflection, read through its
+    ``is_right_exact`` flag: left injectivity is deliberately not required."""
     if functor_kind(F) != EPIREFLECTION:
         raise FlatlabError("right exactness is checked for epireflections only")
-    rep = check_flatness(F, ext, caps)
-    return RightExactnessReport(
-        rep.functor,
-        rep.extension,
-        rep.middle_exact,
-        rep.right_surjective,
-        {k: v for k, v in rep.witnesses.items() if k != "left"},
-    )
+    return check_flatness(F, ext, caps)
 
 
 # -- induced sequence (honest objects, for reports and cross-checks) -----------
@@ -491,7 +437,7 @@ def induced_sequence(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) 
         if not composite.is_zero():
             raise FlatlabError("induced composite is not trivial")
     return InducedSequence(
-        ext, _fdesc(F), lm.domain, lm.codomain, rm.codomain, lm, rm
+        ext, F.describe(), lm.domain, lm.codomain, rm.codomain, lm, rm
     )
 
 
@@ -568,8 +514,8 @@ def probe_conditional_flatness(
         for f in _homs_into_base(X, ext, caps):
             pulled = pullback_extension(ext, f, caps)
             rep = check_flatness(F, pulled.extension, caps)
-            entries.append(ProbeEntry(_gdesc(X), hom_description(f), rep))
-    return ProbeReport(ext.describe(), _fdesc(F), base_report.is_flat, entries)
+            entries.append(ProbeEntry(X.describe(), hom_description(f), rep))
+    return ProbeReport(ext.describe(), F.describe(), base_report.is_flat, entries)
 
 
 def _homs_into_base(X, ext: Extension, caps: Caps):
@@ -648,6 +594,21 @@ def ab_canonical_iso(A: AbGroup, B: AbGroup) -> AbHom:
     return AbHom(A, B, IntMatrix.from_columns(cols, B.ngens))
 
 
+def _onto(f, target, caps: Caps, mismatch: str):
+    """f followed by the identification of its codomain with ``target``:
+    the canonical isomorphism for abelian groups (none when the presentations
+    agree), an explicit one for permutation groups."""
+    cod = f.codomain
+    if cod is target:
+        return f
+    if isinstance(f, AbHom):
+        return f if cod.same_presentation(target) else f.then(ab_canonical_iso(cod, target))
+    iso = find_isomorphism(cod, target, caps)
+    if iso is None:
+        raise FlatlabError(mismatch)
+    return f.then(iso)
+
+
 def certify_prop44(
     phi: TestMap,
     F: FunctorSpec,
@@ -670,13 +631,11 @@ def certify_prop44(
     det: dict[str, str] = {}
 
     radical = L.radical
+    hyp["eta_non_identity"] = not radical.is_trivial()
     if isinstance(G, PermGroup):
-        nontrivial = not radical.is_trivial()
         det["eta_non_identity"] = f"|radical| = {radical.order(caps)}"
     else:
-        nontrivial = not radical.is_trivial()
         det["eta_non_identity"] = f"radical = {radical.describe()}"
-    hyp["eta_non_identity"] = nontrivial
 
     kernel_local = is_local_wrt(radical, phi, caps)
     hyp["kernel_local"] = kernel_local.is_local
@@ -689,22 +648,8 @@ def certify_prop44(
     hyp["hom_A_E_trivial"] = _hom_set_trivial(phi.domain_pres, E, caps)
     hyp["hom_B_E_trivial"] = _hom_set_trivial(phi.codomain_pres, E, caps)
 
-    # align the codomain of the surjection with the computed localization
-    surj_aligned = surj
-    if isinstance(surj, AbHom):
-        if surj.codomain is not LG and not surj.codomain.same_presentation(LG):
-            surj_aligned = surj.then(ab_canonical_iso(surj.codomain, LG))
-        surjective = ab_cokernel(surj_aligned)[0].is_trivial()
-    else:
-        if surj.codomain is not LG:
-            from .permgroup import find_isomorphism
-
-            iso = find_isomorphism(surj.codomain, LG, caps)
-            if iso is None:
-                raise FlatlabError("surjection codomain is not the localization")
-            surj_aligned = surj.then(iso)
-        surjective = surj_aligned.is_surjective()
-    hyp["surjection_onto_LG"] = surjective
+    surj_aligned = _onto(surj, LG, caps, "surjection codomain is not the localization")
+    hyp["surjection_onto_LG"] = surj_aligned.is_surjective()
 
     source_ext = from_surjection(surj_aligned, caps=caps)
     source_flatness = check_flatness(F, source_ext, caps)

@@ -32,8 +32,8 @@ from .errors import (
     InvalidHomomorphismError,
     UnsupportedFunctorError,
 )
-from .homs import enumerate_hom_images
-from .permgroup import GroupHom, PermGroup, normal_closure, quotient
+from .homs import enumerate_hom_images, relator_solutions
+from .permgroup import GroupHom, PermGroup, normal_closure, quotient, right_cosets
 from .verbal import is_prime, lower_central_series, s_p_subgroup, verbal_subgroup
 from .words import Presentation, Word
 
@@ -174,96 +174,37 @@ def _abelian_product_form(pres: Presentation) -> list[int] | None:
     return [powers.get(i, 0) for i in range(k)]
 
 
-def _coset_representatives(G: PermGroup, n_elements, caps: Caps):
-    """One representative per right coset of N; a single linear pass."""
-    rep_of: dict = {}
-    reps = []
-    for x in G.elements(caps):
-        if x in rep_of:
-            continue
-        reps.append(x)
-        for n in n_elements:
-            rep_of[n * x] = x
-    return reps
-
-
-def _hom_component_seeds_mod(
-    pres: Presentation, candidates, k_arity: int, G: PermGroup, n_set, caps: Caps
-):
-    """Every component of every generator-image tuple whose relators evaluate
-    into the given normal subgroup N: these generate (with N) the preimage of
-    the images of all homs from the presented group into G/N.
-
-    Both tuple validity and the generated subgroup mod N only depend on the
-    N-cosets of the components, so ``candidates`` may be coset representatives.
-    """
-    k = len(pres.generators)
-    if len(candidates) ** k > caps.hom_search:
-        raise CapExceededError(
-            f"hom search space {len(candidates)}^{k} exceeds cap {caps.hom_search}"
-        )
-    ident = G.identity()
-    single: list[list[Word]] = [[] for _ in range(k)]
-    multi: list[list[Word]] = [[] for _ in range(k)]
-    for rel in pres.relators:
-        if rel.is_empty():
-            continue
-        support = {s for s, _ in rel.letters}
-        trigger = max(support)
-        (single if len(support) == 1 else multi)[trigger].append(rel)
-    allowed = [
-        [
-            y
-            for y in candidates
-            if all(r.evaluate([y] * k, ident) in n_set for r in single[i])
-        ]
-        for i in range(k)
-    ]
-    seeds: set = set()
-    assignment: list = [ident] * k
-
-    def backtrack(i: int):
-        if i == k:
-            seeds.update(assignment)
-            return
-        for y in allowed[i]:
-            assignment[i] = y
-            if all(r.evaluate(assignment, ident) in n_set for r in multi[i]):
-                backtrack(i + 1)
-
-    backtrack(0)
-    return seeds
+def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
+    """Limit of N_0 = 1, N_(i+1) = <<N_i, seeds_mod(N_i)>>, computed inside G
+    without constructing any quotient group."""
+    N = G.subgroup((), name="1")
+    while True:
+        N2 = normal_closure(G, set(N.generators) | seeds_mod(N), caps)
+        if N2.order(caps) == N.order(caps):
+            return N
+        N = N2
 
 
 def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> PermGroup:
-    """Smallest normal N with no nontrivial map from the target into G/N,
-    grown as a preimage chain without constructing any quotient group."""
+    """Smallest normal N with no nontrivial map from the target into G/N.
+
+    Each step adjoins every component of every hom from the target into G/N,
+    lifted to coset representatives (validity and the generated subgroup mod
+    N depend only on the cosets)."""
     pres = F.target
     form = _abelian_product_form(pres)
-    N = G.subgroup((), name="1")
-    n_set = {G.identity()}
-    while True:
-        reps = _coset_representatives(G, sorted(n_set), caps)
-        if form is not None:
-            seeds = set(N.generators)
-            full = False
-            for n in form:
-                if n == 0:
-                    full = True
-                    break
-                seeds.update(r for r in reps if (r**n) in n_set)
-            if full:
-                seeds = set(reps)
-        else:
-            seeds = _hom_component_seeds_mod(
-                pres, reps, len(pres.generators), G, n_set, caps
-            )
-            seeds.update(N.generators)
-        N2 = normal_closure(G, seeds, caps)
-        if N2.order(caps) == len(n_set):
-            return N
-        N = N2
+
+    def components(N: PermGroup) -> set:
         n_set = N.element_set(caps)
+        reps, _ = right_cosets(G, N.elements(caps), caps)
+        if form is None:
+            solutions = relator_solutions(pres, G, reps, n_set, caps)
+            return {y for images in solutions for y in images}
+        if 0 in form:
+            return set(reps)
+        return {r for n in form for r in reps if (r**n) in n_set}
+
+    return _preimage_chain(G, components, caps)
 
 
 def _quasivariety_radical(
@@ -271,19 +212,17 @@ def _quasivariety_radical(
 ) -> PermGroup:
     """Preimage chain: keep adjoining u(g) whenever t(g) already dies."""
     ident = G.identity()
-    N = G.subgroup((), name="1")
-    n_set = {ident}
-    while True:
-        seeds = set(N.generators)
-        for cond, imp in F.rules:
-            for g in G.elements(caps):
-                if cond.evaluate((g,), ident) in n_set:
-                    seeds.add(imp.evaluate((g,), ident))
-        N2 = normal_closure(G, seeds, caps)
-        if N2.order(caps) == len(n_set):
-            return N
-        N = N2
+
+    def imposed(N: PermGroup) -> set:
         n_set = N.element_set(caps)
+        return {
+            imp.evaluate((g,), ident)
+            for cond, imp in F.rules
+            for g in G.elements(caps)
+            if cond.evaluate((g,), ident) in n_set
+        }
+
+    return _preimage_chain(G, imposed, caps)
 
 
 def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -305,7 +244,7 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
             return _quasivariety_radical(F, G, caps)
         raise UnsupportedFunctorError(f"unknown functor {F!r}")
 
-    return G.memo(("radical", F), compute)
+    return G.memo(("radical", F), compute, caps)
 
 
 def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> LocalizedResult:
@@ -320,12 +259,24 @@ def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> LocalizedResult:
 # -- application: abelian flavor ----------------------------------------------
 
 
-def _quotient_by_columns(F, A: AbGroup, extra: IntMatrix) -> LocalizedResult:
-    """Quotient of A by the subgroup generated by extra's columns."""
-    Q = AbGroup(A.ngens, A.relations.hstack(extra), name=None)
-    eta = AbHom(A, Q, IntMatrix.identity(A.ngens))
+def _epireflection(F, A: AbGroup, eta: AbHom) -> LocalizedResult:
     radical, _ = ab_kernel(eta)
-    return LocalizedResult(F, A, Q, eta, radical, EPIREFLECTION)
+    return LocalizedResult(F, A, eta.codomain, eta, radical, EPIREFLECTION)
+
+
+def _quotient_by_columns(A: AbGroup, extra: IntMatrix) -> AbHom:
+    """The projection of A onto its quotient by extra's columns."""
+    Q = AbGroup(A.ngens, A.relations.hstack(extra), name=None)
+    return AbHom(A, Q, IntMatrix.identity(A.ngens))
+
+
+def _iterated_quotient(F, A: AbGroup, relations_to_impose) -> LocalizedResult:
+    """Quotient A step by step by the columns relations_to_impose(current
+    group) returns, until it returns None."""
+    eta = AbHom.identity_hom(A)
+    while (extra := relations_to_impose(eta.codomain)) is not None:
+        eta = eta.then(_quotient_by_columns(eta.codomain, extra))
+    return _epireflection(F, A, eta)
 
 
 def _columns_in_lattice(A: AbGroup, M: IntMatrix) -> bool:
@@ -345,72 +296,51 @@ def _cyclic_order_of_presentation(pres: Presentation) -> int | None:
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
-    if isinstance(F, Abelianization):
-        eta = AbHom.identity_hom(A)
-        radical, _ = ab_kernel(eta)
-        return LocalizedResult(F, A, A, eta, radical, EPIREFLECTION)
-    if isinstance(F, (Variety, NilpotentQuotient)):
-        # on abelian groups a word acts through its exponent sums
-        if isinstance(F, NilpotentQuotient):
-            g = 0  # iterated commutators have zero exponent sums
-        else:
-            g = 0
+    if isinstance(F, (Abelianization, NilpotentQuotient, Variety)):
+        # on abelian groups a word acts through its exponent sums; iterated
+        # commutators have zero exponent sums
+        g = 0
+        if isinstance(F, Variety):
             for w in F.words:
                 sums = [0] * max(w.arity, 0)
                 for sym, exp in w.letters:
                     sums[sym] += exp
-                word_gcd = 0
-                for s in sums:
-                    word_gcd = gcd(word_gcd, abs(s))
-                g = gcd(g, word_gcd)
+                for total in sums:
+                    g = gcd(g, abs(total))
         if g == 0:
-            eta = AbHom.identity_hom(A)
-            radical, _ = ab_kernel(eta)
-            return LocalizedResult(F, A, A, eta, radical, EPIREFLECTION)
-        return _quotient_by_columns(F, A, IntMatrix.scalar(A.ngens, g))
+            return _epireflection(F, A, AbHom.identity_hom(A))
+        return _epireflection(F, A, _quotient_by_columns(A, IntMatrix.scalar(A.ngens, g)))
     if isinstance(F, QuasiVarietyReflection):
-        cur = A
-        eta = AbHom.identity_hom(A)
-        while True:
-            new_cols = None
+
+        def unmet_rule(cur: AbGroup) -> IntMatrix | None:
             for cond, imp in F.rules:
                 a = abs(cond.exponent_sum())
                 b = imp.exponent_sum()
                 if a == 0:
                     imposed = IntMatrix.scalar(cur.ngens, b)
                 else:
-                    T, incl = n_torsion(cur, a)
+                    _, incl = n_torsion(cur, a)
                     imposed = IntMatrix(
                         [[b * x for x in row] for row in incl.matrix.entries],
                         cols=incl.matrix.cols,
                     )
                 if not _columns_in_lattice(cur, imposed):
-                    new_cols = imposed
-                    break
-            if new_cols is None:
-                break
-            step = _quotient_by_columns(F, cur, new_cols)
-            eta = eta.then(step.eta)
-            cur = step.result
-        radical, _ = ab_kernel(eta)
-        return LocalizedResult(F, A, cur, eta, radical, EPIREFLECTION)
+                    return imposed
+            return None
+
+        return _iterated_quotient(F, A, unmet_rule)
     if isinstance(F, Nullification):
         n = _cyclic_order_of_presentation(F.target)
         if n is None or n == 0:
             raise UnsupportedFunctorError(
                 "abelian nullification needs a finite cyclic target"
             )
-        cur = A
-        eta = AbHom.identity_hom(A)
-        while True:
+
+        def n_torsion_columns(cur: AbGroup) -> IntMatrix | None:
             T, incl = n_torsion(cur, n)
-            if T.is_trivial():
-                break
-            step = _quotient_by_columns(F, cur, incl.matrix)
-            eta = eta.then(step.eta)
-            cur = step.result
-        radical, _ = ab_kernel(eta)
-        return LocalizedResult(F, A, cur, eta, radical, EPIREFLECTION)
+            return None if T.is_trivial() else incl.matrix
+
+        return _iterated_quotient(F, A, n_torsion_columns)
     if isinstance(F, SpSubfunctor):
         T, incl = n_torsion(A, F.p)
         return LocalizedResult(F, A, T, incl, None, SUBFUNCTOR)
@@ -421,7 +351,7 @@ def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
     """Apply the functor; epireflections yield eta: G ->> LG with its radical,
     the subfunctor yields an inclusion."""
     if isinstance(G, PermGroup):
-        return G.memo(("apply", F), lambda: _apply_perm(F, G, caps))
+        return G.memo(("apply", F), lambda: _apply_perm(F, G, caps), caps)
     if isinstance(G, AbGroup):
         return G.memo(("apply", F), lambda: _apply_abelian(F, G, caps))
     raise UnsupportedFunctorError(f"cannot apply a functor to {type(G).__name__}")
@@ -587,34 +517,15 @@ def is_local_wrt(X, phi: TestMap, caps: Caps = DEFAULT_CAPS) -> LocalityReport:
 
 
 def _is_local_perm(X: PermGroup, phi: TestMap, caps: Caps) -> LocalityReport:
-    homs_b = enumerate_hom_images(phi.codomain_pres, X, caps)
-    homs_a = enumerate_hom_images(phi.domain_pres, X, caps)
     ident = X.identity()
-    seen: dict = {}
-    witness = None
-    for hb in homs_b:
-        ha = tuple(w.evaluate(hb, ident) for w in phi.images)
-        if ha in seen:
-            witness = (
-                f"collision: codomain homs {_fmt_images(seen[ha])} and "
-                f"{_fmt_images(hb)} pull back to the same map"
-            )
-            break
-        seen[ha] = hb
-    is_local = witness is None
-    if is_local:
-        for ha in homs_a:
-            if ha not in seen:
-                witness = f"uncovered: {_fmt_images(ha)} is not a pullback of any hom"
-                is_local = False
-                break
-    return LocalityReport(
-        X.describe(),
-        phi.describe(),
-        len(homs_b),
-        len(homs_a),
-        is_local,
-        witness,
+    return _locality_report(
+        X,
+        phi,
+        enumerate_hom_images(phi.codomain_pres, X, caps),
+        enumerate_hom_images(phi.domain_pres, X, caps),
+        lambda hb: tuple(w.evaluate(hb, ident) for w in phi.images),
+        _fmt_images,
+        ("codomain homs ", ""),
     )
 
 
@@ -631,36 +542,41 @@ def _is_local_abelian(X: AbGroup, phi: TestMap, caps: Caps) -> LocalityReport:
     m, n, k = cyc
     Tn, incl_n = n_torsion(X, n)
     Tm, incl_m = n_torsion(X, m)
-    elems_n = [incl_n.apply(t) for t in Tn.elements(caps)]
-    elems_m = {incl_m.apply(t) for t in Tm.elements(caps)}
+    return _locality_report(
+        X,
+        phi,
+        [incl_n.apply(t) for t in Tn.elements(caps)],
+        sorted({incl_m.apply(t) for t in Tm.elements(caps)}),
+        lambda v: X.scale(k, v),
+        X.format_element,
+        ("", "generator -> "),
+    )
+
+
+def _locality_report(
+    X, phi: TestMap, maps_b, maps_a, restrict, fmt, labels: tuple[str, str]
+) -> LocalityReport:
+    """Precomposition maps_b -> maps_a is a bijection iff no two maps from B
+    restrict to the same map from A and every map from A is a restriction;
+    ``labels`` prefix the collision and the uncovered witness."""
     seen: dict = {}
     witness = None
-    for v in elems_n:
-        image = X.scale(k, v)
-        if image in seen:
+    for hb in maps_b:
+        ha = restrict(hb)
+        if ha in seen:
             witness = (
-                f"collision: {X.format_element(seen[image])} and "
-                f"{X.format_element(v)} pull back to the same map"
+                f"collision: {labels[0]}{fmt(seen[ha])} and {fmt(hb)} "
+                "pull back to the same map"
             )
             break
-        seen[image] = v
-    is_local = witness is None
-    if is_local:
-        for w in sorted(elems_m):
-            if w not in seen:
-                witness = (
-                    f"uncovered: generator -> {X.format_element(w)} "
-                    "is not a pullback of any hom"
-                )
-                is_local = False
+        seen[ha] = hb
+    else:
+        for ha in maps_a:
+            if ha not in seen:
+                witness = f"uncovered: {labels[1]}{fmt(ha)} is not a pullback of any hom"
                 break
     return LocalityReport(
-        X.describe(),
-        phi.describe(),
-        len(elems_n),
-        len(elems_m),
-        is_local,
-        witness,
+        X.describe(), phi.describe(), len(maps_b), len(maps_a), witness is None, witness
     )
 
 

@@ -9,6 +9,8 @@ insertions; it either returns a provably exact realization or fails loudly.
 
 from __future__ import annotations
 
+from typing import Container, Sequence
+
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, RealizationError
 from .perm import Permutation
@@ -16,15 +18,25 @@ from .permgroup import GroupHom, PermGroup
 from .words import Presentation, Word
 
 
-def enumerate_hom_images(
-    pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
+def relator_solutions(
+    pres: Presentation,
+    X: PermGroup,
+    candidates: Sequence[Permutation],
+    trivial: Container[Permutation],
+    caps: Caps = DEFAULT_CAPS,
 ) -> list[tuple[Permutation, ...]]:
-    """All generator-image tuples satisfying the relators, in sorted order."""
+    """Every tuple of candidates on which each relator of ``pres`` evaluates
+    into ``trivial``, in candidate order; a relator is checked as soon as its
+    support is assigned.
+
+    With all of X as candidates and ``trivial = {1}`` these are the generator
+    images of Hom(P, X).  With N-coset representatives and ``trivial = N``
+    for a normal subgroup N they lift the generator images of Hom(P, X/N).
+    """
     k = len(pres.generators)
-    elts = X.elements(caps)
-    if len(elts) ** k > caps.hom_search:
+    if len(candidates) ** k > caps.hom_search:
         raise CapExceededError(
-            f"hom search space {len(elts)}^{k} exceeds cap {caps.hom_search}"
+            f"hom search space {len(candidates)}^{k} exceeds cap {caps.hom_search}"
         )
     ident = X.identity()
     single: list[list[Word]] = [[] for _ in range(k)]
@@ -33,20 +45,15 @@ def enumerate_hom_images(
         if rel.is_empty():
             continue
         support = {s for s, _ in rel.letters}
-        trigger = max(support)
-        if len(support) == 1:
-            single[trigger].append(rel)
-        else:
-            multi[trigger].append(rel)
-    allowed: list[list[Permutation]] = []
-    for i in range(k):
-        ok = [
+        (single if len(support) == 1 else multi)[max(support)].append(rel)
+    allowed = [
+        [
             y
-            for y in elts
-            if all(r.evaluate([y] * k, ident).is_identity() for r in single[i])
+            for y in candidates
+            if all(r.evaluate([y] * k, ident) in trivial for r in single[i])
         ]
-        allowed.append(ok)
-
+        for i in range(k)
+    ]
     results: list[tuple[Permutation, ...]] = []
     assignment: list[Permutation] = [ident] * k
 
@@ -56,11 +63,18 @@ def enumerate_hom_images(
             return
         for y in allowed[i]:
             assignment[i] = y
-            if all(r.evaluate(assignment, ident).is_identity() for r in multi[i]):
+            if all(r.evaluate(assignment, ident) in trivial for r in multi[i]):
                 backtrack(i + 1)
 
     backtrack(0)
     return results
+
+
+def enumerate_hom_images(
+    pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[Permutation, ...]]:
+    """All generator-image tuples satisfying the relators, in sorted order."""
+    return relator_solutions(pres, X, X.elements(caps), {X.identity()}, caps)
 
 
 def hom_count(pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     CapExceededError,
+    FlatlabError,
     InvalidHomomorphismError,
     NotAbelianError,
     NotASubgroupError,
@@ -23,27 +24,6 @@ from .errors import (
 )
 from .perm import Permutation
 from .words import Presentation
-
-
-def _closure(generators: Sequence[Permutation], degree: int, cap: int) -> list[Permutation]:
-    """BFS closure of the generators; finiteness makes inverses automatic."""
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in generators:
-                x = e * g
-                if x not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(
-                            f"order cap {cap} exceeded", partial=len(seen)
-                        )
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return sorted(seen)
 
 
 class PermGroup:
@@ -99,11 +79,15 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Permutation, ...]:
-        if "elements" not in self._memo:
-            elts = tuple(_closure(self.generators, self.degree, caps.order))
+        elts = self._memo.get("elements")
+        if elts is None:
+            elts = tuple(generated_subgroup(self.generators, self.degree, caps.order)[0])
             self._memo["elements"] = elts
             self._memo["element_set"] = frozenset(elts)
-        return self._memo["elements"]
+        elif len(elts) > caps.order:
+            # a stored table obeys the caps of this call, not of the first one
+            raise CapExceededError(f"order cap {caps.order} exceeded", partial=caps.order)
+        return elts
 
     def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[Permutation]:
         self.elements(caps)
@@ -156,8 +140,12 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set() <= other.element_set()
 
-    def memo(self, key, compute):
-        if key not in self._memo:
+    def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
+        """Compute-once derived data; a hit re-checks the group's order
+        against the caps, so no cap verdict depends on call history."""
+        if key in self._memo:
+            self.elements(caps)
+        else:
             self._memo[key] = compute()
         return self._memo[key]
 
@@ -172,32 +160,44 @@ class PermGroup:
 def generated_subgroup(
     seeds: Iterable[Permutation], degree: int, cap: int
 ) -> tuple[list[Permutation], tuple[Permutation, ...]]:
-    """Elements and a small generating set of <seeds>, grown incrementally:
-    each genuinely new seed only multiplies the new coset material."""
+    """Sorted elements and a small generating set of <seeds>; the one
+    multiplicative closure of the package.
+
+    Seeds are taken in sorted order and kept only if not yet generated.  A
+    kept seed e first adds the coset H*e of the subgroup H built so far (all
+    new, since e is not in H); the new elements are then closed under right
+    multiplication by the kept seeds.  Every insertion is checked against the
+    cap, and finiteness makes inverses automatic.
+    """
     ident = Permutation.identity(degree)
     gens: list[Permutation] = []
+    elts = [ident]
     have = {ident}
     for e in sorted(set(seeds)):
         if e in have:
             continue
         gens.append(e)
-        frontier = [x * e for x in list(have)]
-        frontier = [x for x in frontier if x not in have]
-        have.update(frontier)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in have:
-                        if len(have) >= cap:
-                            raise CapExceededError(
-                                f"order cap {cap} exceeded", partial=len(have)
-                            )
-                        have.add(y)
-                        new.append(y)
-            frontier = new
-    return sorted(have), tuple(gens)
+        start = len(elts)
+        for x in elts[:start]:
+            if len(elts) >= cap:
+                raise CapExceededError(f"order cap {cap} exceeded", partial=len(elts))
+            y = x * e
+            have.add(y)
+            elts.append(y)
+        i = start
+        while i < len(elts):
+            x = elts[i]
+            i += 1
+            for g in gens:
+                y = x * g
+                if y not in have:
+                    if len(elts) >= cap:
+                        raise CapExceededError(
+                            f"order cap {cap} exceeded", partial=len(elts)
+                        )
+                    have.add(y)
+                    elts.append(y)
+    return sorted(elts), tuple(gens)
 
 
 def small_generating_set(
@@ -328,7 +328,8 @@ class GroupHom:
             ident = self.codomain.identity()
             kern = [x for x, y in self.mapping().items() if y == ident]
             k = self.domain.subgroup_from_elements(kern, name="ker")
-            assert self.domain.order() == k.order() * self.image().order()
+            if self.domain.order() != k.order() * self.image().order():
+                raise FlatlabError("kernel order times image order != domain order")
             self._kernel_cache = k
         return self._kernel_cache
 
@@ -357,13 +358,6 @@ class GroupHom:
             tuple(other.apply(y) for y in self.images),
             caps=self._caps,
             _trusted=True,
-        )
-
-    def is_identity_map(self) -> bool:
-        return (
-            self.domain.degree == self.codomain.degree
-            and self.domain.element_set() == self.codomain.element_set()
-            and all(self.apply(x) == x for x in self.domain.elements())
         )
 
     @classmethod
@@ -422,6 +416,22 @@ def is_normal(N: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     )
 
 
+def right_cosets(
+    G: PermGroup, n_elements: Sequence[Permutation], caps: Caps = DEFAULT_CAPS
+) -> tuple[list[Permutation], dict[Permutation, int]]:
+    """One pass over G: the least element of each right coset Nx, and the
+    index of every element's coset in that list."""
+    reps: list[Permutation] = []
+    coset_index: dict[Permutation, int] = {}
+    for x in G.elements(caps):
+        if x in coset_index:
+            continue
+        for n in n_elements:
+            coset_index[n * x] = len(reps)
+        reps.append(x)
+    return reps, coset_index
+
+
 def quotient(
     G: PermGroup, N: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> tuple[PermGroup, GroupHom]:
@@ -430,16 +440,7 @@ def quotient(
         raise NotASubgroupError("N is not a subgroup of G")
     if not is_normal(N, G, caps):
         raise NotNormalError("N is not normal in G")
-    n_elts = N.elements(caps)
-    coset_index: dict[Permutation, int] = {}
-    reps: list[Permutation] = []
-    for x in G.elements(caps):
-        if x in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for n in n_elts:
-            coset_index[n * x] = idx
+    reps, coset_index = right_cosets(G, N.elements(caps), caps)
     proj_images = [
         Permutation(tuple(coset_index[rep * g] for rep in reps))
         for g in G.generators
@@ -449,7 +450,8 @@ def quotient(
     Q = PermGroup(
         max(len(reps), 1), tuple(proj_images), name=f"{gname}/{nname}"
     )
-    assert Q.order(caps) * N.order(caps) == G.order(caps)
+    if Q.order(caps) * N.order(caps) != G.order(caps):
+        raise FlatlabError("quotient order times subgroup order != group order")
     proj = GroupHom(G, Q, proj_images, caps=caps, _trusted=True)
     return Q, proj
 
@@ -537,7 +539,8 @@ def pullback_group(
         gens = small_generating_set(elts, dE + dX)
     P = PermGroup(dE + dX, gens, name=f"pb({E.name or 'E'},{X.name or 'X'})")
     # the closure of the generators must reproduce the fiber-product set
-    assert P.order(caps) == pair_count
+    if P.order(caps) != pair_count:
+        raise FlatlabError("fiber-product generators do not span the fiber product")
     map_e = {p: Permutation._make(p.images[:dE]) for p in elts}
     map_x = {
         p: Permutation._make(tuple(i - dE for i in p.images[dE:])) for p in elts
@@ -550,10 +553,8 @@ def pullback_group(
         P, X, tuple(map_x[p] for p in P.generators), caps=caps,
         _trusted=True, _mapping=map_x,
     )
-    # both squares commute
-    assert all(
-        f.apply(pr_e.apply(p)) == g.apply(pr_x.apply(p)) for p in P.generators
-    )
+    if any(f.apply(pr_e.apply(p)) != g.apply(pr_x.apply(p)) for p in P.generators):
+        raise FlatlabError("fiber-product square does not commute")
     return P, pr_e, pr_x
 
 
@@ -575,19 +576,16 @@ def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]
             items = list(found.values())
             for i in range(len(items)):
                 for j in range(i + 1, len(items)):
-                    gens = items[i].generators + items[j].generators
-                    join_elts = _closure(gens, G.degree, caps.order)
+                    join_elts, gens = generated_subgroup(
+                        items[i].generators + items[j].generators, G.degree, caps.order
+                    )
                     key_j = frozenset(join_elts)
                     if key_j not in found:
-                        found[key_j] = PermGroup(
-                            G.degree,
-                            small_generating_set(join_elts, G.degree),
-                            _elements=join_elts,
-                        )
+                        found[key_j] = PermGroup(G.degree, gens, _elements=join_elts)
                         changed = True
         return sorted(found.values(), key=lambda n: (n.order(caps), n.elements(caps)))
 
-    return G.memo(key, compute)
+    return G.memo(key, compute, caps)
 
 
 def abelian_census_invariants(
@@ -641,7 +639,8 @@ def _is_p_power(n: int, p: int) -> bool:
 def _int_log(n: int, p: int) -> int:
     k = 0
     while n > 1:
-        assert n % p == 0, "census size is not a prime power"
+        if n % p:
+            raise FlatlabError("census size is not a prime power")
         n //= p
         k += 1
     return k
@@ -689,7 +688,7 @@ def _conjugacy_class_sizes(G: PermGroup, caps: Caps) -> tuple[int, ...]:
             sizes.append(len(cls))
         return tuple(sorted(sizes))
 
-    return G.memo("conj_class_sizes", compute)
+    return G.memo("conj_class_sizes", compute, caps)
 
 
 def find_isomorphism(

@@ -227,9 +227,7 @@ def _case_thm_4_1(caps: Caps) -> CaseReport:
 def _failing_flag(fr) -> str:
     for flag in ("left_injective", "middle_exact", "right_surjective"):
         if not getattr(fr, flag):
-            return {"left_injective": "left_injective",
-                    "middle_exact": "middle_exact",
-                    "right_surjective": "right_surjective"}[flag]
+            return flag
     return "none"
 
 

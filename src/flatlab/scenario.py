@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
+from .abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, perm_to_abelian
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import default_battery, parse_group_literal
 from .errors import CapExceededError, FlatlabError, ScenarioError
@@ -220,7 +220,7 @@ def _parse_matrix(text: str, line: int) -> list[list[int]]:
     return rows
 
 
-def _build_group(sec: Section):
+def _build_group(sec: Section, caps: Caps = DEFAULT_CAPS):
     form = sec.form
     if form == "perm":
         deg = int(sec.require("deg"))
@@ -232,8 +232,7 @@ def _build_group(sec: Section):
         return PermGroup(deg, gens, name=sec.name)
     if form == "presentation":
         pres = Presentation.parse(sec.require("gens"), sec.get("rels", "") or "")
-        G = realize_presentation(pres, name=sec.name)
-        return G
+        return realize_presentation(pres, caps, name=sec.name)
     if form == "abelian":
         if sec.get("relations") is not None:
             rows = _parse_matrix(sec.require("relations"), sec.line)
@@ -244,15 +243,14 @@ def _build_group(sec: Section):
         torsion = _parse_int_list(sec.get("torsion", "[]") or "[]", sec.line)
         return ab_from_invariants(rank, torsion, name=sec.name)
     if form == "catalog":
-        G = parse_group_literal(sec.require("spec"))
-        return G
+        return parse_group_literal(sec.require("spec"))
     raise ScenarioError(
         f"unknown group form {form!r} (want perm | presentation | abelian | catalog)",
         sec.line,
     )
 
 
-def _build_hom(sec: Section, scn: Scenario):
+def _build_hom(sec: Section, scn: Scenario, caps: Caps):
     src = _lookup(scn.groups, sec.require("from"), sec.line, "group")
     dst = _lookup(scn.groups, sec.require("to"), sec.line, "group")
     if isinstance(src, PermGroup) and isinstance(dst, PermGroup):
@@ -267,7 +265,7 @@ def _build_hom(sec: Section, scn: Scenario):
         )
         ident = dst.identity()
         images = tuple(w.evaluate(dst.generators, ident) for w in words)
-        hom = GroupHom(src, dst, images, name=sec.name)
+        hom = GroupHom(src, dst, images, caps=caps, name=sec.name)
         scn.hom_words[sec.name] = words
         return hom
     if isinstance(src, AbGroup) and isinstance(dst, AbGroup):
@@ -330,31 +328,32 @@ def _lookup(table: dict, name: str, line: int, what: str):
     return table[name]
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and resolve; every definition is validated at construction."""
+def parse_scenario(text: str, caps: Caps = DEFAULT_CAPS) -> Scenario:
+    """Parse and resolve; every definition is validated at construction,
+    under the caps of the run (a cap hit surfaces as CapExceededError)."""
     scn = Scenario(_parse_sections(text))
     for sec in scn.sections:
         try:
             if sec.kind == "group":
                 if not sec.name:
                     raise ScenarioError("group needs a name", sec.line)
-                scn.groups[sec.name] = _build_group(sec)
+                scn.groups[sec.name] = _build_group(sec, caps)
             elif sec.kind == "hom":
                 if not sec.name:
                     raise ScenarioError("hom needs a name", sec.line)
-                scn.homs[sec.name] = _build_hom(sec, scn)
+                scn.homs[sec.name] = _build_hom(sec, scn, caps)
             elif sec.kind == "extension":
                 if not sec.name:
                     raise ScenarioError("extension needs a name", sec.line)
                 p = _lookup(scn.homs, sec.require("surjection"), sec.line, "hom")
-                scn.extensions[sec.name] = from_surjection(p, name=sec.name)
+                scn.extensions[sec.name] = from_surjection(p, name=sec.name, caps=caps)
             elif sec.kind == "functor":
                 if not sec.name:
                     raise ScenarioError("functor needs a name", sec.line)
                 scn.functors[sec.name] = _build_functor(sec)
             elif sec.kind == "directive":
                 scn.directives.append(sec)
-        except ScenarioError:
+        except (ScenarioError, CapExceededError):
             raise
         except (FlatlabError, ValueError) as exc:
             raise ScenarioError(str(exc), sec.line) from None
@@ -430,15 +429,8 @@ def _test_map_from_hom(name: str, scn: Scenario, line: int) -> TestMap:
 def _iso_verdict(G, expect_group, caps: Caps) -> bool:
     if isinstance(G, PermGroup) and isinstance(expect_group, PermGroup):
         return is_isomorphic(G, expect_group, caps)
-    if isinstance(G, AbGroup) and isinstance(expect_group, AbGroup):
-        return G.canonical_invariants() == expect_group.canonical_invariants()
-    if isinstance(G, PermGroup):
-        from .abelian import perm_to_abelian
-
-        if not G.is_abelian():
-            return False
-        A, _ = perm_to_abelian(G, caps)
-        return A.canonical_invariants() == expect_group.canonical_invariants()
+    if isinstance(expect_group, AbGroup):
+        return _group_invariants(G, caps) == expect_group.canonical_invariants()
     return False
 
 
@@ -450,13 +442,31 @@ def _parse_invariants(text: str, line: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _group_invariants(G, caps: Caps):
+    """Canonical (rank, torsion) of an abelian group of either flavor; None
+    for a non-abelian permutation group."""
     if isinstance(G, AbGroup):
         return G.canonical_invariants()
-    from .abelian import perm_to_abelian
-
     if not G.is_abelian():
         return None
     return perm_to_abelian(G, caps)[0].canonical_invariants()
+
+
+def _shape_expectations(sec: Section, scn: Scenario, G, caps: Caps):
+    """The expect_iso= and expect_invariants= clauses checked against G, as
+    (verdict part, matched, details) triples."""
+    checks = []
+    iso_name = sec.get("expect_iso")
+    if iso_name:
+        target = _lookup(scn.groups, iso_name, sec.line, "group")
+        ok = _iso_verdict(G, target, caps)
+        checks.append(("iso", ok, {"iso_expected": iso_name, "iso_matched": ok}))
+    inv_text = sec.get("expect_invariants")
+    if inv_text:
+        want = _parse_invariants(inv_text, sec.line)
+        got = _group_invariants(G, caps)
+        details = {"invariants_expected": str(want), "invariants_got": str(got)}
+        checks.append(("invariants", want == got, details))
+    return checks
 
 
 def run_scenario(scn: Scenario, caps: Caps = DEFAULT_CAPS) -> RunResult:
@@ -557,23 +567,10 @@ def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
         verdict_parts.append(verdict)
         payload["flatness"] = rep.to_dict()
         matched = _expect_match(exp, verdict)
-    iso_name = sec.get("expect_iso")
-    if iso_name:
-        target = _lookup(scn.groups, iso_name, sec.line, "group")
-        ok = _iso_verdict(pulled.extension.total, target, caps)
-        payload["iso_expected"] = iso_name
-        payload["iso_matched"] = ok
+    for part, ok, details in _shape_expectations(sec, scn, pulled.extension.total, caps):
+        payload.update(details)
         matched = ok if matched is None else (matched and ok)
-        verdict_parts.append(f"iso-{'ok' if ok else 'mismatch'}")
-    inv_text = sec.get("expect_invariants")
-    if inv_text:
-        want = _parse_invariants(inv_text, sec.line)
-        got = _group_invariants(pulled.extension.total, caps)
-        ok = want == got
-        payload["invariants_expected"] = str(want)
-        payload["invariants_got"] = str(got)
-        matched = ok if matched is None else (matched and ok)
-        verdict_parts.append(f"invariants-{'ok' if ok else 'mismatch'}")
+        verdict_parts.append(f"{part}-{'ok' if ok else 'mismatch'}")
     return DirectiveResult(
         "pullback",
         f"{ext.describe()} along {sec.require('along')}",
@@ -617,20 +614,11 @@ def _run_localize(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
     }
     matched: bool | None = None
     verdict = "computed"
-    iso_name = sec.get("expect_iso")
-    if iso_name:
-        target = _lookup(scn.groups, iso_name, sec.line, "group")
-        ok = _iso_verdict(L.result, target, caps)
-        matched = ok
-        verdict = "iso-ok" if ok else "iso-mismatch"
-    inv_text = sec.get("expect_invariants")
-    if inv_text:
-        want = _parse_invariants(inv_text, sec.line)
-        got = _group_invariants(L.result, caps)
-        ok = want == got
+    for part, ok, details in _shape_expectations(sec, scn, L.result, caps):
         matched = ok if matched is None else (matched and ok)
-        verdict = "invariants-ok" if ok else "invariants-mismatch"
-        payload["invariants_expected"] = str(want)
+        verdict = f"{part}-{'ok' if ok else 'mismatch'}"
+        if "invariants_expected" in details:
+            payload["invariants_expected"] = details["invariants_expected"]
     return DirectiveResult(
         "localize",
         f"{F.describe()} on {sec.require('group')}",

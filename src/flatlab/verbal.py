@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, FlatlabError
 from .perm import Permutation
-from .permgroup import PermGroup, normal_closure, is_normal
+from .permgroup import PermGroup, generated_subgroup, is_normal, normal_closure
 from .words import Word
 
 
@@ -90,24 +90,13 @@ def verbal_subgroup(
                 seeds.update(word_values(G, w, caps))
         for part in fast_parts:
             seeds.update(part.elements(caps))
-        seeds.discard(G.identity())
-        if not seeds:
-            W = G.subgroup((), name="W(G)")
-        else:
-            W = G.subgroup_from_elements(
-                _generated(seeds, G.degree, caps), name="W(G)"
-            )
+        elements, gens = generated_subgroup(seeds, G.degree, caps.order)
+        W = PermGroup(G.degree, gens, name="W(G)", _elements=elements)
         if not is_normal(W, G, caps):
             raise FlatlabError("verbal subgroup failed its normality assertion")
         return W
 
-    return G.memo(key, compute)
-
-
-def _generated(elements, degree, caps: Caps) -> list[Permutation]:
-    from .permgroup import generated_subgroup
-
-    return generated_subgroup(elements, degree, caps.order)[0]
+    return G.memo(key, compute, caps)
 
 
 def lower_central_series(
@@ -117,9 +106,9 @@ def lower_central_series(
     ``depth``.  Memoized per group."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    chain: list[PermGroup] = G.memo("lcs_chain", lambda: [G])
+    chain: list[PermGroup] = G.memo("lcs_chain", lambda: [G], caps)
     seeds: list[tuple[Permutation, ...]] = G.memo(
-        "lcs_seeds", lambda: [G.generators]
+        "lcs_seeds", lambda: [G.generators], caps
     )
 
     def stabilized() -> bool:
@@ -176,14 +165,10 @@ def s_p_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
     def compute():
         seeds = {g for g in G.elements(caps) if g.order() == p}
-        if not seeds:
-            S = G.subgroup((), name=f"S_{p}(G)")
-        else:
-            S = G.subgroup_from_elements(
-                _generated(seeds, G.degree, caps), name=f"S_{p}(G)"
-            )
+        elements, gens = generated_subgroup(seeds, G.degree, caps.order)
+        S = PermGroup(G.degree, gens, name=f"S_{p}(G)", _elements=elements)
         if not is_normal(S, G, caps):
             raise FlatlabError("S_p subgroup failed its normality assertion")
         return S
 
-    return G.memo(("s_p", p), compute)
+    return G.memo(("s_p", p), compute, caps)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from flatlab.catalog import symmetric
 from flatlab.cli import main, parse_caps
 from flatlab.errors import FlatlabError
 
@@ -174,3 +175,38 @@ def test_search_bound_one_is_empty(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["counterexamples"] == []
+
+
+def test_cap_exhaustion_exits_2_even_when_memoised(capsys):
+    symmetric(4).elements()  # a stored element table must not bypass the cap
+    argv = ["localize", "--functor", "abelianization", "--group", "symmetric(4)"]
+    assert main(argv + ["--caps", "order=10"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
+def test_cap_hit_while_parsing_a_scenario_exits_2(tmp_path, capsys):
+    scn = tmp_path / "d8.scn"
+    scn.write_text(
+        "[group D8] perm deg=4 gens=(0 1 2 3),(1 3)\n"
+        "[group K] catalog spec=dihedral(8)\n"
+        "[hom pr] from=D8 to=K images=x,y\n"
+    )
+    assert main(["run", str(scn), "--caps", "order=4"]) == 2
+    assert main(["run", str(scn)]) == 0
+
+
+def test_unrealizable_presentation_exits_1(tmp_path, capsys):
+    scn = tmp_path / "c12.scn"
+    scn.write_text("[group C12] presentation gens=x rels=x^12\n")
+    assert main(["run", str(scn)]) == 1
+    assert "could not realize" in capsys.readouterr().err
+
+
+def test_localize_abelian_group_option_keeps_its_literal_name(capsys):
+    code, out = run_cli(
+        capsys, "localize", "--functor", "abelianization",
+        "--group", "abelian rank=1 torsion=[4,6]", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == "abelian rank=1 torsion=[4,6]"

@@ -1,6 +1,6 @@
 import pytest
 
-from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
+from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, ab_kernel
 from flatlab.catalog import (
     cyclic,
     dihedral,
@@ -29,6 +29,7 @@ from flatlab.functors import (
     Nullification,
     SpSubfunctor,
     Variety,
+    induce,
     standard_quasi_c4_c2,
 )
 from flatlab.permgroup import GroupHom, is_isomorphic, quotient
@@ -351,3 +352,26 @@ def test_pullback_along_localization_perm():
     pulled = pullback_along_localization(Abelianization(), ext, D8)
     assert pulled.extension.base.order() == 8
     assert pulled.extension.total.order() == 16
+
+
+def test_abelian_left_witness_names_a_nonzero_element():
+    # Z presented on two generators: the localized kernel's generator 0 is zero
+    E = AbGroup(2, IntMatrix([[0, 8], [0, 1]]))
+    G = AbGroup(1, IntMatrix([[2]]))
+    ext = from_surjection(AbHom(E, G, IntMatrix([[3, 0]])))
+    F = Variety((Word.generator(0) ** 2,))
+    K1, _ = ab_kernel(induce(F, ext.iota))
+    assert not any(K1.generator_element(0))
+    rep = check_flatness(F, ext)
+    assert not rep.left_injective
+    assert rep.witnesses["left"] == (
+        "localized kernel element (1 mod 2) dies in the localized total group"
+    )
+
+
+def test_right_exactness_is_a_view_of_the_flatness_report():
+    ext = central_dihedral_extension()
+    rex = check_right_exactness(Abelianization(), ext)
+    flat = check_flatness(Abelianization(), ext)
+    assert rex.to_dict() == flat.to_dict()
+    assert rex.is_right_exact and not rex.is_flat

@@ -10,7 +10,8 @@ from flatlab.catalog import (
     symmetric,
     trivial_group,
 )
-from flatlab.errors import FlatlabError, UnsupportedFunctorError
+from flatlab.caps import Caps
+from flatlab.errors import CapExceededError, FlatlabError, UnsupportedFunctorError
 from flatlab.functors import (
     Abelianization,
     NilpotentQuotient,
@@ -232,3 +233,22 @@ def test_sp_naturality_property():
     cod_set = S_cod.element_set()
     for x in S_dom.elements():
         assert proj.apply(x) in cod_set
+
+
+def test_memoised_radical_and_apply_respect_the_caps_of_each_call():
+    D16 = dihedral(16)
+    F = NilpotentQuotient(2)
+    assert radical_subgroup(F, D16).order() == 2
+    assert apply(F, D16).result.order() == 8
+    with pytest.raises(CapExceededError):
+        radical_subgroup(F, D16, Caps(order=2))
+    with pytest.raises(CapExceededError):
+        apply(F, D16, Caps(order=2))
+
+
+def test_nullification_at_a_free_target_kills_everything():
+    # a target with an infinite-order generator is acyclic-making: the radical
+    # is the whole group (the preimage chain once oscillated here)
+    Z = Presentation(("x",), ())
+    for G in (cyclic(4), symmetric(3)):
+        assert radical_subgroup(Nullification(Z), G).order() == G.order()

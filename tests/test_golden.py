@@ -1,0 +1,46 @@
+"""Byte-for-byte comparison of CLI JSON output against committed golden files.
+
+The golden files under tests/golden/ are the ``--format json`` stdout of the
+registry cases, the shipped scenarios and one catalog search.  Refactors of
+the group machinery must leave every one of them unchanged.  To regenerate a
+file after an intended output change, run the command in ``CASES`` with
+``--format json`` and redirect stdout to the file.
+"""
+
+import pathlib
+
+import pytest
+
+from flatlab.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+CASES = {
+    **{
+        f"reproduce-{case}": ["reproduce", case]
+        for case in (
+            "ex-3.3",
+            "thm-3.6-nilpotent",
+            "cor-3.8",
+            "nonidempotent-verbal-d8",
+            "thm-4.1",
+            "rem-4.2",
+            "prop-4.4",
+            "prop-4.6",
+        )
+    },
+    "run-prop-4.6": ["run", str(ROOT / "scenarios" / "prop-4.6.scn")],
+    "run-thm-4.1": ["run", str(ROOT / "scenarios" / "thm-4.1.scn")],
+    "search-sp-p2": [
+        "search", "--functor", "sp p=2", "--max-order", "8", "--probe-max-order", "8",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, capsys):
+    code = main(CASES[name] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 
 from flatlab.caps import Caps
@@ -22,6 +25,7 @@ from flatlab.permgroup import (
     GroupHom,
     PermGroup,
     abelian_census_invariants,
+    generated_subgroup,
     is_isomorphic,
     is_normal,
     normal_closure,
@@ -232,3 +236,32 @@ def test_hom_via_edge_check_without_presentation():
     C2 = cyclic(2)
     hom = GroupHom(G, C2, (C2.generators[0],))
     assert hom.apply(x * x).is_identity()
+
+
+def test_generated_subgroup_checks_the_cap_on_every_insertion():
+    # the coset step once added elements past the cap: 4 elements under cap 3
+    with pytest.raises(CapExceededError):
+        generated_subgroup(elementary_abelian(2, 2).generators, 4, cap=3)
+    elts, gens = generated_subgroup(elementary_abelian(2, 2).generators, 4, cap=4)
+    assert len(elts) == 4 and len(gens) == 2
+
+
+def test_memoised_elements_respect_the_caps_of_each_call():
+    S5 = symmetric(5)
+    assert S5.order() == 120
+    with pytest.raises(CapExceededError):
+        S5.order(Caps(order=10))
+    with pytest.raises(CapExceededError):
+        normal_subgroups(S5, Caps(order=10))
+
+
+def test_library_has_no_assert_statements():
+    # checks must survive python -O, so the library raises instead of asserting
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatlab"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -2,8 +2,8 @@ import pathlib
 
 import pytest
 
-from flatlab.caps import DEFAULT_CAPS
-from flatlab.errors import ScenarioError
+from flatlab.caps import DEFAULT_CAPS, Caps
+from flatlab.errors import CapExceededError, ScenarioError
 from flatlab.scenario import parse_scenario, run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -159,3 +159,14 @@ def test_cap_exhaustion_is_distinct_verdict_and_fails():
     result = run_scenario(scn, tight)
     assert result.exit_code == 2
     assert "cap-exceeded" in [r.verdict for r in result.results]
+
+
+def test_parse_scenario_applies_caps_and_lets_cap_errors_through():
+    text = (
+        "[group D8] perm deg=4 gens=(0 1 2 3),(1 3)\n"
+        "[group K] catalog spec=dihedral(8)\n"
+        "[hom pr] from=D8 to=K images=x,y\n"
+    )
+    assert "pr" in parse_scenario(text).homs
+    with pytest.raises(CapExceededError):
+        parse_scenario(text, Caps(order=4))
