@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Caps:
-    # maximum number of elements a permutation group may enumerate
+    # maximum number of elements a permutation group may enumerate, and of
+    # cosets a presentation's coset enumeration may define
     order: int = 100_000
     # maximum size |X|^k of a generator-image search space for Hom(P, X)
     hom_search: int = 5_000_000
@@ -23,9 +24,6 @@ class Caps:
     tuple_scan: int = 2_000_000
     # is_isomorphic gives up (explicit error, never a wrong answer) above this
     iso_order: int = 200
-    # presentation realization: word length ceiling and word-count ceiling
-    realize_length: int = 10
-    realize_words: int = 250_000
     # abelian enumeration: maximum number of torsion elements listed
     ab_elements: int = 200_000
 

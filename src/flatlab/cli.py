@@ -45,8 +45,6 @@ _CAP_ALIASES = {
     "tuple_scan": "tuple_scan",
     "iso": "iso_order",
     "iso_order": "iso_order",
-    "realize_length": "realize_length",
-    "realize_words": "realize_words",
     "ab_elements": "ab_elements",
 }
 

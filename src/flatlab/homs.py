@@ -3,8 +3,8 @@
 Hom(P, X) for a finite presentation P is found by backtracking over
 generator images with relators checked as soon as their support is
 assigned.  realize_presentation builds the presented group itself as a
-permutation group via brute-force closure of short words modulo relator
-insertions; it either returns a provably exact realization or fails loudly.
+permutation group by Todd-Coxeter (HLT) coset enumeration over the trivial
+subgroup; it either returns a provably exact realization or fails loudly.
 """
 
 from __future__ import annotations
@@ -102,177 +102,110 @@ def enumerate_homs(
 # -- realization of a presentation ------------------------------------------
 
 
-def _reduce_signed(word: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in word:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def _signed_relators(pres: Presentation) -> list[tuple[int, ...]]:
-    rels = []
-    for rel in pres.relators:
-        signed: list[int] = []
-        for sym, exp in rel.letters:
-            letter = sym + 1 if exp > 0 else -(sym + 1)
-            signed.extend([letter] * abs(exp))
-        rels.append(_reduce_signed(tuple(signed)))
-    return [r for r in rels if r]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
-def _all_words(k: int, max_len: int, cap: int) -> list[tuple[int, ...]]:
-    letters = [i + 1 for i in range(k)] + [-(i + 1) for i in range(k)]
-    words: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in letters:
-                if w and w[-1] == -s:
-                    continue
-                nxt.append(w + (s,))
-        words.extend(nxt)
-        if len(words) > cap:
-            raise CapExceededError(
-                f"realization word cap {cap} exceeded", partial=len(words)
-            )
-        frontier = nxt
-    return words
-
-
 def realize_presentation(
     pres: Presentation, caps: Caps = DEFAULT_CAPS, name: str | None = None
 ) -> PermGroup:
     """Realize the presented group exactly, or raise RealizationError.
 
-    Short words are identified whenever inserting a relator (or its inverse)
-    at any position maps one kept word to another; the quotient classes are
-    then given the right-multiplication action.  The result is accepted only
-    if that action is total, well defined, and kills every relator on every
-    class — which certifies that the class count equals the presented order.
+    HLT coset enumeration over the trivial subgroup (Todd & Coxeter 1936;
+    Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+    §5.1), defining at most ``caps.order`` cosets.  Exactness is certified
+    by the enumeration itself: every coset is scanned under every relator
+    and two cosets are identified only when a relator forces it, so the
+    finished table has one coset per element of the presented group, which
+    acts on it by right multiplication.  Cosets are numbered by the shortlex
+    order (g1 < .. < gk < g1^-1 < .. < gk^-1) of their shortest words, and
+    PermGroup re-checks that every relator is the identity on the resulting
+    generator permutations.
     """
     k = len(pres.generators)
-    if k == 0:
-        return PermGroup(1, (), presentation=pres, presentation_exact=True, name=name)
-    relators = _signed_relators(pres)
-    min_len = max([2] + [len(r) for r in relators])
-    for max_len in range(min_len, caps.realize_length + 1):
-        try:
-            words = _all_words(k, max_len, caps.realize_words)
-        except CapExceededError:
-            break
-        index = {w: i for i, w in enumerate(words)}
-        uf = _UnionFind(len(words))
-        for w in words:
-            for cut in range(len(w) + 1):
-                head, tail = w[:cut], w[cut:]
-                for rel in relators:
-                    for ins in (rel, tuple(-s for s in reversed(rel))):
-                        cand = _reduce_signed(head + ins + tail)
-                        j = index.get(cand)
-                        if j is not None:
-                            uf.union(index[w], j)
-        group = _try_build(words, index, uf, k, pres, name)
-        if group is not None:
-            return group
-    raise RealizationError(
-        f"could not realize <{','.join(pres.generators)} | "
-        f"{','.join(pres.relator_texts())}> within caps "
-        f"(max word length {caps.realize_length})"
+    # letter 2i is generator i and 2i+1 its inverse, so a ^ 1 inverts a;
+    # short relators first, which defines far fewer redundant cosets
+    relators = sorted(
+        (
+            [2 * sym + (exp < 0) for sym, exp in rel.letters for _ in range(abs(exp))]
+            for rel in pres.relators
+        ),
+        key=len,
     )
+    table: list[list[int | None]] = [[None] * (2 * k)]
+    forward = [0]  # forward[c] == c while coset c is live, else a smaller coset
 
+    def rep(c: int) -> int:
+        root = c
+        while forward[root] != root:
+            root = forward[root]
+        while forward[c] != root:
+            forward[c], c = root, forward[c]
+        return root
 
-def _try_build(words, index, uf, k, pres, name) -> PermGroup | None:
-    letters = [i + 1 for i in range(k)] + [-(i + 1) for i in range(k)]
-    # propagate right-multiplication consistency: w ~ w' forces wg ~ w'g
-    changed = True
-    while changed:
-        changed = False
-        targets: dict[tuple[int, int], int] = {}
-        for wi, w in enumerate(words):
-            root = uf.find(wi)
-            for s in letters:
-                cand = _reduce_signed(w + (s,))
-                j = index.get(cand)
-                if j is None:
+    def define(c: int, a: int) -> None:
+        if len(table) >= caps.order:
+            raise RealizationError(
+                f"could not realize <{','.join(pres.generators)} | "
+                f"{','.join(pres.relator_texts())}> within caps "
+                f"(coset limit {caps.order})"
+            )
+        table[c][a] = len(table)
+        table.append([None] * (2 * k))
+        table[-1][a ^ 1] = c
+        forward.append(len(forward))
+
+    def coincidence(c: int, d: int) -> None:
+        dead: list[int] = []
+
+        def merge(c: int, d: int) -> None:
+            c, d = sorted((rep(c), rep(d)))
+            if c != d:
+                forward[d] = c
+                dead.append(d)
+
+        merge(c, d)
+        for gone in dead:  # merge appends while this loop runs
+            for a, target in enumerate(table[gone]):
+                if target is None:
                     continue
-                jr = uf.find(j)
-                prev = targets.get((root, s))
-                if prev is None:
-                    targets[(root, s)] = jr
-                elif uf.find(prev) != jr:
-                    uf.union(prev, jr)
-                    changed = True
-    roots = sorted({uf.find(i) for i in range(len(words))})
-    root_pos = {r: i for i, r in enumerate(roots)}
-    n = len(roots)
-    # build the action; every class must have a defined image for each letter
-    action: dict[int, list[int | None]] = {s: [None] * n for s in letters}
-    for wi, w in enumerate(words):
-        pos = root_pos[uf.find(wi)]
-        for s in letters:
-            j = index.get(_reduce_signed(w + (s,)))
-            if j is not None:
-                action[s][pos] = root_pos[uf.find(j)]
-    if any(None in action[s] for s in letters):
-        return None
-    gen_perms = []
-    for i in range(k):
-        imgs = action[i + 1]
-        if sorted(imgs) != list(range(n)):
-            return None
-        perm = Permutation(imgs)
-        inv_imgs = action[-(i + 1)]
-        if perm.inverse() != Permutation(inv_imgs):
-            return None
-        gen_perms.append(perm)
-    ident = Permutation.identity(n)
-    for rel in pres.relators:
-        if not rel.evaluate(gen_perms, ident).is_identity():
-            return None
-    # regular action: orbit of the identity class must be everything
-    orbit = {root_pos[uf.find(index[()])]}
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gen_perms:
-                q = g.images[p]
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    if len(orbit) != n:
-        return None
-    G = PermGroup(
-        n, tuple(gen_perms), presentation=pres, presentation_exact=True, name=name
+                table[target][a ^ 1] = None
+                c, d = rep(gone), rep(target)
+                if table[c][a] is not None:
+                    merge(d, table[c][a])
+                elif table[d][a ^ 1] is not None:
+                    merge(c, table[d][a ^ 1])
+                else:
+                    table[c][a], table[d][a ^ 1] = d, c
+
+    def scan_and_fill(c: int, rel: list[int]) -> None:
+        f, b, i, j = c, c, 0, len(rel) - 1
+        while True:
+            while i <= j and table[f][rel[i]] is not None:
+                f, i = table[f][rel[i]], i + 1
+            while j >= i and table[b][rel[j] ^ 1] is not None:
+                b, j = table[b][rel[j] ^ 1], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][rel[i]], table[b][rel[i] ^ 1] = b, f
+                return
+            define(f, rel[i])
+
+    c = 0
+    while c < len(table):
+        for rel in relators:
+            if forward[c] == c:
+                scan_and_fill(c, rel)
+        for a in range(2 * k):
+            if forward[c] == c and table[c][a] is None:
+                define(c, a)
+        c += 1
+    # standardize: number the live cosets in breadth-first order from coset 0
+    order, number = [0], {0: 0}
+    for c in order:
+        for a in [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]:
+            if table[c][a] not in number:
+                number[table[c][a]] = len(order)
+                order.append(table[c][a])
+    gens = [Permutation([number[table[c][2 * i]] for c in order]) for i in range(k)]
+    return PermGroup(
+        len(order), gens, presentation=pres, presentation_exact=True, name=name
     )
-    if G.order() != n:
-        return None
-    return G

@@ -197,9 +197,16 @@ def test_cap_hit_while_parsing_a_scenario_exits_2(tmp_path, capsys):
 
 
 def test_unrealizable_presentation_exits_1(tmp_path, capsys):
-    scn = tmp_path / "c12.scn"
-    scn.write_text("[group C12] presentation gens=x rels=x^12\n")
+    scn = tmp_path / "modular.scn"
+    scn.write_text("[group P] presentation gens=x,y rels=x^2,y^3\n")
     assert main(["run", str(scn)]) == 1
+    assert "could not realize" in capsys.readouterr().err
+
+
+def test_presentation_over_the_order_cap_exits_1(tmp_path, capsys):
+    scn = tmp_path / "c8.scn"
+    scn.write_text("[group P] presentation gens=x rels=x^8\n")
+    assert main(["run", str(scn), "--caps", "order=4"]) == 1
     assert "could not realize" in capsys.readouterr().err
 
 

@@ -85,8 +85,20 @@ def test_realize_symmetric_3():
 def test_realize_fails_loudly_on_tight_caps():
     with pytest.raises((RealizationError, CapExceededError)):
         realize_presentation(
-            Presentation.parse("x,y", "x^7,y^2,(x*y)^3"), Caps(realize_length=3)
+            Presentation.parse("x,y", "x^7,y^2,(x*y)^3"), Caps(order=1000)
         )
+
+
+def test_realize_obeys_the_order_cap():
+    with pytest.raises(RealizationError, match="coset limit 4"):
+        realize_presentation(Presentation.parse("x", "x^8"), Caps(order=4))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_realize_cyclic_12_and_16(n):
+    G = realize_presentation(Presentation.parse("x", f"x^{n}"))
+    assert G.order() == n
+    assert is_isomorphic(G, cyclic(n))
 
 
 def test_trivial_presentation():
