@@ -398,7 +398,9 @@ class RunResult:
         }
 
 
-def _test_map_from_hom(name: str, scn: Scenario, line: int) -> TestMap:
+def _test_map_from_hom(
+    name: str, scn: Scenario, line: int, caps: Caps
+) -> TestMap:
     hom = _lookup(scn.homs, name, line, "hom")
     if isinstance(hom, GroupHom):
         dom, cod = hom.domain, hom.codomain
@@ -409,7 +411,9 @@ def _test_map_from_hom(name: str, scn: Scenario, line: int) -> TestMap:
         words = scn.hom_words.get(name)
         if words is None:
             raise ScenarioError("test map hom must be given by words", line)
-        return TestMap(dom.presentation, cod.presentation, words, name=name)
+        return TestMap(
+            dom.presentation, cod.presentation, words, name=name, caps=caps
+        )
     m = hom.domain.canonical_invariants()
     n = hom.codomain.canonical_invariants()
     if m[0] or len(m[1]) > 1 or n[0] or len(n[1]) > 1:
@@ -423,7 +427,7 @@ def _test_map_from_hom(name: str, scn: Scenario, line: int) -> TestMap:
     x = Word.generator(0)
     dom_pres = Presentation(("x",), (x**m_ord,))
     cod_pres = Presentation(("y",), (x**n_ord,))
-    return TestMap(dom_pres, cod_pres, (x**k,), name=name)
+    return TestMap(dom_pres, cod_pres, (x**k,), name=name, caps=caps)
 
 
 def _iso_verdict(G, expect_group, caps: Caps) -> bool:
@@ -631,7 +635,7 @@ def _run_localize(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
 
 def _run_certify(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
-    phi = _test_map_from_hom(sec.require("phi"), scn, sec.line)
+    phi = _test_map_from_hom(sec.require("phi"), scn, sec.line, caps)
     G = _lookup(scn.groups, sec.require("group"), sec.line, "group")
     E = _lookup(scn.groups, sec.require("local"), sec.line, "group")
     surj = _lookup(scn.homs, sec.require("surjection"), sec.line, "hom")

@@ -85,6 +85,7 @@ def certified_groups():
         symmetric(4),
         symmetric(5),
         alternating(5),
+        dihedral(6),
         dihedral(16),
         dihedral(32),
         elementary_abelian(2, 4),

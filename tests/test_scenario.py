@@ -111,6 +111,24 @@ def test_certify_directive():
     assert result.exit_code == 0
 
 
+def test_certify_test_map_is_realized_under_the_run_caps():
+    """The codomain of an abelian test map is realized by coset enumeration,
+    which must stop at the run's order cap like every other realization."""
+    text = """
+[group Z2] abelian torsion=[2]
+[group C8] abelian torsion=[8]
+[group Z]  abelian rank=1
+[hom phi]  from=Z2 to=C8 matrix=[[4]]
+[hom red]  from=Z to=Z2 matrix=[[1]]
+[functor L] kind=quasivariety cond=x^4 impose=x^2
+[directive] certify functor=L phi=phi group=Z2 local=Z surjection=red
+"""
+    assert run_scenario(parse_scenario(text)).exit_code == 0
+    capped = Caps().with_(order=4)
+    result = run_scenario(parse_scenario(text, capped), capped)
+    assert result.exit_code == 1
+    assert "coset limit 4" in result.results[0].payload["error"]
+
 def test_reproduce_directive():
     text = "[directive] reproduce case=nonidempotent-verbal-d8 expect=pass\n"
     result = run_scenario(parse_scenario(text))
