@@ -108,9 +108,6 @@ from .permgroup import (
     quotient,
     small_generating_set,
 )
-from .registry import CaseReport, case_ids, reproduce
-from .scenario import Scenario, parse_scenario, run_scenario
-from .search import SearchReport, search_counterexamples
 from .verbal import (
     derived_subgroup,
     lower_central_series,
@@ -121,3 +118,26 @@ from .verbal import (
 from .words import Presentation, Word, parse_word
 
 __version__ = "0.1.0"
+
+# the application layer loads on first use (PEP 562): building groups and
+# running sweeps never needs it
+_LAZY = {
+    "CaseReport": "registry",
+    "case_ids": "registry",
+    "reproduce": "registry",
+    "Scenario": "scenario",
+    "parse_scenario": "scenario",
+    "run_scenario": "scenario",
+    "SearchReport": "search",
+    "search_counterexamples": "search",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module 'flatlab' has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

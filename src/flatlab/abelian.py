@@ -659,25 +659,27 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
 
     if not G.is_abelian():
         raise NotAbelianError("perm_to_abelian needs an abelian group")
-    k = len(G.generators)
-    vec: dict = {G.identity(): (0,) * k}
-    frontier = [G.identity()]
+    amb = G.ambient(caps)
+    moves = [amb.right(g) for g in G.gen_codes(caps)]
+    k = len(moves)
+    vec: dict = {0: (0,) * k}
+    frontier = [0]
     while frontier:
         nxt = []
         for e in frontier:
             ve = vec[e]
-            for i, g in enumerate(G.generators):
-                x = e * g
+            for i, r in enumerate(moves):
+                x = r(e)
                 if x not in vec:
                     vec[x] = tuple(v + (1 if j == i else 0) for j, v in enumerate(ve))
                     nxt.append(x)
         frontier = nxt
     defects = set()
-    for e in G.elements(caps):
+    for e in G.codes(caps):
         ve = vec[e]
-        for i, g in enumerate(G.generators):
+        for i, r in enumerate(moves):
             w = tuple(v + (1 if j == i else 0) for j, v in enumerate(ve))
-            d = tuple(a - b for a, b in zip(w, vec[e * g]))
+            d = tuple(a - b for a, b in zip(w, vec[r(e)]))
             if any(d):
                 defects.add(d)
     R = IntMatrix.from_columns(sorted(defects), k)
@@ -688,7 +690,7 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
             f"perm_to_abelian disagreement: lattice says "
             f"{A.canonical_invariants()}, census says {census}"
         )
-    elt_map = {e: A.from_raw(v) for e, v in vec.items()}
+    elt_map = {amb.decode(e): A.from_raw(v) for e, v in vec.items()}
     return A, elt_map
 
 

@@ -62,7 +62,13 @@ def parse_caps(text: str | None) -> Caps:
             raise FlatlabError(
                 f"unknown cap {key!r}; known: {', '.join(sorted(_CAP_ALIASES))}"
             )
-        overrides[_CAP_ALIASES[key]] = int(value)
+        try:
+            n = int(value)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise FlatlabError(f"cap {key!r} needs a positive integer, got {value!r}")
+        overrides[_CAP_ALIASES[key]] = n
     return DEFAULT_CAPS.with_(**overrides)
 
 

@@ -44,13 +44,11 @@ from .functors import (
     is_local_wrt,
     radical_subgroup,
 )
-from .homs import enumerate_homs
-from .perm import Permutation
+from .homs import enumerate_homs, hom_image_codes
 from .permgroup import (
     GroupHom,
     PermGroup,
     find_isomorphism,
-    generated_subgroup,
     is_normal,
     normal_subgroups,
     pullback_group,
@@ -95,7 +93,7 @@ class Extension:
             raise NotSurjectiveError("extension projection is not surjective")
         if self.flavor == PERM:
             image = iota.image()
-            if image.element_set(caps) != proj.kernel().element_set(caps):
+            if image.code_set(caps) != proj.kernel().code_set(caps):
                 raise FlatlabError("image of inclusion != kernel of projection")
             if not is_normal(image, self.total, caps):
                 raise FlatlabError("kernel image is not normal in the total group")
@@ -171,15 +169,18 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
         P, pr_e, pr_x = pullback_group(ext.proj, f, caps)
         new_ext = from_surjection(pr_x, caps=caps)
-        dE = ext.total.degree
-        idx = tuple(range(dE, dE + f.domain.degree))
-        canon_images = tuple(
-            Permutation(ext.iota.apply(k).images + idx)
-            for k in ext.kernel_group.generators
+        # k -> (iota k, 1): the pair code of (e, 1) is e * |X's ambient|
+        nx = f.domain.ambient(caps).size
+        iota = ext.iota.code_map()
+        canonical = GroupHom._from_codes(
+            ext.kernel_group, P,
+            [iota[k] * nx for k in ext.kernel_group.gen_codes(caps)], caps,
         )
-        canonical = GroupHom(ext.kernel_group, P, canon_images, caps=caps)
-        if canonical.image().element_set(caps) != new_ext.kernel_group.element_set(caps) or not canonical.is_injective():
+        K2 = new_ext.kernel_group
+        if canonical.image().code_set(caps) != K2.code_set(caps) or not canonical.is_injective():
             raise FlatlabError("canonical kernel comparison map is not an isomorphism")
+        # the verified isomorphism carries every radical of K to one of K2
+        K2.transport = canonical
         return PulledBackExtension(new_ext, pr_e, f, canonical)
     if not isinstance(f, AbHom):
         raise FlavorMismatchError("abelian extension needs an AbHom leg")
@@ -275,37 +276,34 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    RK = radical_subgroup(F, ext.kernel_group, caps)
+    rk = radical_subgroup(F, ext.kernel_group, caps).code_set(caps)
     RE = radical_subgroup(F, ext.total, caps)
-    RG = radical_subgroup(F, ext.base, caps)
-    rk = RK.element_set(caps)
-    re = RE.element_set(caps)
-    rg = RG.element_set(caps)
-    iota, proj = ext.iota, ext.proj
-    for x in sorted(rk):
-        if iota.apply(x) not in re:
-            raise FlatlabError("naturality failed: inclusion does not preserve radical")
-    for x in sorted(re):
-        if proj.apply(x) not in rg:
-            raise FlatlabError("naturality failed: projection does not preserve radical")
+    re = RE.code_set(caps)
+    rg = radical_subgroup(F, ext.base, caps).code_set(caps)
+    iota, proj = ext.iota.code_map(), ext.proj.code_map()
+    if any(iota[x] not in re for x in rk):
+        raise FlatlabError("naturality failed: inclusion does not preserve radical")
+    if any(proj[x] not in rg for x in re):
+        raise FlatlabError("naturality failed: projection does not preserve radical")
     witnesses: dict[str, str] = {}
     left = True
-    for k in ext.kernel_group.elements(caps):
-        if iota.apply(k) in re and k not in rk:
+    for k in ext.kernel_group.codes(caps):
+        if iota[k] in re and k not in rk:
             left = False
             witnesses["left"] = (
-                f"kernel element {k.cycle_string()} maps into the radical of the "
-                "total group but lies outside the kernel's radical"
+                f"kernel element {_cycles(ext.kernel_group, k)} maps into the radical "
+                "of the total group but lies outside the kernel's radical"
             )
             break
-    mid_gens = iota.image().generators + RE.generators
-    M = frozenset(generated_subgroup(mid_gens, ext.total.degree, caps.order)[0])
+    total = ext.total
+    mid_gens = ext.iota.image().gen_codes(caps) + RE.gen_codes(caps)
+    M = total.generate(mid_gens, caps=caps).code_set(caps)
     middle = True
-    for e in ext.total.elements(caps):
-        if proj.apply(e) in rg and e not in M:
+    for e in total.codes(caps):
+        if proj[e] in rg and e not in M:
             middle = False
             witnesses["middle"] = (
-                f"total element {e.cycle_string()} maps into the base radical but "
+                f"total element {_cycles(total, e)} maps into the base radical but "
                 "is not a product of a kernel element and a total-radical element"
             )
             break
@@ -314,39 +312,39 @@ def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
     return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
 
 
+def _cycles(G: PermGroup, code: int) -> str:
+    return G.ambient(None).decode(code).cycle_string()
+
+
 def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    SK = apply(F, ext.kernel_group, caps).result
-    SE = apply(F, ext.total, caps).result
-    SG = apply(F, ext.base, caps).result
-    iota, proj = ext.iota, ext.proj
-    se = SE.element_set(caps)
-    sg = SG.element_set(caps)
-    for x in SK.elements(caps):
-        if iota.apply(x) not in se:
-            raise FlatlabError("naturality failed: inclusion does not preserve the subfunctor")
-    for x in SE.elements(caps):
-        if proj.apply(x) not in sg:
-            raise FlatlabError("naturality failed: projection does not preserve the subfunctor")
+    sk = apply(F, ext.kernel_group, caps).result.codes(caps)
+    se = apply(F, ext.total, caps).result.code_set(caps)
+    sg = apply(F, ext.base, caps).result.code_set(caps)
+    iota, proj = ext.iota.code_map(), ext.proj.code_map()
+    if any(iota[x] not in se for x in sk):
+        raise FlatlabError("naturality failed: inclusion does not preserve the subfunctor")
+    if any(proj[x] not in sg for x in se):
+        raise FlatlabError("naturality failed: projection does not preserve the subfunctor")
     witnesses: dict[str, str] = {}
     left = True  # restriction of an injective map is injective
-    ker_total = ext.iota.image().element_set(caps)
-    im_restricted = {iota.apply(x) for x in SK.elements(caps)}
+    ker_total = ext.iota.image().code_set(caps)
+    im_restricted = {iota[x] for x in sk}
     middle = True
     for e in sorted(se & ker_total):
         if e not in im_restricted:
             middle = False
             witnesses["middle"] = (
-                f"element {e.cycle_string()} is in the subfunctor of the total group "
+                f"element {_cycles(ext.total, e)} is in the subfunctor of the total group "
                 "and in the kernel, but not in the image of the kernel's subfunctor"
             )
             break
-    image_of_se = {proj.apply(x) for x in se}
+    image_of_se = {proj[x] for x in se}
     right = True
     for g in sorted(sg):
         if g not in image_of_se:
             right = False
             witnesses["right"] = (
-                f"base element {g.cycle_string()} is in the subfunctor of the base "
+                f"base element {_cycles(ext.base, g)} is in the subfunctor of the base "
                 "but not in the image of the subfunctor of the total group"
             )
             break
@@ -430,8 +428,7 @@ def induced_sequence(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) 
     rm = induce(F, ext.proj, caps)
     composite = lm.then(rm)
     if isinstance(composite, GroupHom):
-        if not all(composite.apply(x) == composite.codomain.identity()
-                   for x in composite.domain.elements(caps)):
+        if any(composite.code_map().values()):
             raise FlatlabError("induced composite is not trivial")
     else:
         if not composite.is_zero():
@@ -571,9 +568,7 @@ class CertifyReport:
 
 def _hom_set_trivial(pres, E, caps: Caps) -> bool:
     if isinstance(E, PermGroup):
-        from .homs import enumerate_hom_images
-
-        return len(enumerate_hom_images(pres, E, caps)) == 1
+        return len(hom_image_codes(pres, E, caps)) == 1
     from .functors import _cyclic_order_of_presentation
 
     n = _cyclic_order_of_presentation(pres)

@@ -32,8 +32,8 @@ from .errors import (
     InvalidHomomorphismError,
     UnsupportedFunctorError,
 )
-from .homs import enumerate_hom_images, relator_solutions
-from .permgroup import GroupHom, PermGroup, normal_closure, quotient, right_cosets
+from .homs import hom_image_codes, relator_solutions
+from .permgroup import GroupHom, PermGroup, normal_closure_codes, quotient, right_cosets
 from .verbal import is_prime, lower_central_series, s_p_subgroup, verbal_subgroup
 from .words import Presentation, Word
 
@@ -176,10 +176,10 @@ def _abelian_product_form(pres: Presentation) -> list[int] | None:
 
 def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
     """Limit of N_0 = 1, N_(i+1) = <<N_i, seeds_mod(N_i)>>, computed inside G
-    without constructing any quotient group."""
-    N = G.subgroup((), name="1")
+    on codes without constructing any quotient group."""
+    N = normal_closure_codes(G, (), caps)
     while True:
-        N2 = normal_closure(G, set(N.generators) | seeds_mod(N), caps)
+        N2 = normal_closure_codes(G, set(N.gen_codes(caps)) | seeds_mod(N), caps)
         if N2.order(caps) == N.order(caps):
             return N
         N = N2
@@ -195,14 +195,15 @@ def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> Perm
     form = _abelian_product_form(pres)
 
     def components(N: PermGroup) -> set:
-        n_set = N.element_set(caps)
-        reps, _ = right_cosets(G, N.elements(caps), caps)
+        n_set = N.code_set(caps)
+        reps, _ = right_cosets(G, N.codes(caps), caps)
         if form is None:
             solutions = relator_solutions(pres, G, reps, n_set, caps)
             return {y for images in solutions for y in images}
         if 0 in form:
             return set(reps)
-        return {r for n in form for r in reps if (r**n) in n_set}
+        power = G.ambient(caps).power
+        return {r for n in form for r in reps if power(r, n) in n_set}
 
     return _preimage_chain(G, components, caps)
 
@@ -211,15 +212,15 @@ def _quasivariety_radical(
     F: "QuasiVarietyReflection", G: PermGroup, caps: Caps
 ) -> PermGroup:
     """Preimage chain: keep adjoining u(g) whenever t(g) already dies."""
-    ident = G.identity()
+    evaluate = G.ambient(caps).evaluate
 
     def imposed(N: PermGroup) -> set:
-        n_set = N.element_set(caps)
+        n_set = N.code_set(caps)
         return {
-            imp.evaluate((g,), ident)
+            evaluate(imp, (g,))
             for cond, imp in F.rules
-            for g in G.elements(caps)
-            if cond.evaluate((g,), ident) in n_set
+            for g in G.codes(caps)
+            if evaluate(cond, (g,)) in n_set
         }
 
     return _preimage_chain(G, imposed, caps)
@@ -231,6 +232,11 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
         raise UnsupportedFunctorError("only epireflections have a radical")
 
     def compute():
+        if G.transport is not None:
+            # a functor commutes with isomorphisms: carry the source's radical
+            m = G.transport.code_map()
+            R = radical_subgroup(F, G.transport.domain, caps)
+            return G._sub([m[c] for c in R.codes(caps)], name=R.name)
         if isinstance(F, Variety):
             return verbal_subgroup(G, F.words, caps)
         if isinstance(F, Abelianization):
@@ -366,26 +372,21 @@ def induce(F: FunctorSpec, f, caps: Caps = DEFAULT_CAPS):
     Ldom = apply(F, f.domain, caps)
     Lcod = apply(F, f.codomain, caps)
     if isinstance(f, GroupHom):
+        fmap = f.code_map()
         if functor_kind(F) == EPIREFLECTION:
-            rad_cod = Lcod.radical.element_set(caps)
-            for x in Ldom.radical.elements(caps):
-                if f.apply(x) not in rad_cod:
-                    raise FlatlabError(
-                        "induced map undefined: radical not preserved"
-                    )
-            images = tuple(Lcod.eta.apply(f.apply(g)) for g in f.domain.generators)
-            induced = GroupHom(Ldom.result, Lcod.result, images, caps=caps)
+            rad_cod = Lcod.radical.code_set(caps)
+            if any(fmap[x] not in rad_cod for x in Ldom.radical.codes(caps)):
+                raise FlatlabError("induced map undefined: radical not preserved")
+            eta = Lcod.eta.code_map()
+            images = [eta[fmap[g]] for g in f.domain.gen_codes(caps)]
+            induced = GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
             _assert_naturality_perm(Ldom, Lcod, f, induced, caps)
             return induced
-        sub_cod = Lcod.result.element_set(caps)
-        for x in Ldom.result.elements(caps):
-            if f.apply(x) not in sub_cod:
-                raise FlatlabError(
-                    "induced map undefined: subfunctor not preserved"
-                )
-        images = tuple(f.apply(g) for g in Ldom.result.generators)
-        induced = GroupHom(Ldom.result, Lcod.result, images, caps=caps)
-        return induced
+        sub_cod = Lcod.result.code_set(caps)
+        if any(fmap[x] not in sub_cod for x in Ldom.result.codes(caps)):
+            raise FlatlabError("induced map undefined: subfunctor not preserved")
+        images = [fmap[g] for g in Ldom.result.gen_codes(caps)]
+        return GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
     if isinstance(f, AbHom):
         if functor_kind(F) == EPIREFLECTION:
             # all abelian epireflection results reuse the source generators,
@@ -416,11 +417,11 @@ def induce(F: FunctorSpec, f, caps: Caps = DEFAULT_CAPS):
 
 def _assert_naturality_perm(Ldom, Lcod, f, induced, caps: Caps):
     src = f.domain
-    check_all = src.order(caps) <= 500
-    elements = src.elements(caps) if check_all else src.generators
-    for x in elements:
-        if Lcod.eta.apply(f.apply(x)) != induced.apply(Ldom.eta.apply(x)):
-            raise FlatlabError("naturality square does not commute")
+    codes = src.codes(caps) if src.order(caps) <= 500 else src.gen_codes(caps)
+    fmap, ind = f.code_map(), induced.code_map()
+    eta_dom, eta_cod = Ldom.eta.code_map(), Lcod.eta.code_map()
+    if any(eta_cod[fmap[x]] != ind[eta_dom[x]] for x in codes):
+        raise FlatlabError("naturality square does not commute")
 
 
 # -- locality -----------------------------------------------------------------
@@ -517,20 +518,16 @@ def is_local_wrt(X, phi: TestMap, caps: Caps = DEFAULT_CAPS) -> LocalityReport:
 
 
 def _is_local_perm(X: PermGroup, phi: TestMap, caps: Caps) -> LocalityReport:
-    ident = X.identity()
+    amb = X.ambient(caps)
     return _locality_report(
         X,
         phi,
-        enumerate_hom_images(phi.codomain_pres, X, caps),
-        enumerate_hom_images(phi.domain_pres, X, caps),
-        lambda hb: tuple(w.evaluate(hb, ident) for w in phi.images),
-        _fmt_images,
+        hom_image_codes(phi.codomain_pres, X, caps),
+        hom_image_codes(phi.domain_pres, X, caps),
+        lambda hb: tuple(amb.evaluate(w, hb) for w in phi.images),
+        lambda images: "[" + ",".join(amb.decode(c).cycle_string() for c in images) + "]",
         ("codomain homs ", ""),
     )
-
-
-def _fmt_images(images) -> str:
-    return "[" + ",".join(p.cycle_string() for p in images) + "]"
 
 
 def _is_local_abelian(X: AbGroup, phi: TestMap, caps: Caps) -> LocalityReport:

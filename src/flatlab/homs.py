@@ -21,13 +21,13 @@ from .words import Presentation, Word
 def relator_solutions(
     pres: Presentation,
     X: PermGroup,
-    candidates: Sequence[Permutation],
-    trivial: Container[Permutation],
+    candidates: Sequence[int],
+    trivial: Container[int],
     caps: Caps = DEFAULT_CAPS,
-) -> list[tuple[Permutation, ...]]:
-    """Every tuple of candidates on which each relator of ``pres`` evaluates
-    into ``trivial``, in candidate order; a relator is checked as soon as its
-    support is assigned.
+) -> list[tuple[int, ...]]:
+    """Every tuple of candidate codes on which each relator of ``pres``
+    evaluates into the code set ``trivial``, in candidate order; a relator is
+    checked as soon as its support is assigned.
 
     With all of X as candidates and ``trivial = {1}`` these are the generator
     images of Hom(P, X).  With N-coset representatives and ``trivial = N``
@@ -38,7 +38,7 @@ def relator_solutions(
         raise CapExceededError(
             f"hom search space {len(candidates)}^{k} exceeds cap {caps.hom_search}"
         )
-    ident = X.identity()
+    evaluate = X.ambient(caps).evaluate
     single: list[list[Word]] = [[] for _ in range(k)]
     multi: list[list[Word]] = [[] for _ in range(k)]
     for rel in pres.relators:
@@ -50,12 +50,12 @@ def relator_solutions(
         [
             y
             for y in candidates
-            if all(r.evaluate([y] * k, ident) in trivial for r in single[i])
+            if all(evaluate(r, [y] * k) in trivial for r in single[i])
         ]
         for i in range(k)
     ]
-    results: list[tuple[Permutation, ...]] = []
-    assignment: list[Permutation] = [ident] * k
+    results: list[tuple[int, ...]] = []
+    assignment: list[int] = [0] * k
 
     def backtrack(i: int):
         if i == k:
@@ -63,22 +63,31 @@ def relator_solutions(
             return
         for y in allowed[i]:
             assignment[i] = y
-            if all(r.evaluate(assignment, ident) in trivial for r in multi[i]):
+            if all(evaluate(r, assignment) in trivial for r in multi[i]):
                 backtrack(i + 1)
 
     backtrack(0)
     return results
 
 
+def hom_image_codes(
+    pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[int, ...]]:
+    """All generator-image code tuples satisfying the relators, in sorted
+    order."""
+    return relator_solutions(pres, X, X.codes(caps), (0,), caps)
+
+
 def enumerate_hom_images(
     pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[tuple[Permutation, ...]]:
     """All generator-image tuples satisfying the relators, in sorted order."""
-    return relator_solutions(pres, X, X.elements(caps), {X.identity()}, caps)
+    decode = X.ambient(caps).decode
+    return [tuple(map(decode, imgs)) for imgs in hom_image_codes(pres, X, caps)]
 
 
 def hom_count(pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
-    return len(enumerate_hom_images(pres, X, caps))
+    return len(hom_image_codes(pres, X, caps))
 
 
 def enumerate_homs(
@@ -95,8 +104,8 @@ def enumerate_homs(
         raise ValueError(
             "hom enumeration needs a domain with a known-exact presentation"
         )
-    images = enumerate_hom_images(domain.presentation, X, caps)
-    return [GroupHom(domain, X, imgs, caps=caps) for imgs in images]
+    images = hom_image_codes(domain.presentation, X, caps)
+    return [GroupHom._from_codes(domain, X, imgs, caps) for imgs in images]
 
 
 # -- realization of a presentation ------------------------------------------

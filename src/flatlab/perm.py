@@ -3,6 +3,11 @@
 Composition convention, fixed once for the whole package: ``p * q`` applies
 ``p`` first and then ``q``, i.e. ``(p * q)(x) == q(p(x))``.  Words over group
 elements therefore evaluate left to right, the way they are written.
+
+Permutations are the boundary representation.  Groups compute on integer
+codes numbered in the sorted order of their permutations (``__lt__``, by
+image tuple; see ``permgroup``), so this order fixes every element list,
+scan and witness of the package.
 """
 
 from __future__ import annotations

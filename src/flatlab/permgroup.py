@@ -2,15 +2,29 @@
 exhaustive desk-scale operations: enumeration, subgroups, normal closures,
 quotients, fiber products, normal-subgroup lists and isomorphism testing.
 
-Everything is exact and deterministic: element lists are sorted by image
-tuple, all searches iterate in sorted order, and no randomness is used.
-Values are immutable after construction; the element-table memoization is
-compute-once/recompute-equal, so concurrent first access is safe.
+Every group computes on integer codes.  A group lives in an *ambient*, a
+finite group whose elements are numbered 0, 1, ... in sorted-Permutation
+order: the identity is code 0, and a scan in code order is a scan in sorted
+order, so every witness, list and report reads exactly as if the group were
+enumerated as sorted permutations.  A table ambient numbers the elements of
+one group given by permutations (a catalog group, a quotient, a realized
+presentation) and multiplies through columns of its Cayley table, built on
+first use from the generator columns (the regular representation).  A
+product ambient numbers the pairs (a, b) of two ambients as a*|B| + b and
+multiplies componentwise; it serves fiber and direct products.  Subgroups
+share their parent's ambient and are sets of codes, and homomorphisms are
+maps of codes.  Permutations appear only at the boundary: the generators a
+caller gives, ``elements()``, ``apply`` and witness strings.
+
+Everything is exact and deterministic, and no randomness is used.  Values
+are immutable after construction; memoization is compute-once/recompute-
+equal, so concurrent first access is safe.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import lcm
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -23,7 +37,229 @@ from .errors import (
     NotNormalError,
 )
 from .perm import Permutation
-from .words import Presentation
+from .words import Presentation, Word
+
+# -- ambients ----------------------------------------------------------------
+
+
+class _Ambient:
+    """Integer codes for a finite group; subclasses give ``right`` (the map
+    x -> x*b), ``mul``, ``inv``, ``order_of``, ``decode`` and ``encode``."""
+
+    def power(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
+        result = 0
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def evaluate(self, word: Word, values: Sequence[int]) -> int:
+        """The word on codes, left to right."""
+        acc = 0
+        for sym, exp in word.letters:
+            acc = self.mul(acc, self.power(values[sym], exp))
+        return acc
+
+    def conjugator(self, g: int):
+        """x -> g^-1 x g, as (x g)^-1 g inverted."""
+        r, inv = self.right(g), self.inv
+        return lambda x: inv(r(inv(r(x))))
+
+
+class _TableAmbient(_Ambient):
+    """The sorted elements of one permutation group.  Column b of the Cayley
+    table (x -> x*b) is built on first use from its parent in a breadth-first
+    tree over the generators: if b = p*g then x*b = (x*p)*g."""
+
+    def __init__(self, perms: Sequence[Permutation], gens: Sequence[Permutation]):
+        self.perms = perms
+        self.size = len(perms)
+        self.degree = perms[0].degree
+        self.index = {p.images: c for c, p in enumerate(perms)}
+        self._gens = tuple(gens)
+        self._cols: list[list[int] | None] | None = None
+        self._inverses: list[int] | None = None
+        self._orders: list[int] | None = None
+        self._powers: dict[int, list[int]] = {}
+
+    def _grow(self) -> None:
+        """The generator columns, and a breadth-first tree from the identity
+        giving each other code its parent and the generator column to it."""
+        index = self.index
+        gcols = [
+            [index[tuple(map(g.images.__getitem__, p.images))] for p in self.perms]
+            for g in self._gens
+        ]
+        cols = [None] * self.size
+        cols[0] = list(range(self.size))
+        for col in gcols:
+            cols[col[0]] = col
+        tree = [None] * self.size
+        order = [0]
+        for x in order:
+            for col in gcols:
+                y = col[x]
+                if tree[y] is None and y:
+                    tree[y] = (x, col)
+                    order.append(y)
+        # the tree before the columns, so a concurrent reader never sees one
+        # without the other
+        self._tree = tree
+        self._cols = cols
+
+    def column(self, b: int) -> list[int]:
+        if self._cols is None:
+            self._grow()
+        cols = self._cols
+        col = cols[b]
+        if col is None:
+            path = []
+            c = b
+            while cols[c] is None:
+                path.append(c)
+                c = self._tree[c][0]
+            col = cols[c]
+            for c in reversed(path):
+                g = self._tree[c][1]
+                col = cols[c] = [g[v] for v in col]
+        return col
+
+    def right(self, b: int):
+        return self.column(b).__getitem__
+
+    def mul(self, a: int, b: int) -> int:
+        return self.column(b)[a]
+
+    def power(self, a: int, e: int) -> int:
+        col = self._powers.get(e)
+        if col is None:
+            col = self._powers[e] = [_Ambient.power(self, c, e) for c in range(self.size)]
+        return col[a]
+
+    def inv(self, a: int) -> int:
+        if self._inverses is None:
+            self._inverses = [self.index[p.inverse().images] for p in self.perms]
+        return self._inverses[a]
+
+    def order_of(self, a: int) -> int:
+        if self._orders is None:
+            self._orders = [p.order() for p in self.perms]
+        return self._orders[a]
+
+    def decode(self, c: int) -> Permutation:
+        return self.perms[c]
+
+    def encode(self, images: tuple[int, ...]) -> int | None:
+        return self.index.get(images)
+
+
+class _ProductAmbient(_Ambient):
+    """Pairs (a, b) of two ambients, coded a*|B| + b; the permutation of a
+    pair is a's images followed by b's images shifted past a's points, so
+    code order is again sorted-Permutation order."""
+
+    def __init__(self, A: _Ambient, B: _Ambient):
+        self.A, self.B = A, B
+        self.nb = B.size
+        self.size = A.size * B.size
+        self.degree = A.degree + B.degree
+
+    def right(self, b: int):
+        nb = self.nb
+        i, j = divmod(b, nb)
+        ra, rb = self.A.right(i), self.B.right(j)
+        return lambda x: ra(x // nb) * nb + rb(x % nb)
+
+    def mul(self, a: int, b: int) -> int:
+        nb = self.nb
+        return self.A.mul(a // nb, b // nb) * nb + self.B.mul(a % nb, b % nb)
+
+    def power(self, a: int, e: int) -> int:
+        i, j = divmod(a, self.nb)
+        return self.A.power(i, e) * self.nb + self.B.power(j, e)
+
+    def inv(self, a: int) -> int:
+        i, j = divmod(a, self.nb)
+        return self.A.inv(i) * self.nb + self.B.inv(j)
+
+    def order_of(self, a: int) -> int:
+        i, j = divmod(a, self.nb)
+        return lcm(self.A.order_of(i), self.B.order_of(j))
+
+    def decode(self, c: int) -> Permutation:
+        i, j = divmod(c, self.nb)
+        d = self.A.degree
+        return Permutation._make(
+            self.A.decode(i).images + tuple(v + d for v in self.B.decode(j).images)
+        )
+
+    def encode(self, images: tuple[int, ...]) -> int | None:
+        d = self.A.degree
+        i = self.A.encode(images[:d])
+        j = self.B.encode(tuple(v - d for v in images[d:]))
+        return None if i is None or j is None else i * self.nb + j
+
+
+def _closure(seeds: Iterable, ident, right, cap: int) -> tuple[list, tuple]:
+    """Sorted elements and a small generating set of <seeds>; the one
+    multiplicative closure of the package, on permutations (``ident`` the
+    identity permutation) or on codes (``ident`` 0).
+
+    Seeds are taken in sorted order and kept only if not yet generated.  A
+    kept seed e first adds the coset H*e of the subgroup H built so far (all
+    new, since e is not in H); the new elements are then closed under right
+    multiplication by the kept seeds (``right(e)`` is x -> x*e).  Every
+    insertion is checked against the cap, and finiteness makes inverses
+    automatic.
+    """
+    gens: list = []
+    moves: list = []
+    elts = [ident]
+    have = {ident}
+    for e in sorted(set(seeds)):
+        if e in have:
+            continue
+        gens.append(e)
+        moves.append(right(e))
+        start = len(elts)
+        for y in map(moves[-1], elts[:start]):
+            if len(elts) >= cap:
+                raise CapExceededError(f"order cap {cap} exceeded", partial=len(elts))
+            have.add(y)
+            elts.append(y)
+        i = start
+        while i < len(elts):
+            x = elts[i]
+            i += 1
+            for r in moves:
+                y = r(x)
+                if y not in have:
+                    if len(elts) >= cap:
+                        raise CapExceededError(
+                            f"order cap {cap} exceeded", partial=len(elts)
+                        )
+                    have.add(y)
+                    elts.append(y)
+    return sorted(elts), tuple(gens)
+
+
+def generated_subgroup(
+    seeds: Iterable[Permutation], degree: int, cap: int
+) -> tuple[list[Permutation], tuple[Permutation, ...]]:
+    """Sorted elements and a small generating set of the permutation group
+    <seeds> (see ``_closure``)."""
+    return _closure(seeds, Permutation.identity(degree), lambda g: lambda x: x * g, cap)
+
+
+def small_generating_set(
+    elements: Sequence[Permutation], degree: int
+) -> tuple[Permutation, ...]:
+    """Greedy minimal-ish generating set for a known closed element set."""
+    return generated_subgroup(elements, degree, len(set(elements)) + 1)[1]
 
 
 class PermGroup:
@@ -33,6 +269,12 @@ class PermGroup:
     present exactly this group (catalog constructions and realizations set
     it); only then may relator checking substitute for elementwise
     homomorphism verification.
+
+    A group built from permutations gets its own table ambient when its
+    elements are first needed; subgroups, kernels, images and fiber products
+    are built on codes inside an existing ambient.  ``transport``, when set,
+    is a verified isomorphism from another group onto this one, along which
+    memoised radicals are carried instead of recomputed.
     """
 
     def __init__(
@@ -42,7 +284,6 @@ class PermGroup:
         presentation: Presentation | None = None,
         presentation_exact: bool = False,
         name: str | None = None,
-        _elements: Sequence[Permutation] | None = None,
     ):
         if degree < 1:
             raise ValueError("degree must be >= 1")
@@ -51,15 +292,15 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         self.degree = degree
-        self.generators = generators
+        self._gens = generators
+        self._gen_codes = None
+        self._amb = None
+        self._factors = None  # (A, B) for a direct product
+        self.transport = None
         self.presentation = presentation
         self.presentation_exact = presentation_exact
         self.name = name
         self._memo: dict = {}
-        if _elements is not None:
-            elts = sorted(_elements)
-            self._memo["elements"] = tuple(elts)
-            self._memo["element_set"] = frozenset(elts)
         if presentation is not None:
             if len(presentation.generators) != len(generators):
                 raise ValueError("presentation generator count mismatch")
@@ -73,53 +314,146 @@ class PermGroup:
         if presentation_exact and presentation is None:
             raise ValueError("presentation_exact requires a presentation")
 
+    @classmethod
+    def _coded(cls, amb: _Ambient, gen_codes, name=None, codes=None) -> "PermGroup":
+        """A group inside ``amb`` given by generator codes, or by ``codes``,
+        its sorted closed code set, alone (gen_codes None)."""
+        G = cls.__new__(cls)
+        G.degree = amb.degree
+        G._gens = None
+        G._gen_codes = None if gen_codes is None else tuple(gen_codes)
+        G._amb = amb
+        G._factors = None
+        G.transport = None
+        G.presentation = None
+        G.presentation_exact = False
+        G.name = name
+        G._memo = {}
+        if codes is not None:
+            G._memo["codes"] = tuple(codes)
+        return G
+
+    # -- codes -------------------------------------------------------------
+
+    def ambient(self, caps: Caps | None = DEFAULT_CAPS) -> _Ambient:
+        if self._amb is None:
+            caps = caps or DEFAULT_CAPS
+            if self._factors is not None:
+                A, B = self._factors
+                self._amb = _ProductAmbient(A.ambient(caps), B.ambient(caps))
+            else:
+                perms, _ = generated_subgroup(self._gens, self.degree, caps.order)
+                self._amb = _TableAmbient(perms, self._gens)
+                self._memo["codes"] = tuple(range(len(perms)))
+        return self._amb
+
+    def gen_codes(self, caps: Caps | None = DEFAULT_CAPS) -> tuple[int, ...]:
+        if self._gen_codes is None:
+            amb = self.ambient(caps)
+            if self._gens is not None:
+                self._gen_codes = tuple(amb.encode(g.images) for g in self._gens)
+            else:  # a subgroup known by its codes: greedy generators
+                codes = self.codes(caps)
+                self._gen_codes = _closure(codes, 0, amb.right, len(codes) + 1)[1]
+        return self._gen_codes
+
+    def codes(self, caps: Caps | None = DEFAULT_CAPS) -> tuple[int, ...]:
+        """The sorted codes of the elements.  ``caps`` None is a cap-free
+        query: a stored table is used as it is."""
+        codes = self._memo.get("codes")
+        if codes is None:
+            amb = self.ambient(caps)
+            codes = self._memo.get("codes")
+            if codes is None:
+                cap = (caps or DEFAULT_CAPS).order
+                codes = tuple(_closure(self.gen_codes(caps), 0, amb.right, cap)[0])
+                self._memo["codes"] = codes
+        elif caps is not None and len(codes) > caps.order:
+            # a stored table obeys the caps of this call, not of the first one
+            raise CapExceededError(f"order cap {caps.order} exceeded", partial=caps.order)
+        return codes
+
+    def code_set(self, caps: Caps | None = DEFAULT_CAPS) -> frozenset[int]:
+        codes = self.codes(caps)
+        found = self._memo.get("code_set")
+        if found is None:
+            found = self._memo["code_set"] = frozenset(codes)
+        return found
+
+    def encode(self, p: Permutation) -> int | None:
+        """The code of p in this group's ambient, or None outside it."""
+        if p.degree != self.degree:
+            return None
+        return self.ambient(None).encode(p.images)
+
+    def generate(self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
+        """The subgroup generated by the codes ``seeds``."""
+        amb = self.ambient(caps)
+        codes, gens = _closure(seeds, 0, amb.right, caps.order)
+        return PermGroup._coded(amb, gens, name=name, codes=codes)
+
+    def _sub(self, codes, name: str | None = None) -> "PermGroup":
+        """The subgroup with this known closed set of codes."""
+        return PermGroup._coded(self.ambient(None), None, name=name, codes=sorted(set(codes)))
+
+    def _rehome(self, H: "PermGroup", caps: Caps | None = DEFAULT_CAPS) -> "PermGroup":
+        """H itself when it shares this group's ambient, else H's elements
+        as a subgroup of this group (NotASubgroupError if they are not)."""
+        if H.ambient(caps) is self.ambient(caps):
+            return H
+        return self.subgroup_from_elements(H.elements(caps), name=H.name)
+
     # -- element table -----------------------------------------------------
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        if self._gens is None:
+            self._gens = tuple(map(self._amb.decode, self.gen_codes(None)))
+        return self._gens
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Permutation, ...]:
+        codes = self.codes(caps)
         elts = self._memo.get("elements")
         if elts is None:
-            elts = tuple(generated_subgroup(self.generators, self.degree, caps.order)[0])
-            self._memo["elements"] = elts
-            self._memo["element_set"] = frozenset(elts)
-        elif len(elts) > caps.order:
-            # a stored table obeys the caps of this call, not of the first one
-            raise CapExceededError(f"order cap {caps.order} exceeded", partial=caps.order)
+            elts = self._memo["elements"] = tuple(map(self._amb.decode, codes))
         return elts
 
     def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[Permutation]:
         self.elements(caps)
-        return self._memo["element_set"]
+        found = self._memo.get("element_set")
+        if found is None:
+            found = self._memo["element_set"] = frozenset(self._memo["elements"])
+        return found
 
     def order(self, caps: Caps = DEFAULT_CAPS) -> int:
-        return len(self.elements(caps))
+        return len(self.codes(caps))
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and p in self.element_set()
+        return self.encode(p) in self.code_set(None)
 
     def is_trivial(self) -> bool:
-        return self.order() == 1
+        return len(self.codes(None)) == 1
 
     def is_abelian(self) -> bool:
         if "is_abelian" not in self._memo:
-            gens = self.generators
+            amb, gens = self.ambient(None), self.gen_codes(None)
             self._memo["is_abelian"] = all(
-                a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :]
+                amb.mul(a, b) == amb.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
             )
         return self._memo["is_abelian"]
 
     def order_histogram(self, caps: Caps = DEFAULT_CAPS) -> dict[int, int]:
+        codes = self.codes(caps)
         if "order_histogram" not in self._memo:
             self._memo["order_histogram"] = dict(
-                sorted(Counter(e.order() for e in self.elements(caps)).items())
+                sorted(Counter(map(self._amb.order_of, codes)).items())
             )
         return self._memo["order_histogram"]
 
     def exponent(self, caps: Caps = DEFAULT_CAPS) -> int:
-        from math import lcm
-
         return lcm(*self.order_histogram(caps).keys())
 
     # -- derived groups ----------------------------------------------------
@@ -127,91 +461,49 @@ class PermGroup:
     def subgroup(
         self, generators: Iterable[Permutation], name: str | None = None
     ) -> "PermGroup":
-        return PermGroup(self.degree, tuple(generators), name=name)
+        codes = [self.encode(g) for g in generators]
+        if None in codes:
+            raise NotASubgroupError("subgroup generators lie outside the group")
+        return PermGroup._coded(self.ambient(None), codes, name=name)
 
     def subgroup_from_elements(
         self, elements: Iterable[Permutation], name: str | None = None
     ) -> "PermGroup":
         """Subgroup whose full element set is already known and closed."""
-        elts = sorted(set(elements))
-        gens = small_generating_set(elts, self.degree)
-        return PermGroup(self.degree, gens, name=name, _elements=elts)
+        codes = {self.encode(p) for p in elements}
+        if None in codes:
+            raise NotASubgroupError("elements lie outside the group")
+        return self._sub(codes, name=name)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.element_set() <= other.element_set()
+        if self.degree != other.degree:
+            return False
+        if self.ambient(None) is other.ambient(None):
+            return self.code_set(None) <= other.code_set(None)
+        return self.element_set() <= other.element_set()
 
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
         against the caps, so no cap verdict depends on call history."""
         if key in self._memo:
-            self.elements(caps)
+            self.codes(caps)
         else:
             self._memo[key] = compute()
         return self._memo[key]
 
     def describe(self) -> str:
-        return self.name or f"<perm group deg {self.degree}, order {self.order()}>"
+        return self.name or f"<perm group deg {self.degree}, order {self.order(None)}>"
 
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
         return f"PermGroup(deg={self.degree}, gens={len(self.generators)}{nm})"
 
 
-def generated_subgroup(
-    seeds: Iterable[Permutation], degree: int, cap: int
-) -> tuple[list[Permutation], tuple[Permutation, ...]]:
-    """Sorted elements and a small generating set of <seeds>; the one
-    multiplicative closure of the package.
-
-    Seeds are taken in sorted order and kept only if not yet generated.  A
-    kept seed e first adds the coset H*e of the subgroup H built so far (all
-    new, since e is not in H); the new elements are then closed under right
-    multiplication by the kept seeds.  Every insertion is checked against the
-    cap, and finiteness makes inverses automatic.
-    """
-    ident = Permutation.identity(degree)
-    gens: list[Permutation] = []
-    elts = [ident]
-    have = {ident}
-    for e in sorted(set(seeds)):
-        if e in have:
-            continue
-        gens.append(e)
-        start = len(elts)
-        for x in elts[:start]:
-            if len(elts) >= cap:
-                raise CapExceededError(f"order cap {cap} exceeded", partial=len(elts))
-            y = x * e
-            have.add(y)
-            elts.append(y)
-        i = start
-        while i < len(elts):
-            x = elts[i]
-            i += 1
-            for g in gens:
-                y = x * g
-                if y not in have:
-                    if len(elts) >= cap:
-                        raise CapExceededError(
-                            f"order cap {cap} exceeded", partial=len(elts)
-                        )
-                    have.add(y)
-                    elts.append(y)
-    return sorted(elts), tuple(gens)
-
-
-def small_generating_set(
-    elements: Sequence[Permutation], degree: int
-) -> tuple[Permutation, ...]:
-    """Greedy minimal-ish generating set for a known closed element set."""
-    return generated_subgroup(elements, degree, len(set(elements)) + 1)[1]
-
-
 # -- homomorphisms ---------------------------------------------------------
 
 
 def _extend_mapping(domain, codomain, images, caps: Caps):
-    """Define f on every domain element by BFS over generator edges.
+    """Define f on every domain code by BFS over generator edges.
 
     Checking every edge (e, e*g) for consistency is equivalent to checking
     f(ab) = f(a) f(b) for all a, b.  Returns the full map or None on conflict.
@@ -221,16 +513,17 @@ def _extend_mapping(domain, codomain, images, caps: Caps):
             f"hom verification cap {caps.hom_domain} exceeded by |domain| = "
             f"{domain.order(caps)}"
         )
-    mapping = {domain.identity(): codomain.identity()}
-    frontier = [domain.identity()]
-    gens = domain.generators
+    da, ca = domain.ambient(caps), codomain.ambient(caps)
+    moves = [(da.right(g), ca.right(h)) for g, h in zip(domain.gen_codes(caps), images)]
+    mapping = {0: 0}
+    frontier = [0]
     while frontier:
         new = []
         for e in frontier:
             ye = mapping[e]
-            for g, h in zip(gens, images):
-                x = e * g
-                y = ye * h
+            for rg, rh in moves:
+                x = rg(e)
+                y = rh(ye)
                 prev = mapping.get(x)
                 if prev is None:
                     mapping[x] = y
@@ -242,11 +535,11 @@ def _extend_mapping(domain, codomain, images, caps: Caps):
 
 
 class GroupHom:
-    """A verified homomorphism, stored as generator images.
+    """A verified homomorphism, stored as generator image codes.
 
     Verification uses the domain presentation when it is known-exact and the
-    elementwise edge check otherwise; either way the full element map is
-    available through :meth:`apply`.
+    elementwise edge check otherwise; either way the full code map is
+    available through :meth:`code_map`, and :meth:`apply` maps permutations.
     """
 
     def __init__(
@@ -257,7 +550,6 @@ class GroupHom:
         caps: Caps = DEFAULT_CAPS,
         name: str | None = None,
         _trusted: bool = False,
-        _mapping: dict | None = None,
     ):
         """``_trusted`` skips elementwise verification; reserved for maps that
         are homomorphisms by construction (quotient projections, coordinate
@@ -267,107 +559,134 @@ class GroupHom:
             raise InvalidHomomorphismError(
                 f"{len(images)} images for {len(domain.generators)} generators"
             )
+        codomain.ambient(caps)
+        codes = tuple(map(codomain.encode, images))
+        if None in codes:
+            raise InvalidHomomorphismError(
+                f"image {images[codes.index(None)].cycle_string()} not in codomain"
+            )
+        self._init(domain, codomain, codes, caps, name, _trusted)
+        self._images = images
+
+    @classmethod
+    def _from_codes(
+        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, trusted=False, mapping=None
+    ) -> "GroupHom":
+        hom = cls.__new__(cls)
+        hom._images = None
+        hom._init(domain, codomain, tuple(codes), caps, None, trusted, mapping)
+        return hom
+
+    def _init(self, domain, codomain, codes, caps, name, trusted, mapping=None):
         self.domain = domain
         self.codomain = codomain
-        self.images = images
+        self.image_codes = codes
         self.name = name
         self._caps = caps
-        self._mapping = _mapping
-        if _trusted:
+        self._map = mapping
+        self._kernel = self._image = None
+        if trusted:
             return
-        cod_set = codomain.element_set(caps)
-        for y in images:
-            if y not in cod_set:
+        cod_set = codomain.code_set(caps)
+        amb = codomain.ambient(caps)
+        for c in codes:
+            if c not in cod_set:
                 raise InvalidHomomorphismError(
-                    f"image {y.cycle_string()} not in codomain"
+                    f"image {amb.decode(c).cycle_string()} not in codomain"
                 )
         if domain.presentation is not None and domain.presentation_exact:
-            ident = codomain.identity()
             for rel in domain.presentation.relators:
-                if not rel.evaluate(images, ident).is_identity():
+                if amb.evaluate(rel, codes) != 0:
                     raise InvalidHomomorphismError(
                         f"relator {rel.text(domain.presentation.generators)} "
                         "not satisfied by the images"
                     )
-        elif images and all(g == y for g, y in zip(domain.generators, images)):
+        elif codes and amb is domain.ambient(caps) and codes == domain.gen_codes(caps):
             # an inclusion: trivially a homomorphism
-            if not domain.element_set(caps) <= cod_set:
+            if not domain.code_set(caps) <= cod_set:
                 raise InvalidHomomorphismError("inclusion source is not a subgroup")
-            self._mapping = None
         else:
-            mapping = _extend_mapping(domain, codomain, images, caps)
+            mapping = _extend_mapping(domain, codomain, codes, caps)
             if mapping is None:
                 raise InvalidHomomorphismError(
                     "generator images do not extend to a homomorphism"
                 )
-            self._mapping = mapping
+            self._map = mapping
 
-    def mapping(self) -> dict[Permutation, Permutation]:
-        if self._mapping is None:
-            if self.images and all(
-                g == y for g, y in zip(self.domain.generators, self.images)
+    @property
+    def images(self) -> tuple[Permutation, ...]:
+        if self._images is None:
+            self._images = tuple(map(self.codomain.ambient(None).decode, self.image_codes))
+        return self._images
+
+    def code_map(self) -> dict[int, int]:
+        if self._map is None:
+            caps = self._caps
+            if self.domain.ambient(caps) is self.codomain.ambient(caps) and (
+                self.image_codes == self.domain.gen_codes(caps)
             ):
-                self._mapping = {x: x for x in self.domain.elements(self._caps)}
+                self._map = {x: x for x in self.domain.codes(caps)}
             else:
-                mapping = _extend_mapping(
-                    self.domain, self.codomain, self.images, self._caps
-                )
+                mapping = _extend_mapping(self.domain, self.codomain, self.image_codes, caps)
                 if mapping is None:  # cannot happen for a verified hom
                     raise InvalidHomomorphismError("inconsistent mapping")
-                self._mapping = mapping
-        return self._mapping
+                self._map = mapping
+        return self._map
 
     def apply(self, x: Permutation) -> Permutation:
-        return self.mapping()[x]
+        c = self.domain.encode(x)
+        return self.codomain.ambient(None).decode(self.code_map()[c])
 
     def __call__(self, x: Permutation) -> Permutation:
         return self.apply(x)
 
     def kernel(self) -> PermGroup:
-        if not hasattr(self, "_kernel_cache"):
-            ident = self.codomain.identity()
-            kern = [x for x, y in self.mapping().items() if y == ident]
-            k = self.domain.subgroup_from_elements(kern, name="ker")
-            if self.domain.order() != k.order() * self.image().order():
+        if self._kernel is None:
+            kern = [x for x, y in self.code_map().items() if y == 0]
+            k = self.domain._sub(kern, name="ker")
+            if self.domain.order(None) != k.order(None) * self.image().order(None):
                 raise FlatlabError("kernel order times image order != domain order")
-            self._kernel_cache = k
-        return self._kernel_cache
+            self._kernel = k
+        return self._kernel
 
     def image(self) -> PermGroup:
-        if not hasattr(self, "_image_cache"):
-            self._image_cache = self.codomain.subgroup_from_elements(
-                set(self.mapping().values()), name="im"
-            )
-        return self._image_cache
+        if self._image is None:
+            self._image = self.codomain._sub(self.code_map().values(), name="im")
+        return self._image
 
     def is_injective(self) -> bool:
-        ident = self.codomain.identity()
-        return sum(1 for y in self.mapping().values() if y == ident) == 1
+        return sum(1 for y in self.code_map().values() if y == 0) == 1
 
     def is_surjective(self) -> bool:
-        return self.image().order() == self.codomain.order()
+        return self.image().order(None) == self.codomain.order(None)
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite (apply self first, then other)."""
-        return GroupHom(
-            self.domain,
-            other.codomain,
-            tuple(other.apply(y) for y in self.images),
-            caps=self._caps,
-            _trusted=True,
+        if other.domain.ambient(self._caps) is not self.codomain.ambient(self._caps):
+            # other's domain holds self's image but lives in another ambient
+            return GroupHom(
+                self.domain, other.codomain, tuple(map(other.apply, self.images)),
+                caps=self._caps, _trusted=True,
+            )
+        cmap = other.code_map()
+        return GroupHom._from_codes(
+            self.domain, other.codomain, [cmap[y] for y in self.image_codes],
+            self._caps, trusted=True,
         )
 
     @classmethod
     def identity_hom(cls, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> "GroupHom":
-        return cls(G, G, G.generators, caps=caps)
+        return cls._from_codes(G, G, G.gen_codes(caps), caps)
 
     @classmethod
     def inclusion(cls, sub: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> "GroupHom":
         if not sub.is_subgroup_of(G):
             raise NotASubgroupError("inclusion source is not a subgroup")
+        if sub.ambient(caps) is G.ambient(caps):
+            return cls._from_codes(sub, G, sub.gen_codes(caps), caps)
         return cls(sub, G, sub.generators, caps=caps)
 
     def __repr__(self) -> str:
@@ -382,52 +701,60 @@ def normal_closure(
     G: PermGroup, elements: Iterable[Permutation], caps: Caps = DEFAULT_CAPS
 ) -> PermGroup:
     """Smallest normal subgroup of G containing the given elements."""
-    gset = G.element_set(caps)
-    seeds = []
+    gset = G.code_set(caps)
+    codes = []
     for e in elements:
-        if e not in gset:
+        c = G.encode(e)
+        if c not in gset:
             raise NotASubgroupError(f"{e.cycle_string()} is not an element of G")
-        if not e.is_identity():
-            seeds.append(e)
-    if not seeds:
-        return G.subgroup((), name="1")
-    conjugators = [(g, g.inverse()) for g in G.generators]
-    closed = set(seeds)
+        codes.append(c)
+    return normal_closure_codes(G, codes, caps)
+
+
+def normal_closure_codes(G: PermGroup, codes: Iterable[int], caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """normal_closure on codes of G's ambient."""
+    closed = {c for c in codes if c != 0}
+    if not closed:
+        return G.generate((), "1", caps)
+    amb = G.ambient(caps)
+    conjugators = [amb.conjugator(h) for g in G.gen_codes(caps) for h in (g, amb.inv(g))]
     frontier = list(closed)
     while frontier:
         new = []
         for t in frontier:
-            for g, ginv in conjugators:
-                for c in (ginv * t * g, g * t * ginv):
-                    if c not in closed:
-                        closed.add(c)
-                        new.append(c)
+            for conj in conjugators:
+                c = conj(t)
+                if c not in closed:
+                    closed.add(c)
+                    new.append(c)
         frontier = new
-    elements, gens = generated_subgroup(closed, G.degree, caps.order)
-    return PermGroup(G.degree, gens, name="ncl", _elements=elements)
+    return G.generate(closed, "ncl", caps)
 
 
 def is_normal(N: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     if not N.is_subgroup_of(G):
         return False
-    nset = N.element_set(caps)
-    return all(
-        g.inverse() * n * g in nset for n in N.generators for g in G.generators
-    )
+    N = G._rehome(N, caps)
+    nset = N.code_set(caps)
+    amb = G.ambient(caps)
+    conjugators = [amb.conjugator(g) for g in G.gen_codes(caps)]
+    return all(conj(n) in nset for conj in conjugators for n in N.gen_codes(caps))
 
 
 def right_cosets(
-    G: PermGroup, n_elements: Sequence[Permutation], caps: Caps = DEFAULT_CAPS
-) -> tuple[list[Permutation], dict[Permutation, int]]:
-    """One pass over G: the least element of each right coset Nx, and the
-    index of every element's coset in that list."""
-    reps: list[Permutation] = []
-    coset_index: dict[Permutation, int] = {}
-    for x in G.elements(caps):
+    G: PermGroup, n_codes: Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> tuple[list[int], dict[int, int]]:
+    """One pass over G's codes: the least element of each right coset Nx,
+    and the index of every element's coset in that list."""
+    amb = G.ambient(caps)
+    reps: list[int] = []
+    coset_index: dict[int, int] = {}
+    for x in G.codes(caps):
         if x in coset_index:
             continue
-        for n in n_elements:
-            coset_index[n * x] = len(reps)
+        k = len(reps)
+        for y in map(amb.right(x), n_codes):
+            coset_index[y] = k
         reps.append(x)
     return reps, coset_index
 
@@ -440,10 +767,12 @@ def quotient(
         raise NotASubgroupError("N is not a subgroup of G")
     if not is_normal(N, G, caps):
         raise NotNormalError("N is not normal in G")
-    reps, coset_index = right_cosets(G, N.elements(caps), caps)
+    N = G._rehome(N, caps)
+    reps, coset_index = right_cosets(G, N.codes(caps), caps)
+    amb = G.ambient(caps)
     proj_images = [
-        Permutation(tuple(coset_index[rep * g] for rep in reps))
-        for g in G.generators
+        Permutation(tuple(coset_index[y] for y in map(amb.right(g), reps)))
+        for g in G.gen_codes(caps)
     ]
     gname = G.name or "G"
     nname = N.name or "N"
@@ -459,7 +788,8 @@ def quotient(
 def direct_product(
     A: PermGroup, B: PermGroup, name: str | None = None, caps: Caps = DEFAULT_CAPS
 ) -> PermGroup:
-    """External direct product on disjoint point sets."""
+    """External direct product on disjoint point sets; it computes in the
+    product of A's and B's ambients, enumerated under the caps of each query."""
     dA, dB = A.degree, B.degree
     idA = tuple(range(dA))
     idB = tuple(range(dA, dA + dB))
@@ -468,8 +798,6 @@ def direct_product(
     pres = None
     exact = False
     if A.presentation is not None and B.presentation is not None:
-        from .words import Word
-
         names = list(A.presentation.generators)
         bnames = []
         for nm in B.presentation.generators:
@@ -491,69 +819,58 @@ def direct_product(
         pres = Presentation(tuple(names + bnames), tuple(relators))
         exact = A.presentation_exact and B.presentation_exact
     prod_name = name or f"{A.name or 'A'}x{B.name or 'B'}"
-    return PermGroup(
+    G = PermGroup(
         dA + dB, gens, presentation=pres, presentation_exact=exact, name=prod_name
     )
+    G._factors = (A, B)
+    return G
 
 
 def pullback_group(
     f: GroupHom, g: GroupHom, caps: Caps = DEFAULT_CAPS
 ) -> tuple[PermGroup, GroupHom, GroupHom]:
-    """Fiber product {(e, x) : f(e) = g(x)} inside the direct product,
-    with its two projections."""
-    if f.codomain is not g.codomain and (
-        f.codomain.degree != g.codomain.degree
-        or f.codomain.element_set(caps) != g.codomain.element_set(caps)
-    ):
-        raise InvalidHomomorphismError("pullback legs must share a codomain")
+    """Fiber product {(e, x) : f(e) = g(x)} in the product of E's and X's
+    ambients, with its two projections."""
+    gmap = g.code_map()
+    G, H = f.codomain, g.codomain
+    if G is not H:
+        if G.degree != H.degree or G.element_set(caps) != H.element_set(caps):
+            raise InvalidHomomorphismError("pullback legs must share a codomain")
+        decode = H.ambient(caps).decode
+        gmap = {x: G.encode(decode(y)) for x, y in gmap.items()}
     E, X = f.domain, g.domain
-    dE, dX = E.degree, X.degree
-    fibers: dict[Permutation, list[Permutation]] = {}
-    for x in X.elements(caps):
-        fibers.setdefault(g.apply(x), []).append(x)
-    pair_count = 0
-    elts = []
-    for e in E.elements(caps):
-        for x in fibers.get(f.apply(e), ()):
-            pair_count += 1
-            elts.append(Permutation(e.images + tuple(i + dE for i in x.images)))
-    id_x = tuple(range(dE, dE + dX))
-    gens: tuple[Permutation, ...] | None = None
+    amb = _ProductAmbient(E.ambient(caps), X.ambient(caps))
+    name = f"pb({E.name or 'E'},{X.name or 'X'})"
+    nx = amb.nb
+    fmap = f.code_map()
+    fibers: dict[int, list[int]] = {}
+    for x in X.codes(caps):
+        fibers.setdefault(gmap[x], []).append(x)
+    elts = [e * nx + x for e in E.codes(caps) for x in fibers.get(fmap[e], ())]
     if f.image().order(caps) == f.codomain.order(caps):
         # f surjective: the fiber product is generated by ker(f) x 1 together
         # with one lift (e_x, x) of each generator x of X
-        preimage: dict[Permutation, Permutation] = {}
-        for e in E.elements(caps):
-            preimage.setdefault(f.apply(e), e)
-        lift_gens = [
-            Permutation._make(
-                preimage[g.apply(x)].images + tuple(i + dE for i in x.images)
-            )
-            for x in X.generators
-        ]
-        kernel_gens = [
-            Permutation._make(k.images + id_x) for k in f.kernel().generators
-        ]
-        gens = tuple(kernel_gens + lift_gens)
-    if gens is None:
-        gens = small_generating_set(elts, dE + dX)
-    P = PermGroup(dE + dX, gens, name=f"pb({E.name or 'E'},{X.name or 'X'})")
+        preimage: dict[int, int] = {}
+        for e in E.codes(caps):
+            preimage.setdefault(fmap[e], e)
+        gens = [k * nx for k in f.kernel().gen_codes(caps)]
+        gens += [preimage[gmap[x]] * nx + x for x in X.gen_codes(caps)]
+        P = PermGroup._coded(amb, gens, name)
+    else:
+        P = PermGroup._coded(amb, None, name, codes=elts)
+        gens = P.gen_codes(caps)
     # the closure of the generators must reproduce the fiber-product set
-    if P.order(caps) != pair_count:
+    if P.order(caps) != len(elts):
         raise FlatlabError("fiber-product generators do not span the fiber product")
-    map_e = {p: Permutation._make(p.images[:dE]) for p in elts}
-    map_x = {
-        p: Permutation._make(tuple(i - dE for i in p.images[dE:])) for p in elts
-    }
-    pr_e = GroupHom(
-        P, E, tuple(map_e[p] for p in P.generators), caps=caps,
-        _trusted=True, _mapping=map_e,
+    map_e = {p: p // nx for p in elts}
+    map_x = {p: p % nx for p in elts}
+    pr_e = GroupHom._from_codes(
+        P, E, [map_e[p] for p in gens], caps, trusted=True, mapping=map_e
     )
-    pr_x = GroupHom(
-        P, X, tuple(map_x[p] for p in P.generators), caps=caps,
-        _trusted=True, _mapping=map_x,
+    pr_x = GroupHom._from_codes(
+        P, X, [map_x[p] for p in gens], caps, trusted=True, mapping=map_x
     )
-    if any(f.apply(pr_e.apply(p)) != g.apply(pr_x.apply(p)) for p in P.generators):
+    if any(fmap[map_e[p]] != gmap[map_x[p]] for p in gens):
         raise FlatlabError("fiber-product square does not commute")
     return P, pr_e, pr_x
 
@@ -563,27 +880,23 @@ def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]
     key = "normal_subgroups"
 
     def compute():
-        trivial = G.subgroup((), name="1")
-        found: dict[frozenset, PermGroup] = {trivial.element_set(caps): trivial}
-        for x in G.elements(caps):
-            if x.is_identity():
-                continue
-            N = normal_closure(G, [x], caps)
-            found.setdefault(N.element_set(caps), N)
+        found: dict[frozenset, PermGroup] = {}
+        for x in G.codes(caps):  # code 0 gives the trivial subgroup first
+            N = normal_closure_codes(G, [x], caps)
+            found.setdefault(N.code_set(caps), N)
         changed = True
         while changed:
             changed = False
             items = list(found.values())
             for i in range(len(items)):
                 for j in range(i + 1, len(items)):
-                    join_elts, gens = generated_subgroup(
-                        items[i].generators + items[j].generators, G.degree, caps.order
+                    join = G.generate(
+                        items[i].gen_codes(caps) + items[j].gen_codes(caps), caps=caps
                     )
-                    key_j = frozenset(join_elts)
-                    if key_j not in found:
-                        found[key_j] = PermGroup(G.degree, gens, _elements=join_elts)
+                    if join.code_set(caps) not in found:
+                        found[join.code_set(caps)] = join
                         changed = True
-        return sorted(found.values(), key=lambda n: (n.order(caps), n.elements(caps)))
+        return sorted(found.values(), key=lambda n: (n.order(caps), n.codes(caps)))
 
     return G.memo(key, compute, caps)
 
@@ -677,13 +990,15 @@ def _iso_screen(G: PermGroup, H: PermGroup, caps: Caps) -> bool:
 
 def _conjugacy_class_sizes(G: PermGroup, caps: Caps) -> tuple[int, ...]:
     def compute():
-        elts = G.elements(caps)
-        seen: set[Permutation] = set()
+        codes = G.codes(caps)
+        amb = G.ambient(caps)
+        conjugators = [amb.conjugator(g) for g in codes]
+        seen: set[int] = set()
         sizes = []
-        for x in elts:
+        for x in codes:
             if x in seen:
                 continue
-            cls = {g.inverse() * x * g for g in elts}
+            cls = {conj(x) for conj in conjugators}
             seen |= cls
             sizes.append(len(cls))
         return tuple(sorted(sizes))
@@ -701,33 +1016,33 @@ def find_isomorphism(
         )
     if not _iso_screen(G, H, caps):
         return None
-    gens = G.generators
+    amb = G.ambient(caps)
+    gens = G.gen_codes(caps)
     if len(gens) > 4 or not gens:
-        gens = small_generating_set(G.elements(caps), G.degree)
+        gens = _closure(G.codes(caps), 0, amb.right, G.order(caps) + 1)[1]
     if not gens:  # trivial group
         return GroupHom(G, H, (), caps=caps) if H.is_trivial() else None
     # cumulative subgroups for partial verification
-    partials = []
-    for i in range(1, len(gens) + 1):
-        partials.append(G.subgroup(gens[:i]))
-    by_order: dict[int, list[Permutation]] = {}
-    for y in H.elements(caps):
-        by_order.setdefault(y.order(), []).append(y)
+    partials = [PermGroup._coded(amb, gens[:i]) for i in range(1, len(gens) + 1)]
+    hamb = H.ambient(caps)
+    by_order: dict[int, list[int]] = {}
+    for y in H.codes(caps):
+        by_order.setdefault(hamb.order_of(y), []).append(y)
 
-    chosen: list[Permutation] = []
+    chosen: list[int] = []
 
     def backtrack(i: int) -> GroupHom | None:
-        if i == len(gens):
-            mapping = _extend_mapping(G, H, tuple(chosen), caps)
-            if mapping is not None and len(set(mapping.values())) == G.order(caps):
-                hom = GroupHom(G, H, tuple(chosen), caps=caps)
-                return hom
-            return None
-        for y in by_order.get(gens[i].order(), ()):
+        for y in by_order.get(amb.order_of(gens[i]), ()):
             chosen.append(y)
             sub = partials[i]
-            mapping = _extend_mapping(sub, H, tuple(chosen), caps)
+            mapping = _extend_mapping(sub, H, chosen, caps)
             if mapping is not None and len(set(mapping.values())) == sub.order(caps):
+                if i + 1 == len(gens):
+                    # the chosen generators span G: the mapping is the whole map
+                    return GroupHom._from_codes(
+                        G, H, [mapping[g] for g in G.gen_codes(caps)], caps,
+                        trusted=True, mapping=mapping,
+                    )
                 result = backtrack(i + 1)
                 if result is not None:
                     return result

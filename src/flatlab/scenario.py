@@ -498,13 +498,16 @@ def run_scenario(scn: Scenario, caps: Caps = DEFAULT_CAPS) -> RunResult:
             else:
                 raise ScenarioError(f"unknown directive {form!r}", sec.line)
         except CapExceededError as exc:
+            details = {"error": str(exc)}
+            if exc.partial is not None:
+                details["partial"] = exc.partial
             res = DirectiveResult(
                 form or "?",
                 f"directive at line {sec.line}",
                 "cap-exceeded",
                 sec.get("expect"),
                 False,
-                {"error": str(exc)},
+                details,
             )
         except ScenarioError:
             raise

@@ -64,6 +64,12 @@ class SearchReport:
         }
 
 
+def _cap_failure(what: str, exc: CapExceededError) -> str:
+    """The failure line, with how far the capped step got when known."""
+    got = "" if exc.partial is None else f" (partial count {exc.partial})"
+    return f"{what}: {exc}{got}"
+
+
 def search_counterexamples(
     F: FunctorSpec,
     max_order: int,
@@ -83,7 +89,7 @@ def search_counterexamples(
         try:
             exts = extensions_from_group(G, caps)
         except CapExceededError as exc:
-            report.cap_failures.append(f"{G.describe()}: {exc}")
+            report.cap_failures.append(_cap_failure(G.describe(), exc))
             continue
         for ext in exts:
             report.extensions_scanned += 1
@@ -93,7 +99,7 @@ def search_counterexamples(
                 report.flat_extensions += 1
                 probe = probe_conditional_flatness(F, ext, probe_battery, caps)
             except CapExceededError as exc:
-                report.cap_failures.append(f"{ext.describe()}: {exc}")
+                report.cap_failures.append(_cap_failure(ext.describe(), exc))
                 continue
             report.pullbacks_checked += len(probe.entries)
             for entry in probe.counterexamples():

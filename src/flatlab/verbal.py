@@ -18,13 +18,8 @@ from itertools import product as iproduct
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, FlatlabError
 from .perm import Permutation
-from .permgroup import PermGroup, generated_subgroup, is_normal, normal_closure
+from .permgroup import PermGroup, is_normal, normal_closure_codes
 from .words import Word
-
-
-def commutator(a: Permutation, b: Permutation) -> Permutation:
-    """[a, b] = a^-1 b^-1 a b."""
-    return a.inverse() * b.inverse() * a * b
 
 
 def _is_power_word(w: Word) -> int | None:
@@ -44,10 +39,8 @@ def _lcs_class(w: Word, max_class: int = 12) -> int | None:
     return None
 
 
-def word_values(
-    G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS
-) -> set[Permutation]:
-    """Exhaustive value census {w(g_1,...,g_k)} over all tuples."""
+def word_value_codes(G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS) -> set[int]:
+    """Exhaustive value census {w(g_1,...,g_k)} over all tuples, as codes."""
     arity = max(word.arity, 0)
     if arity > caps.word_arity:
         raise CapExceededError(
@@ -58,13 +51,26 @@ def word_values(
         raise CapExceededError(
             f"tuple scan {n}^{arity} exceeds cap {caps.tuple_scan}"
         )
-    ident = G.identity()
     if arity == 0:
-        return {ident}
-    values = set()
-    for tup in iproduct(G.elements(caps), repeat=arity):
-        values.add(word.evaluate(tup, ident))
-    return values
+        return {0}
+    evaluate = G.ambient(caps).evaluate
+    return {evaluate(word, tup) for tup in iproduct(G.codes(caps), repeat=arity)}
+
+
+def word_values(
+    G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS
+) -> set[Permutation]:
+    """Exhaustive value census {w(g_1,...,g_k)} over all tuples."""
+    return set(map(G.ambient(caps).decode, word_value_codes(G, word, caps)))
+
+
+def _normal_subgroup_of(G: PermGroup, seeds, name: str, caps: Caps) -> PermGroup:
+    """The subgroup generated by a conjugation-closed set of codes, checked
+    to be normal."""
+    W = G.generate(seeds, name, caps)
+    if not is_normal(W, G, caps):
+        raise FlatlabError(f"{name} failed its normality assertion")
+    return W
 
 
 def verbal_subgroup(
@@ -77,24 +83,18 @@ def verbal_subgroup(
     key = ("verbal", tuple(words), force_scan)
 
     def compute():
-        seeds: set[Permutation] = set()
-        fast_parts: list[PermGroup] = []
+        amb = G.ambient(caps)
+        seeds: set[int] = set()
         for w in words:
             n = None if force_scan else _is_power_word(w)
             c = None if force_scan else _lcs_class(w)
             if n is not None:
-                seeds.update(g**n for g in G.elements(caps))
+                seeds.update(amb.power(g, n) for g in G.codes(caps))
             elif c is not None:
-                fast_parts.append(lower_central_series(G, c, caps)[c])
+                seeds.update(lower_central_series(G, c, caps)[c].codes(caps))
             else:
-                seeds.update(word_values(G, w, caps))
-        for part in fast_parts:
-            seeds.update(part.elements(caps))
-        elements, gens = generated_subgroup(seeds, G.degree, caps.order)
-        W = PermGroup(G.degree, gens, name="W(G)", _elements=elements)
-        if not is_normal(W, G, caps):
-            raise FlatlabError("verbal subgroup failed its normality assertion")
-        return W
+                seeds.update(word_value_codes(G, w, caps))
+        return _normal_subgroup_of(G, seeds, "W(G)", caps)
 
     return G.memo(key, compute, caps)
 
@@ -107,21 +107,23 @@ def lower_central_series(
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     chain: list[PermGroup] = G.memo("lcs_chain", lambda: [G], caps)
-    seeds: list[tuple[Permutation, ...]] = G.memo(
-        "lcs_seeds", lambda: [G.generators], caps
+    seeds: list[tuple[int, ...]] = G.memo(
+        "lcs_seeds", lambda: [G.gen_codes(caps)], caps
     )
+    amb = G.ambient(caps)
+    conjugators = [amb.conjugator(s) for s in G.gen_codes(caps)]
 
     def stabilized() -> bool:
         return len(chain) >= 2 and (
-            chain[-1].element_set(caps) == chain[-2].element_set(caps)
+            chain[-1].code_set(caps) == chain[-2].code_set(caps)
         )
 
     while not stabilized() and (depth is None or len(chain) <= depth):
-        prev_seeds = seeds[-1]
+        # [t, s] = t^-1 s^-1 t s = t^-1 (t^s)
         new_seeds = tuple(
-            commutator(t, s) for t in prev_seeds for s in G.generators
+            amb.mul(amb.inv(t), conj(t)) for t in seeds[-1] for conj in conjugators
         )
-        nxt = normal_closure(G, new_seeds, caps)
+        nxt = normal_closure_codes(G, new_seeds, caps)
         chain.append(nxt)
         seeds.append(new_seeds)
         if depth is None and nxt.is_trivial():
@@ -138,7 +140,7 @@ def lcs_stabilization_index(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     """Smallest k with lcs(k+1) = lcs(k)."""
     chain = lower_central_series(G, None, caps)
     for k in range(len(chain) - 1):
-        if chain[k + 1].element_set(caps) == chain[k].element_set(caps):
+        if chain[k + 1].code_set(caps) == chain[k].code_set(caps):
             return k
     return len(chain) - 1
 
@@ -164,11 +166,8 @@ def s_p_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         raise FlatlabError(f"{p} is not prime")
 
     def compute():
-        seeds = {g for g in G.elements(caps) if g.order() == p}
-        elements, gens = generated_subgroup(seeds, G.degree, caps.order)
-        S = PermGroup(G.degree, gens, name=f"S_{p}(G)", _elements=elements)
-        if not is_normal(S, G, caps):
-            raise FlatlabError("S_p subgroup failed its normality assertion")
-        return S
+        order_of = G.ambient(caps).order_of
+        seeds = [g for g in G.codes(caps) if order_of(g) == p]
+        return _normal_subgroup_of(G, seeds, f"S_{p}(G)", caps)
 
     return G.memo(("s_p", p), compute, caps)

@@ -217,3 +217,17 @@ def test_localize_abelian_group_option_keeps_its_literal_name(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"] == "abelian rank=1 torsion=[4,6]"
+
+
+def test_non_integer_cap_is_an_error_not_a_traceback(capsys):
+    argv = ["localize", "--functor", "abelianization", "--group", "cyclic(4)"]
+    assert main(argv + ["--caps", "order=abc"]) == 1
+    assert capsys.readouterr().err.startswith("error: cap 'order'")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_cap_is_bad_input_not_cap_exhaustion(value, capsys):
+    argv = ["localize", "--functor", "abelianization", "--group", "cyclic(4)"]
+    assert main(argv + ["--caps", f"order={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap 'order'") and "cap exceeded" not in err

@@ -179,6 +179,25 @@ def test_cap_exhaustion_is_distinct_verdict_and_fails():
     assert "cap-exceeded" in [r.verdict for r in result.results]
 
 
+def test_cap_exceeded_verdict_reports_the_partial_count():
+    text = (
+        "[group S4] catalog spec=symmetric(4)\n"
+        "[functor Ab] kind=abelianization\n"
+        "[directive] localize functor=Ab group=S4\n"
+    )
+    result = run_scenario(parse_scenario(text), Caps(order=10))
+    assert result.exit_code == 2
+    [res] = result.results
+    assert res.verdict == "cap-exceeded"
+    assert res.payload == {"error": "order cap 10 exceeded", "partial": 10}
+    # a hom-search cap has no partial count: the details stay as they were
+    text = (SCENARIOS / "prop-4.6.scn").read_text()
+    capped = run_scenario(parse_scenario(text), DEFAULT_CAPS.with_(hom_search=2))
+    assert [
+        sorted(r.payload) for r in capped.results if r.verdict == "cap-exceeded"
+    ] == [["error"]]
+
+
 def test_parse_scenario_applies_caps_and_lets_cap_errors_through():
     text = (
         "[group D8] perm deg=4 gens=(0 1 2 3),(1 3)\n"
