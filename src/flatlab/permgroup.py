@@ -47,14 +47,16 @@ class _Ambient:
     x -> x*b), ``mul``, ``inv``, ``order_of``, ``decode`` and ``encode``."""
 
     def power(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply from the top bit; a^1 costs nothing."""
         if e < 0:
             a, e = self.inv(a), -e
-        result = 0
-        while e:
-            if e & 1:
+        if not e:
+            return 0
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
         return result
 
     def evaluate(self, word: Word, values: Sequence[int]) -> int:
@@ -70,10 +72,17 @@ class _Ambient:
         return lambda x: inv(r(inv(r(x))))
 
 
+# A table ambient of more elements than this multiplies permutations, as the
+# full Cayley table would hold size**2 entries.
+_TABLE_MAX = 1024
+
+
 class _TableAmbient(_Ambient):
-    """The sorted elements of one permutation group.  Column b of the Cayley
-    table (x -> x*b) is built on first use from its parent in a breadth-first
-    tree over the generators: if b = p*g then x*b = (x*p)*g."""
+    """The sorted elements of one permutation group.  Up to ``_TABLE_MAX``
+    elements, column b of the Cayley table (x -> x*b) is built on first use
+    from its parent in a breadth-first tree over the generators: if b = p*g
+    then x*b = (x*p)*g.  A larger group multiplies the permutations of its
+    codes and builds no column."""
 
     def __init__(self, perms: Sequence[Permutation], gens: Sequence[Permutation]):
         self.perms = perms
@@ -84,7 +93,7 @@ class _TableAmbient(_Ambient):
         self._cols: list[list[int] | None] | None = None
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
-        self._powers: dict[int, list[int]] = {}
+        self.tabled = self.size <= _TABLE_MAX
 
     def _grow(self) -> None:
         """The generator columns, and a breadth-first tree from the identity
@@ -129,16 +138,15 @@ class _TableAmbient(_Ambient):
         return col
 
     def right(self, b: int):
-        return self.column(b).__getitem__
+        if self.tabled:
+            return self.column(b).__getitem__
+        index, perms, image = self.index, self.perms, self.perms[b].images.__getitem__
+        return lambda x: index[tuple(map(image, perms[x].images))]
 
     def mul(self, a: int, b: int) -> int:
-        return self.column(b)[a]
-
-    def power(self, a: int, e: int) -> int:
-        col = self._powers.get(e)
-        if col is None:
-            col = self._powers[e] = [_Ambient.power(self, c, e) for c in range(self.size)]
-        return col[a]
+        if self.tabled:
+            return self.column(b)[a]
+        return self.index[tuple(map(self.perms[b].images.__getitem__, self.perms[a].images))]
 
     def inv(self, a: int) -> int:
         if self._inverses is None:
@@ -380,11 +388,11 @@ class PermGroup:
             found = self._memo["code_set"] = frozenset(codes)
         return found
 
-    def encode(self, p: Permutation) -> int | None:
+    def encode(self, p: Permutation, caps: Caps | None = None) -> int | None:
         """The code of p in this group's ambient, or None outside it."""
         if p.degree != self.degree:
             return None
-        return self.ambient(None).encode(p.images)
+        return self.ambient(caps).encode(p.images)
 
     def generate(self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         """The subgroup generated by the codes ``seeds``."""
@@ -393,8 +401,9 @@ class PermGroup:
         return PermGroup._coded(amb, gens, name=name, codes=codes)
 
     def _sub(self, codes, name: str | None = None) -> "PermGroup":
-        """The subgroup with this known closed set of codes."""
-        return PermGroup._coded(self.ambient(None), None, name=name, codes=sorted(set(codes)))
+        """The subgroup with this known closed set of codes of this group's
+        (built) ambient."""
+        return PermGroup._coded(self._amb, None, name=name, codes=sorted(set(codes)))
 
     def _rehome(self, H: "PermGroup", caps: Caps | None = DEFAULT_CAPS) -> "PermGroup":
         """H itself when it shares this group's ambient, else H's elements
@@ -414,14 +423,14 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Permutation, ...]:
+    def elements(self, caps: Caps | None = DEFAULT_CAPS) -> tuple[Permutation, ...]:
         codes = self.codes(caps)
         elts = self._memo.get("elements")
         if elts is None:
             elts = self._memo["elements"] = tuple(map(self._amb.decode, codes))
         return elts
 
-    def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[Permutation]:
+    def element_set(self, caps: Caps | None = DEFAULT_CAPS) -> frozenset[Permutation]:
         self.elements(caps)
         found = self._memo.get("element_set")
         if found is None:
@@ -439,9 +448,12 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         if "is_abelian" not in self._memo:
-            amb, gens = self.ambient(None), self.gen_codes(None)
+            if self._amb is None:  # no enumeration: the generator permutations
+                gens, mul = self._gens, Permutation.__mul__
+            else:
+                gens, mul = self.gen_codes(None), self._amb.mul
             self._memo["is_abelian"] = all(
-                amb.mul(a, b) == amb.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+                mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
             )
         return self._memo["is_abelian"]
 
@@ -459,12 +471,14 @@ class PermGroup:
     # -- derived groups ----------------------------------------------------
 
     def subgroup(
-        self, generators: Iterable[Permutation], name: str | None = None
+        self, generators: Iterable[Permutation], name: str | None = None,
+        caps: Caps = DEFAULT_CAPS,
     ) -> "PermGroup":
+        amb = self.ambient(caps)
         codes = [self.encode(g) for g in generators]
         if None in codes:
             raise NotASubgroupError("subgroup generators lie outside the group")
-        return PermGroup._coded(self.ambient(None), codes, name=name)
+        return PermGroup._coded(amb, codes, name=name)
 
     def subgroup_from_elements(
         self, elements: Iterable[Permutation], name: str | None = None
@@ -475,12 +489,12 @@ class PermGroup:
             raise NotASubgroupError("elements lie outside the group")
         return self._sub(codes, name=name)
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
+    def is_subgroup_of(self, other: "PermGroup", caps: Caps | None = None) -> bool:
         if self.degree != other.degree:
             return False
-        if self.ambient(None) is other.ambient(None):
-            return self.code_set(None) <= other.code_set(None)
-        return self.element_set() <= other.element_set()
+        if self.ambient(caps) is other.ambient(caps):
+            return self.code_set(caps) <= other.code_set(caps)
+        return self.element_set(caps) <= other.element_set(caps)
 
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
@@ -634,7 +648,7 @@ class GroupHom:
         return self._map
 
     def apply(self, x: Permutation) -> Permutation:
-        c = self.domain.encode(x)
+        c = self.domain.encode(x, self._caps)
         return self.codomain.ambient(None).decode(self.code_map()[c])
 
     def __call__(self, x: Permutation) -> Permutation:
@@ -683,7 +697,7 @@ class GroupHom:
 
     @classmethod
     def inclusion(cls, sub: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> "GroupHom":
-        if not sub.is_subgroup_of(G):
+        if not sub.is_subgroup_of(G, caps):
             raise NotASubgroupError("inclusion source is not a subgroup")
         if sub.ambient(caps) is G.ambient(caps):
             return cls._from_codes(sub, G, sub.gen_codes(caps), caps)
@@ -732,7 +746,7 @@ def normal_closure_codes(G: PermGroup, codes: Iterable[int], caps: Caps = DEFAUL
 
 
 def is_normal(N: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    if not N.is_subgroup_of(G):
+    if not N.is_subgroup_of(G, caps):
         return False
     N = G._rehome(N, caps)
     nset = N.code_set(caps)
@@ -763,7 +777,7 @@ def quotient(
     G: PermGroup, N: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> tuple[PermGroup, GroupHom]:
     """The faithful action of G/N on the cosets of N, with the projection."""
-    if not N.is_subgroup_of(G):
+    if not N.is_subgroup_of(G, caps):
         raise NotASubgroupError("N is not a subgroup of G")
     if not is_normal(N, G, caps):
         raise NotNormalError("N is not normal in G")

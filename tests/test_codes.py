@@ -19,7 +19,7 @@ from flatlab.functors import (
     radical_subgroup,
     standard_quasi_c4_c2,
 )
-from flatlab.homs import enumerate_homs
+from flatlab.homs import enumerate_homs, hom_count
 from flatlab.permgroup import (
     GroupHom,
     PermGroup,
@@ -28,6 +28,8 @@ from flatlab.permgroup import (
     generated_subgroup,
     quotient,
 )
+from flatlab.perm import Permutation
+from flatlab.scenario import _group_invariants
 from flatlab.search import search_counterexamples
 from flatlab.words import parse_word
 
@@ -148,6 +150,36 @@ def test_cap_free_queries_use_a_stored_table_as_it_is():
     assert not G.is_trivial() and G.is_abelian()
     assert G.describe() == "C400xC400"
     assert G.subgroup([x]).is_subgroup_of(G)
+
+
+def _s7():
+    return PermGroup(
+        7, [Permutation((1, 0, 2, 3, 4, 5, 6)), Permutation((1, 2, 3, 4, 5, 6, 0))]
+    )
+
+
+def test_a_large_table_ambient_builds_no_cayley_columns():
+    # the full Cayley table of S7 would hold 5040**2 entries
+    S7 = _s7()
+    assert hom_count(cyclic(2).presentation, S7) == 232
+    assert radical_subgroup(Nullification(cyclic(2).presentation), S7).order() == 5040
+    amb = S7.ambient()
+    assert not amb.tabled and amb._cols is None
+
+
+def test_queries_without_caps_on_a_fresh_group_enumerate_nothing():
+    G = direct_product(cyclic(400), cyclic(400))
+    S7 = _s7()
+    assert G.is_abelian() and not S7.is_abelian()
+    assert G._amb is None and S7._amb is None
+    # the caps of the first query that enumerates decide, not the default
+    with pytest.raises(CapExceededError) as exc:
+        _group_invariants(G, Caps(order=100))
+    assert exc.value.partial == 100
+    assert G.order(Caps(order=200_000)) == 160_000
+    with pytest.raises(CapExceededError):
+        S7.subgroup(S7.generators[:1], caps=Caps(order=100))
+    assert _s7().subgroup(()).order() == 1
 
 
 def test_find_isomorphism_with_more_than_four_generators():
