@@ -653,7 +653,7 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
     walk defects of a breadth-first exponent-vector assignment, and the
     result is cross-checked against the element-order census classification.
 
-    Returns (AbGroup, dict permutation element -> canonical coordinates).
+    Returns (AbGroup, dict element code -> canonical coordinates).
     """
     from .permgroup import abelian_census_invariants
 
@@ -690,8 +690,7 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
             f"perm_to_abelian disagreement: lattice says "
             f"{A.canonical_invariants()}, census says {census}"
         )
-    elt_map = {amb.decode(e): A.from_raw(v) for e, v in vec.items()}
-    return A, elt_map
+    return A, {e: A.from_raw(v) for e, v in vec.items()}
 
 
 def enumerate_ab_homs(

@@ -277,8 +277,7 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
     rk = radical_subgroup(F, ext.kernel_group, caps).code_set(caps)
-    RE = radical_subgroup(F, ext.total, caps)
-    re = RE.code_set(caps)
+    re = radical_subgroup(F, ext.total, caps).code_set(caps)
     rg = radical_subgroup(F, ext.base, caps).code_set(caps)
     iota, proj = ext.iota.code_map(), ext.proj.code_map()
     if any(iota[x] not in re for x in rk):
@@ -295,12 +294,13 @@ def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
                 "of the total group but lies outside the kernel's radical"
             )
             break
+    # iota(K) = ker(proj) and R(E) are normal, so iota(K)R(E) is the
+    # preimage of proj(R(E)): e lies in it iff proj(e) lies in proj(R(E))
     total = ext.total
-    mid_gens = ext.iota.image().gen_codes(caps) + RE.gen_codes(caps)
-    M = total.generate(mid_gens, caps=caps).code_set(caps)
+    proj_re = {proj[x] for x in re}
     middle = True
     for e in total.codes(caps):
-        if proj[e] in rg and e not in M:
+        if proj[e] in rg and proj[e] not in proj_re:
             middle = False
             witnesses["middle"] = (
                 f"total element {_cycles(total, e)} maps into the base radical but "

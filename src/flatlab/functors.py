@@ -13,7 +13,8 @@ nullification at a finite cyclic group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
+from math import gcd, prod
 from typing import Union
 
 from .abelian import (
@@ -147,7 +148,8 @@ def _apply_quotient_functor(F, G: PermGroup, W: PermGroup, caps: Caps) -> Locali
     return LocalizedResult(F, G, Q, proj, W, EPIREFLECTION)
 
 
-def _abelian_product_form(pres: Presentation) -> list[int] | None:
+@cache
+def _abelian_product_form(pres: Presentation) -> tuple[int, ...] | None:
     """Exponents n_i if pres is <x_1..x_k | x_i^{n_i}, all [x_i,x_j]>."""
     k = len(pres.generators)
     powers = {}
@@ -171,41 +173,48 @@ def _abelian_product_form(pres: Presentation) -> list[int] | None:
         frozenset((i, j)) for i in range(k) for j in range(i + 1, k)
     }:
         return None
-    return [powers.get(i, 0) for i in range(k)]
+    return tuple(powers.get(i, 0) for i in range(k))
 
 
 def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
     """Limit of N_0 = 1, N_(i+1) = <<N_i, seeds_mod(N_i)>>, computed inside G
-    on codes without constructing any quotient group."""
-    N = normal_closure_codes(G, (), caps)
-    while True:
-        N2 = normal_closure_codes(G, set(N.gen_codes(caps)) | seeds_mod(N), caps)
-        if N2.order(caps) == N.order(caps):
-            return N
+    on codes without constructing any quotient group.
+
+    N_i is normal, so <<N_i, seeds>> = N_i once every seed lies in N_i: the
+    chain stops there, with no closure to confirm it.  Otherwise only the
+    seeds outside N_i are conjugated, and the closure grows from N_i
+    (``normal_closure_codes`` with ``start``)."""
+    N = G.generate((), "1", caps)
+    while (N2 := normal_closure_codes(G, seeds_mod(N), caps, start=N)) is not N:
         N = N2
+    return N
+
+
+def _hom_components(pres: Presentation, G: PermGroup, N: PermGroup, caps: Caps) -> set:
+    """Every component of every hom from pres into G/N, lifted to coset
+    representatives (validity and the generated subgroup mod N depend only
+    on the cosets)."""
+    reps, _ = right_cosets(G, N.codes(caps), caps)
+    solutions = relator_solutions(pres, G, reps, N.code_set(caps), caps)
+    return {y for images in solutions for y in images}
 
 
 def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> PermGroup:
     """Smallest normal N with no nontrivial map from the target into G/N.
 
-    Each step adjoins every component of every hom from the target into G/N,
-    lifted to coset representatives (validity and the generated subgroup mod
-    N depend only on the cosets)."""
-    pres = F.target
-    form = _abelian_product_form(pres)
-
-    def components(N: PermGroup) -> set:
-        n_set = N.code_set(caps)
-        reps, _ = right_cosets(G, N.codes(caps), caps)
-        if form is None:
-            solutions = relator_solutions(pres, G, reps, n_set, caps)
-            return {y for images in solutions for y in images}
-        if 0 in form:
-            return set(reps)
-        power = G.ambient(caps).power
-        return {r for n in form for r in reps if power(r, n) in n_set}
-
-    return _preimage_chain(G, components, caps)
+    For an abelian target A = C_n1 x ... x C_nk, Cauchy's theorem gives
+    Hom(A, G/N) = 1 exactly when |G/N| is prime to every n_i, so N is
+    O^pi'(G), the subgroup generated by the pi-elements of G, where pi is
+    the set of primes dividing some n_i (every prime when some n_i = 0).
+    The pi-elements are closed under conjugation, so one closure gives N.
+    Any other target runs the preimage chain on hom components."""
+    form = _abelian_product_form(F.target)
+    if form is None:
+        return _preimage_chain(G, lambda N: _hom_components(F.target, G, N, caps), caps)
+    m, codes = prod(form), G.codes(caps)
+    # o divides m^o exactly when every prime factor of o divides m
+    pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
+    return G.generate(pi, "ncl" if len(pi) > 1 else "1", caps)
 
 
 def _quasivariety_radical(

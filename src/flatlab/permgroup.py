@@ -212,10 +212,11 @@ class _ProductAmbient(_Ambient):
         return None if i is None or j is None else i * self.nb + j
 
 
-def _closure(seeds: Iterable, ident, right, cap: int) -> tuple[list, tuple]:
+def _closure(seeds: Iterable, ident, right, cap: int, start=None) -> tuple[list, tuple]:
     """Sorted elements and a small generating set of <seeds>; the one
     multiplicative closure of the package, on permutations (``ident`` the
-    identity permutation) or on codes (``ident`` 0).
+    identity permutation) or on codes (``ident`` 0).  ``start``, the elements
+    and generators of a subgroup H, continues from H, giving <H, seeds>.
 
     Seeds are taken in sorted order and kept only if not yet generated.  A
     kept seed e first adds the coset H*e of the subgroup H built so far (all
@@ -224,10 +225,9 @@ def _closure(seeds: Iterable, ident, right, cap: int) -> tuple[list, tuple]:
     insertion is checked against the cap, and finiteness makes inverses
     automatic.
     """
-    gens: list = []
-    moves: list = []
-    elts = [ident]
-    have = {ident}
+    elts, gens = ([ident], []) if start is None else map(list, start)
+    moves = list(map(right, gens))
+    have = set(elts)
     for e in sorted(set(seeds)):
         if e in have:
             continue
@@ -394,10 +394,15 @@ class PermGroup:
             return None
         return self.ambient(caps).encode(p.images)
 
-    def generate(self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """The subgroup generated by the codes ``seeds``."""
+    def generate(
+        self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS, start=None
+    ) -> "PermGroup":
+        """The subgroup generated by the codes ``seeds`` and, when given, the
+        subgroup ``start`` of this group's ambient."""
         amb = self.ambient(caps)
-        codes, gens = _closure(seeds, 0, amb.right, caps.order)
+        if start is not None:
+            start = (start.codes(caps), start.gen_codes(caps))
+        codes, gens = _closure(seeds, 0, amb.right, caps.order, start)
         return PermGroup._coded(amb, gens, name=name, codes=codes)
 
     def _sub(self, codes, name: str | None = None) -> "PermGroup":
@@ -725,24 +730,29 @@ def normal_closure(
     return normal_closure_codes(G, codes, caps)
 
 
-def normal_closure_codes(G: PermGroup, codes: Iterable[int], caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """normal_closure on codes of G's ambient."""
-    closed = {c for c in codes if c != 0}
+def normal_closure_codes(
+    G: PermGroup, codes: Iterable[int], caps: Caps = DEFAULT_CAPS, start=None
+) -> PermGroup:
+    """normal_closure on codes of G's ambient.  ``start``, a normal subgroup
+    of G, continues from it: only the codes outside it are conjugated, and
+    the closure grows from its elements; it is returned itself when it
+    holds every code."""
+    if start is None:
+        start = G.generate((), "1", caps)
+    have = start.code_set(caps)
+    closed = [c for c in set(codes) if c not in have]
     if not closed:
-        return G.generate((), "1", caps)
+        return start
+    seen = {*have, *closed}
     amb = G.ambient(caps)
     conjugators = [amb.conjugator(h) for g in G.gen_codes(caps) for h in (g, amb.inv(g))]
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for t in frontier:
-            for conj in conjugators:
-                c = conj(t)
-                if c not in closed:
-                    closed.add(c)
-                    new.append(c)
-        frontier = new
-    return G.generate(closed, "ncl", caps)
+    for t in closed:  # the list grows while it is walked
+        for conj in conjugators:
+            c = conj(t)
+            if c not in seen:
+                seen.add(c)
+                closed.append(c)
+    return G.generate(closed, "ncl", caps, start)
 
 
 def is_normal(N: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:

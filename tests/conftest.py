@@ -1,0 +1,9 @@
+"""The interpreters that tests start (the CLI determinism check, the
+fresh-import probe) import flatlab from this checkout's src/, as the test
+process does through ``pythonpath`` in pyproject.toml."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

@@ -163,9 +163,10 @@ def test_perm_to_abelian():
     assert A.canonical_invariants() == (0, ())
     A, _ = perm_to_abelian(elementary_abelian(2, 2))
     assert A.canonical_invariants() == (0, (2, 2))
-    A, elt_map = perm_to_abelian(cyclic(4))
+    C4 = cyclic(4)
+    A, elt_map = perm_to_abelian(C4)
     assert A.canonical_invariants() == (0, (4,))
-    x = cyclic(4).generators[0]
+    x = C4.gen_codes()[0]
     assert A.element_order(elt_map[x]) == 4
     with pytest.raises(NotAbelianError):
         perm_to_abelian(__import__("flatlab.catalog", fromlist=["dihedral"]).dihedral(8))

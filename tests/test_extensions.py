@@ -2,7 +2,9 @@ import pytest
 
 from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, ab_kernel
 from flatlab.catalog import (
+    alternating,
     cyclic,
+    default_battery,
     dihedral,
     elementary_abelian,
     product,
@@ -30,11 +32,13 @@ from flatlab.functors import (
     SpSubfunctor,
     Variety,
     induce,
+    radical_subgroup,
     standard_quasi_c4_c2,
 )
-from flatlab.permgroup import GroupHom, is_isomorphic, quotient
+from flatlab.homs import enumerate_homs, realize_presentation
+from flatlab.permgroup import GroupHom, is_isomorphic, normal_subgroups, quotient
 from flatlab.verbal import derived_subgroup
-from flatlab.words import Word, parse_word
+from flatlab.words import Presentation, Word, parse_word
 
 PHI, QUASI = standard_quasi_c4_c2()
 
@@ -375,3 +379,57 @@ def test_right_exactness_is_a_view_of_the_flatness_report():
     flat = check_flatness(Abelianization(), ext)
     assert rex.to_dict() == flat.to_dict()
     assert rex.is_right_exact and not rex.is_flat
+
+
+def _middle_against_closure(F, ext) -> bool:
+    """check_flatness's middle flag and witness against the subgroup
+    M = <iota(K), R(E)> they stand for, which must be the preimage of
+    proj(R(E)); True when the middle flag fails."""
+    E, proj = ext.total, ext.proj.code_map()
+    RE = radical_subgroup(F, E)
+    M = E.generate(ext.iota.image().gen_codes() + RE.gen_codes()).code_set()
+    proj_re = {proj[x] for x in RE.codes()}
+    assert M == {e for e in E.codes() if proj[e] in proj_re}
+    rg = radical_subgroup(F, ext.base).code_set()
+    outside = [e for e in E.codes() if proj[e] in rg and e not in M]
+    rep = check_flatness(F, ext)
+    assert rep.middle_exact == (not outside)
+    if outside:
+        cycles = E.ambient().decode(outside[0]).cycle_string()
+        assert rep.witnesses["middle"].startswith(f"total element {cycles} ")
+    return bool(outside)
+
+
+def test_middle_exactness_scan_matches_the_closure():
+    # every epireflection of the benchmark sweeps on the battery extensions
+    # and their pullbacks along default_battery(4), all middle exact
+    functors = [
+        Abelianization(),
+        NilpotentQuotient(2),
+        NilpotentQuotient(3),
+        Variety((parse_word("x1^2"),)),
+        *(
+            Nullification(G.presentation)
+            for G in (cyclic(2), cyclic(3), elementary_abelian(2, 2), symmetric(3))
+        ),
+        QUASI,
+    ]
+    checked = 0
+    for G in default_battery(64):
+        for ext in extensions_from_group(G):
+            pulled = [
+                pullback_extension(ext, f).extension
+                for X in default_battery(4)
+                for f in enumerate_homs(X, ext.base)
+            ]
+            for ext2 in [ext, *pulled]:
+                for F in functors:
+                    assert not _middle_against_closure(F, ext2)
+                    checked += 1
+    assert checked == 9 * 1_869
+    # C2 -> SL(2,5) -> A5 is not: SL(2,5) has one involution, so no A5 inside,
+    # and its A5-radical is trivial while A5's is all of A5
+    SL25 = realize_presentation(Presentation.parse("r,s,t", "r^2*t^-5,s^3*t^-5,r*s*t^-4"))
+    centre = next(N for N in normal_subgroups(SL25) if N.order() == 2)
+    ext = extension_from_normal_subgroup(SL25, centre)
+    assert _middle_against_closure(Nullification(alternating(5).presentation), ext)

@@ -1,8 +1,10 @@
 import pytest
 
+from flatlab import functors
 from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
 from flatlab.catalog import (
     cyclic,
+    default_battery,
     dihedral,
     elementary_abelian,
     product,
@@ -10,8 +12,9 @@ from flatlab.catalog import (
     symmetric,
     trivial_group,
 )
-from flatlab.caps import Caps
+from flatlab.caps import DEFAULT_CAPS, Caps
 from flatlab.errors import CapExceededError, FlatlabError, UnsupportedFunctorError
+from flatlab.extensions import extensions_from_group, pullback_extension
 from flatlab.functors import (
     Abelianization,
     NilpotentQuotient,
@@ -25,9 +28,14 @@ from flatlab.functors import (
     induce,
     is_acyclic,
     is_local_wrt,
+    _abelian_product_form,
+    _hom_components,
+    _nullification_radical,
+    _preimage_chain,
     radical_subgroup,
     standard_quasi_c4_c2,
 )
+from flatlab.homs import enumerate_homs
 from flatlab.permgroup import GroupHom, is_isomorphic, quotient
 from flatlab.verbal import derived_subgroup, lower_central_series
 from flatlab.words import Presentation, Word, parse_word
@@ -252,3 +260,57 @@ def test_nullification_at_a_free_target_kills_everything():
     Z = Presentation(("x",), ())
     for G in (cyclic(4), symmetric(3)):
         assert radical_subgroup(Nullification(Z), G).order() == G.order()
+
+
+def test_abelian_target_radical_is_the_chain_radical():
+    # the pi-element radical against the generic preimage chain, which lifts
+    # every hom into G/N to coset representatives, on the battery and on
+    # every pullback total of default_battery(16) along default_battery(4)
+    targets = [
+        G.presentation
+        for G in (
+            cyclic(2),
+            cyclic(3),
+            elementary_abelian(2, 2),
+            cyclic(4),
+            cyclic(6),
+            product(cyclic(4), cyclic(6)),
+            trivial_group(),
+        )
+    ] + [Presentation(("x",), ())]
+    groups = list(default_battery(64))
+    for G in default_battery(16):
+        for ext in extensions_from_group(G):
+            for X in default_battery(4):
+                for f in enumerate_homs(X, ext.base):
+                    groups.append(pullback_extension(ext, f).extension.total)
+    caps = DEFAULT_CAPS
+    for pres in targets:
+        assert _abelian_product_form(pres) is not None
+        F = Nullification(pres)
+        for G in groups:
+            chain = _preimage_chain(G, lambda N: _hom_components(pres, G, N, caps), caps)
+            assert _nullification_radical(F, G, caps).code_set() == chain.code_set()
+    assert len(targets) * len(groups) == 11_560
+
+
+def test_radicals_do_no_confirming_closure(monkeypatch):
+    # an abelian target needs no normal closure at all; the S3 chain on S4
+    # grows once to all of S4 and stops without closing again (a call whose
+    # codes all lie in its start hands the start back and closes nothing)
+    calls = []
+    original = functors.normal_closure_codes
+
+    def counted(G, codes, caps=DEFAULT_CAPS, start=None):
+        N = original(G, codes, caps, start)
+        if N is not start:
+            calls.append((start.order() if start is not None else 1, N.order()))
+        return N
+
+    monkeypatch.setattr(functors, "normal_closure_codes", counted)
+    C3, S3 = Nullification(cyclic(3).presentation), Nullification(symmetric(3).presentation)
+    for G in (cyclic(8), dihedral(8), quaternion(8), elementary_abelian(2, 3)):
+        assert _nullification_radical(C3, G, DEFAULT_CAPS).is_trivial()
+    assert calls == []
+    assert _nullification_radical(S3, symmetric(4), DEFAULT_CAPS).order() == 24
+    assert calls == [(1, 24)]
