@@ -168,7 +168,6 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
         if not isinstance(f, GroupHom):
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
         P, pr_e, pr_x = pullback_group(ext.proj, f, caps)
-        new_ext = from_surjection(pr_x, caps=caps)
         # k -> (iota k, 1): the pair code of (e, 1) is e * |X's ambient|
         nx = f.domain.ambient(caps).size
         iota = ext.iota.code_map()
@@ -176,11 +175,14 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
             ext.kernel_group, P,
             [iota[k] * nx for k in ext.kernel_group.gen_codes(caps)], caps,
         )
-        K2 = new_ext.kernel_group
+        K2 = pr_x.kernel()
         if canonical.image().code_set(caps) != K2.code_set(caps) or not canonical.is_injective():
             raise FlatlabError("canonical kernel comparison map is not an isomorphism")
-        # the verified isomorphism carries every radical of K to one of K2
+        # the canonical images of K's generators generate its image, K2; the
+        # verified isomorphism carries every radical of K to one of K2
+        K2._gen_codes = canonical.image_codes
         K2.transport = canonical
+        new_ext = from_surjection(pr_x, caps=caps)
         return PulledBackExtension(new_ext, pr_e, f, canonical)
     if not isinstance(f, AbHom):
         raise FlavorMismatchError("abelian extension needs an AbHom leg")

@@ -44,7 +44,8 @@ from .words import Presentation, Word
 
 class _Ambient:
     """Integer codes for a finite group; subclasses give ``right`` (the map
-    x -> x*b), ``mul``, ``inv``, ``order_of``, ``decode`` and ``encode``."""
+    x -> x*b), ``conjugator`` (x -> g^-1 x g), ``mul``, ``inv``,
+    ``order_of``, ``decode`` and ``encode``."""
 
     def power(self, a: int, e: int) -> int:
         """a^e by square-and-multiply from the top bit; a^1 costs nothing."""
@@ -66,11 +67,6 @@ class _Ambient:
             acc = self.mul(acc, self.power(values[sym], exp))
         return acc
 
-    def conjugator(self, g: int):
-        """x -> g^-1 x g, as (x g)^-1 g inverted."""
-        r, inv = self.right(g), self.inv
-        return lambda x: inv(r(inv(r(x))))
-
 
 # A table ambient of more elements than this multiplies permutations, as the
 # full Cayley table would hold size**2 entries.
@@ -82,7 +78,7 @@ class _TableAmbient(_Ambient):
     elements, column b of the Cayley table (x -> x*b) is built on first use
     from its parent in a breadth-first tree over the generators: if b = p*g
     then x*b = (x*p)*g.  A larger group multiplies the permutations of its
-    codes and builds no column."""
+    codes and builds no column, Cayley or conjugation."""
 
     def __init__(self, perms: Sequence[Permutation], gens: Sequence[Permutation]):
         self.perms = perms
@@ -93,6 +89,7 @@ class _TableAmbient(_Ambient):
         self._cols: list[list[int] | None] | None = None
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
+        self._conj: dict[int, list[int]] = {}
         self.tabled = self.size <= _TABLE_MAX
 
     def _grow(self) -> None:
@@ -143,6 +140,19 @@ class _TableAmbient(_Ambient):
         index, perms, image = self.index, self.perms, self.perms[b].images.__getitem__
         return lambda x: index[tuple(map(image, perms[x].images))]
 
+    def conjugator(self, g: int):
+        """x -> g^-1 x g, as (x g)^-1 g inverted; tabled, one cached column
+        per g, as the callers conjugate by generators and their inverses."""
+        if not self.tabled:
+            r, inv = self.right(g), self.inv
+            return lambda x: inv(r(inv(r(x))))
+        col = self._conj.get(g)
+        if col is None:
+            self.inv(0)  # builds the inverse list
+            r, inv = self.column(g), self._inverses
+            col = self._conj[g] = [inv[r[inv[r[x]]]] for x in range(self.size)]
+        return col.__getitem__
+
     def mul(self, a: int, b: int) -> int:
         if self.tabled:
             return self.column(b)[a]
@@ -181,6 +191,11 @@ class _ProductAmbient(_Ambient):
         i, j = divmod(b, nb)
         ra, rb = self.A.right(i), self.B.right(j)
         return lambda x: ra(x // nb) * nb + rb(x % nb)
+
+    def conjugator(self, g: int):
+        nb, (i, j) = self.nb, divmod(g, self.nb)
+        ca, cb = self.A.conjugator(i), self.B.conjugator(j)
+        return lambda x: ca(x // nb) * nb + cb(x % nb)
 
     def mul(self, a: int, b: int) -> int:
         nb = self.nb
@@ -603,7 +618,7 @@ class GroupHom:
         self.name = name
         self._caps = caps
         self._map = mapping
-        self._kernel = self._image = None
+        self._kernel = self._image = self._section = None
         if trusted:
             return
         cod_set = codomain.code_set(caps)
@@ -673,6 +688,12 @@ class GroupHom:
             self._image = self.codomain._sub(self.code_map().values(), name="im")
         return self._image
 
+    def section(self) -> dict[int, int]:
+        """y -> the least x with f(x) = y, for every y in the image."""
+        if self._section is None:  # the least x is written last
+            self._section = {y: x for x, y in sorted(self.code_map().items(), reverse=True)}
+        return self._section
+
     def is_injective(self) -> bool:
         return sum(1 for y in self.code_map().values() if y == 0) == 1
 
@@ -705,7 +726,9 @@ class GroupHom:
         if not sub.is_subgroup_of(G, caps):
             raise NotASubgroupError("inclusion source is not a subgroup")
         if sub.ambient(caps) is G.ambient(caps):
-            return cls._from_codes(sub, G, sub.gen_codes(caps), caps)
+            hom = cls._from_codes(sub, G, sub.gen_codes(caps), caps)
+            hom._image = sub
+            return hom
         return cls(sub, G, sub.generators, caps=caps)
 
     def __repr__(self) -> str:
@@ -743,16 +766,22 @@ def normal_closure_codes(
     closed = [c for c in set(codes) if c not in have]
     if not closed:
         return start
-    seen = {*have, *closed}
     amb = G.ambient(caps)
     conjugators = [amb.conjugator(h) for g in G.gen_codes(caps) for h in (g, amb.inv(g))]
-    for t in closed:  # the list grows while it is walked
-        for conj in conjugators:
-            c = conj(t)
+    _orbits(closed, conjugators, {*have, *closed})
+    return G.generate(closed, "ncl", caps, start)
+
+
+def _orbits(elts: list, moves, seen: set) -> list:
+    """``elts`` extended in place by its images under ``moves`` until closed;
+    ``seen`` holds what is already there and is kept up to date."""
+    for t in elts:  # the list grows while it is walked
+        for move in moves:
+            c = move(t)
             if c not in seen:
                 seen.add(c)
-                closed.append(c)
-    return G.generate(closed, "ncl", caps, start)
+                elts.append(c)
+    return elts
 
 
 def is_normal(N: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -854,7 +883,11 @@ def pullback_group(
     f: GroupHom, g: GroupHom, caps: Caps = DEFAULT_CAPS
 ) -> tuple[PermGroup, GroupHom, GroupHom]:
     """Fiber product {(e, x) : f(e) = g(x)} in the product of E's and X's
-    ambients, with its two projections."""
+    ambients, with its two projections.
+
+    It is generated by ker(f) x 1 and a lift (e, x) of each generator x of
+    X' = g^-1(im f), e the least with f(e) = g(x).  The square check puts
+    <gens> inside the fiber product, whose order |ker f| * |X'| it matches."""
     gmap = g.code_map()
     G, H = f.codomain, g.codomain
     if G is not H:
@@ -864,38 +897,26 @@ def pullback_group(
         gmap = {x: G.encode(decode(y)) for x, y in gmap.items()}
     E, X = f.domain, g.domain
     amb = _ProductAmbient(E.ambient(caps), X.ambient(caps))
-    name = f"pb({E.name or 'E'},{X.name or 'X'})"
     nx = amb.nb
-    fmap = f.code_map()
-    fibers: dict[int, list[int]] = {}
-    for x in X.codes(caps):
-        fibers.setdefault(gmap[x], []).append(x)
-    elts = [e * nx + x for e in E.codes(caps) for x in fibers.get(fmap[e], ())]
-    if f.image().order(caps) == f.codomain.order(caps):
-        # f surjective: the fiber product is generated by ker(f) x 1 together
-        # with one lift (e_x, x) of each generator x of X
-        preimage: dict[int, int] = {}
-        for e in E.codes(caps):
-            preimage.setdefault(fmap[e], e)
-        gens = [k * nx for k in f.kernel().gen_codes(caps)]
-        gens += [preimage[gmap[x]] * nx + x for x in X.gen_codes(caps)]
-        P = PermGroup._coded(amb, gens, name)
-    else:
-        P = PermGroup._coded(amb, None, name, codes=elts)
-        gens = P.gen_codes(caps)
-    # the closure of the generators must reproduce the fiber-product set
-    if P.order(caps) != len(elts):
+    fmap, section = f.code_map(), f.section()
+    lifted = [x for x in X.codes(caps) if gmap[x] in section]
+    Xf = X if len(lifted) == X.order(caps) else X._sub(lifted)
+    gens = [k * nx for k in f.kernel().gen_codes(caps)]
+    gens += [section[gmap[x]] * nx + x for x in Xf.gen_codes(caps)]
+    if any(fmap[p // nx] != gmap[p % nx] for p in gens):
+        raise FlatlabError("fiber-product square does not commute")
+    P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})")
+    codes = P.codes(caps)
+    if len(codes) != f.kernel().order(caps) * len(lifted):
         raise FlatlabError("fiber-product generators do not span the fiber product")
-    map_e = {p: p // nx for p in elts}
-    map_x = {p: p % nx for p in elts}
+    map_e = {p: p // nx for p in codes}
+    map_x = {p: p % nx for p in codes}
     pr_e = GroupHom._from_codes(
         P, E, [map_e[p] for p in gens], caps, trusted=True, mapping=map_e
     )
     pr_x = GroupHom._from_codes(
         P, X, [map_x[p] for p in gens], caps, trusted=True, mapping=map_x
     )
-    if any(fmap[map_e[p]] != gmap[map_x[p]] for p in gens):
-        raise FlatlabError("fiber-product square does not commute")
     return P, pr_e, pr_x
 
 
@@ -1014,17 +1035,15 @@ def _iso_screen(G: PermGroup, H: PermGroup, caps: Caps) -> bool:
 
 def _conjugacy_class_sizes(G: PermGroup, caps: Caps) -> tuple[int, ...]:
     def compute():
-        codes = G.codes(caps)
+        # a class is an orbit under conjugation by the generators
         amb = G.ambient(caps)
-        conjugators = [amb.conjugator(g) for g in codes]
+        conjugators = [amb.conjugator(g) for g in G.gen_codes(caps)]
         seen: set[int] = set()
         sizes = []
-        for x in codes:
-            if x in seen:
-                continue
-            cls = {conj(x) for conj in conjugators}
-            seen |= cls
-            sizes.append(len(cls))
+        for x in G.codes(caps):
+            if x not in seen:
+                seen.add(x)
+                sizes.append(len(_orbits([x], conjugators, seen)))
         return tuple(sorted(sizes))
 
     return G.memo("conj_class_sizes", compute, caps)

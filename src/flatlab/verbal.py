@@ -7,7 +7,7 @@ conjugation and the generated subgroup is normal without a closure pass.
 
 Two exact fast paths cover the functors the suites use heavily: power words
 x^n scan {g^n : g in G}, and iterated-commutator words use
-gamma_{k+1} = <<[t, s] : t normal-generating gamma_k, s generating G>>.
+gamma_{k+1} = <<[t, s] : t generating gamma_k, s generating G>>.
 Property tests cross-check both against the exhaustive census.
 """
 
@@ -103,13 +103,12 @@ def lower_central_series(
     G: PermGroup, depth: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
     """lcs(0) = G, lcs(k+1) = [lcs(k), G]; stabilized tail is repeated up to
-    ``depth``.  Memoized per group."""
+    ``depth``.  Memoized per group.  lcs(k+1) is the normal closure of the
+    [t, s], t in the generators that lcs(k)'s closure kept and s in G's:
+    modulo it every t, so all of lcs(k), is central."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     chain: list[PermGroup] = G.memo("lcs_chain", lambda: [G], caps)
-    seeds: list[tuple[int, ...]] = G.memo(
-        "lcs_seeds", lambda: [G.gen_codes(caps)], caps
-    )
     amb = G.ambient(caps)
     conjugators = [amb.conjugator(s) for s in G.gen_codes(caps)]
 
@@ -120,12 +119,12 @@ def lower_central_series(
 
     while not stabilized() and (depth is None or len(chain) <= depth):
         # [t, s] = t^-1 s^-1 t s = t^-1 (t^s)
-        new_seeds = tuple(
-            amb.mul(amb.inv(t), conj(t)) for t in seeds[-1] for conj in conjugators
-        )
-        nxt = normal_closure_codes(G, new_seeds, caps)
+        seeds = [
+            amb.mul(amb.inv(t), conj(t))
+            for t in chain[-1].gen_codes(caps) for conj in conjugators
+        ]
+        nxt = normal_closure_codes(G, seeds, caps)
         chain.append(nxt)
-        seeds.append(new_seeds)
         if depth is None and nxt.is_trivial():
             break
     if depth is None:

@@ -36,6 +36,11 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", _reduce(self.letters))
+        # hashed once: functor specs holding words are memo keys
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def generator(cls, index: int, exp: int = 1) -> "Word":
@@ -208,6 +213,11 @@ class Presentation:
                 raise ValueError(
                     f"relator {rel.text()} uses undeclared generators"
                 )
+        # from integers only, so it does not depend on the string hash seed
+        object.__setattr__(self, "_hash", hash((len(self.generators), self.relators)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, gens: str, rels: str) -> "Presentation":

@@ -23,14 +23,19 @@ from flatlab.homs import enumerate_homs, hom_count
 from flatlab.permgroup import (
     GroupHom,
     PermGroup,
+    _conjugacy_class_sizes,
+    _ProductAmbient,
     direct_product,
     find_isomorphism,
     generated_subgroup,
+    normal_closure_codes,
+    normal_subgroups,
     quotient,
 )
 from flatlab.perm import Permutation
 from flatlab.scenario import _group_invariants
 from flatlab.search import search_counterexamples
+from flatlab.verbal import lower_central_series
 from flatlab.words import parse_word
 
 
@@ -163,8 +168,45 @@ def test_a_large_table_ambient_builds_no_cayley_columns():
     S7 = _s7()
     assert hom_count(cyclic(2).presentation, S7) == 232
     assert radical_subgroup(Nullification(cyclic(2).presentation), S7).order() == 5040
+    # conjugation composes the permutation products and tables nothing either
+    three_cycle = S7.encode(Permutation((1, 2, 0, 3, 4, 5, 6)))
+    assert normal_closure_codes(S7, [three_cycle]).order() == 2520
     amb = S7.ambient()
-    assert not amb.tabled and amb._cols is None
+    assert not amb.tabled and amb._cols is None and amb._conj == {}
+
+
+def _check_conjugators(G):
+    amb = G.ambient()
+    perms = [amb.decode(x) for x in range(amb.size)]
+    for g in G.gen_codes():
+        for h in (g, amb.inv(g)):
+            conj, ph = amb.conjugator(h), amb.decode(h)
+            for x in range(amb.size):
+                assert perms[conj(x)] == ph.inverse() * perms[x] * ph
+
+
+def test_conjugation_columns_agree_with_permutations(battery_pullbacks):
+    for G in default_battery(64):
+        _check_conjugators(G)
+    totals = [pulled.extension.total for _, _, pulled in battery_pullbacks]
+    assert {type(P.ambient()) for P in totals} == {_ProductAmbient}
+    for P in totals:
+        _check_conjugators(P)
+
+
+def test_conjugation_columns_are_cached_per_generator():
+    # normal subgroups, the lower central series and the class sizes of a
+    # group conjugate by its generators and their inverses only
+    for H in default_battery(64):
+        G = PermGroup(H.degree, H.generators)  # an ambient of its own
+        amb = G.ambient()
+        normal_subgroups(G)
+        lower_central_series(G)
+        _conjugacy_class_sizes(G, Caps())
+        gens = G.gen_codes()
+        assert set(amb._conj) <= {h for g in gens for h in (g, amb.inv(g))}
+        for g in gens:
+            assert amb.conjugator(g).__self__ is amb.conjugator(g).__self__
 
 
 def test_queries_without_caps_on_a_fresh_group_enumerate_nothing():

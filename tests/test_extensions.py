@@ -1,5 +1,6 @@
 import pytest
 
+from flatlab import permgroup
 from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, ab_kernel
 from flatlab.catalog import (
     alternating,
@@ -433,3 +434,46 @@ def test_middle_exactness_scan_matches_the_closure():
     centre = next(N for N in normal_subgroups(SL25) if N.order() == 2)
     ext = extension_from_normal_subgroup(SL25, centre)
     assert _middle_against_closure(Nullification(alternating(5).presentation), ext)
+
+
+def test_pullback_is_the_fiber_product_and_its_kernel_is_generated(battery_pullbacks):
+    for ext, f, pulled in battery_pullbacks:
+        new = pulled.extension
+        P, K2, pr_x = new.total, new.kernel_group, new.proj
+        E, X = ext.total, f.domain
+        nx = X.ambient().size
+        proj, fmap = ext.proj.code_map(), f.code_map()
+        fibers = [e * nx + x for e in E.codes() for x in X.codes() if proj[e] == fmap[x]]
+        assert list(P.codes()) == fibers
+        # K2 = ker(pr_x), and the closure of its generators is K2
+        assert K2 is pr_x.kernel()
+        assert K2.code_set() == {p for p, x in pr_x.code_map().items() if x == 0}
+        assert P.generate(K2.gen_codes()).codes() == K2.codes()
+        assert new.iota.image() is K2
+    assert len(battery_pullbacks) == 1_422
+
+
+def test_a_pullback_runs_one_closure(monkeypatch):
+    # once an extension's projection has its section and its kernel's
+    # generators (memoised on the projection), a pullback closes only P
+    calls = []
+    original = permgroup._closure
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return original(*args, **kw)
+
+    pairs = [
+        (ext, f)
+        for G in default_battery(16)
+        for ext in extensions_from_group(G)
+        for X in default_battery(4)
+        for f in enumerate_homs(X, ext.base)
+    ]
+    for ext, f in pairs:
+        pullback_extension(ext, f)
+    monkeypatch.setattr(permgroup, "_closure", counted)
+    for ext, f in pairs:
+        calls.clear()
+        P = pullback_extension(ext, f).extension.total
+        assert calls == [P.gen_codes()]

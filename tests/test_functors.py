@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from flatlab import functors
@@ -36,7 +40,7 @@ from flatlab.functors import (
     standard_quasi_c4_c2,
 )
 from flatlab.homs import enumerate_homs
-from flatlab.permgroup import GroupHom, is_isomorphic, quotient
+from flatlab.permgroup import GroupHom, PermGroup, is_isomorphic, quotient
 from flatlab.verbal import derived_subgroup, lower_central_series
 from flatlab.words import Presentation, Word, parse_word
 
@@ -314,3 +318,30 @@ def test_radicals_do_no_confirming_closure(monkeypatch):
     assert calls == []
     assert _nullification_radical(S3, symmetric(4), DEFAULT_CAPS).order() == 24
     assert calls == [(1, 24)]
+
+
+def test_equal_specs_built_apart_share_one_memo_entry():
+    def specs():
+        return [
+            Nullification(Presentation.parse("x,y", "x^3,y^2,x*y*x*y")),
+            Variety((parse_word("x1^2"), parse_word("[x1,x2]"))),
+            QuasiVarietyReflection(((parse_word("x1^4"), parse_word("x1^2")),)),
+        ]
+
+    D8 = dihedral(8)
+    G = PermGroup(D8.degree, D8.generators)  # a memo of its own
+    for F, twin in zip(specs(), specs()):
+        assert F is not twin and F == twin and hash(F) == hash(twin)
+        assert radical_subgroup(twin, G) is radical_subgroup(F, G)
+    radicals = [k for k in G._memo if isinstance(k, tuple) and k[0] == "radical"]
+    assert len(radicals) == 3
+    # the stored hashes are built from integers: no string hash seed enters
+    probe = "from flatlab.words import Presentation as P; print(hash(P.parse('x,y', 'x^3,y^2')))"
+    seeds = [
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert seeds[0] == seeds[1]

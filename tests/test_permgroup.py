@@ -7,6 +7,7 @@ from flatlab.caps import Caps
 from flatlab.catalog import (
     alternating,
     cyclic,
+    default_battery,
     dihedral,
     elementary_abelian,
     product,
@@ -24,6 +25,7 @@ from flatlab.perm import Permutation, parse_cycle_string
 from flatlab.permgroup import (
     GroupHom,
     PermGroup,
+    _conjugacy_class_sizes,
     abelian_census_invariants,
     generated_subgroup,
     is_isomorphic,
@@ -265,3 +267,12 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_class_sizes_are_the_orbits_of_all_conjugations():
+    # the orbits under the generators against conjugation by every element
+    for G in default_battery(64):
+        elts = G.elements()
+        classes = {frozenset(g.inverse() * x * g for g in elts) for x in elts}
+        sizes = tuple(sorted(map(len, classes)))
+        assert _conjugacy_class_sizes(G, Caps()) == sizes, G.describe()

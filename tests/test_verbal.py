@@ -4,6 +4,7 @@ from flatlab.caps import Caps
 from flatlab.catalog import (
     alternating,
     cyclic,
+    default_battery,
     dihedral,
     elementary_abelian,
     product,
@@ -123,3 +124,28 @@ def test_derived_subgroup_of_symmetric():
     S4 = symmetric(4)
     assert derived_subgroup(S4).order() == 12
     assert derived_subgroup(alternating(5)).order() == 60
+
+
+def _census_chain(G, depth):
+    """gamma_{k+1} = <[a, b] : a in gamma_k, b in G>, every pair of elements
+    scanned: no generating set and no normal closure."""
+    amb = G.ambient()
+    chain = [G.codes()]
+    for _ in range(depth):
+        chain.append(G.generate(
+            amb.mul(amb.mul(amb.inv(a), amb.inv(b)), amb.mul(a, b))
+            for a in chain[-1] for b in G.codes()
+        ).codes())
+    return chain
+
+
+def test_lcs_from_generators_matches_the_census_chain(battery_pullbacks):
+    totals = [pulled.extension.total for _, _, pulled in battery_pullbacks]
+    for G in default_battery(64) + totals:
+        chain = [N.codes() for N in lower_central_series(G, 4)]
+        assert chain == _census_chain(G, 4), G.describe()
+    # the word census itself, where its |G|^(c+1) tuples stay small
+    for G in default_battery(16):
+        for c in (1, 2):
+            scan = verbal_subgroup(G, [Word.lcs_word(c)], force_scan=True)
+            assert scan.codes() == lower_central_series(G, c)[c].codes()
