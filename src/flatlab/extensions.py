@@ -168,12 +168,14 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
         if not isinstance(f, GroupHom):
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
         P, pr_e, pr_x = pullback_group(ext.proj, f, caps)
-        # k -> (iota k, 1): the pair code of (e, 1) is e * |X's ambient|
+        # k -> (iota k, 1), the verified iota composed with e -> (e, 1), whose
+        # pair code is e * |X's ambient|
         nx = f.domain.ambient(caps).size
         iota = ext.iota.code_map()
         canonical = GroupHom._from_codes(
             ext.kernel_group, P,
             [iota[k] * nx for k in ext.kernel_group.gen_codes(caps)], caps,
+            trusted=True, mapping={k: e * nx for k, e in iota.items()},
         )
         K2 = pr_x.kernel()
         if canonical.image().code_set(caps) != K2.code_set(caps) or not canonical.is_injective():

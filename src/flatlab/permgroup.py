@@ -205,6 +205,14 @@ class _ProductAmbient(_Ambient):
         i, j = divmod(a, self.nb)
         return self.A.power(i, e) * self.nb + self.B.power(j, e)
 
+    def evaluate(self, word: Word, values: Sequence[int]) -> int:
+        A, B, nb = self.A, self.B, self.nb  # _Ambient.evaluate is the reference
+        a = b = 0  # the word on each component, one divmod per letter
+        for sym, exp in word.letters:
+            i, j = divmod(values[sym], nb)
+            a, b = A.mul(a, A.power(i, exp)), B.mul(b, B.power(j, exp))
+        return a * nb + b
+
     def inv(self, a: int) -> int:
         i, j = divmod(a, self.nb)
         return self.A.inv(i) * self.nb + self.B.inv(j)
@@ -618,7 +626,7 @@ class GroupHom:
         self.name = name
         self._caps = caps
         self._map = mapping
-        self._kernel = self._image = self._section = None
+        self._kernel = self._image = self._fibers = None
         if trusted:
             return
         cod_set = codomain.code_set(caps)
@@ -688,11 +696,14 @@ class GroupHom:
             self._image = self.codomain._sub(self.code_map().values(), name="im")
         return self._image
 
-    def section(self) -> dict[int, int]:
-        """y -> the least x with f(x) = y, for every y in the image."""
-        if self._section is None:  # the least x is written last
-            self._section = {y: x for x, y in sorted(self.code_map().items(), reverse=True)}
-        return self._section
+    def fibers(self) -> dict[int, list[int]]:
+        """y -> the sorted x with f(x) = y, for every y in the image."""
+        if self._fibers is None:
+            fibers: dict[int, list[int]] = {}
+            for x, y in sorted(self.code_map().items()):
+                fibers.setdefault(y, []).append(x)
+            self._fibers = fibers
+        return self._fibers
 
     def is_injective(self) -> bool:
         return sum(1 for y in self.code_map().values() if y == 0) == 1
@@ -885,9 +896,11 @@ def pullback_group(
     """Fiber product {(e, x) : f(e) = g(x)} in the product of E's and X's
     ambients, with its two projections.
 
-    It is generated by ker(f) x 1 and a lift (e, x) of each generator x of
-    X' = g^-1(im f), e the least with f(e) = g(x).  The square check puts
-    <gens> inside the fiber product, whose order |ker f| * |X'| it matches."""
+    P is listed from the fibers of f over g(X').  Its generators, ker(f) x 1
+    and (least e over g(x), x) for each generator x of X' = g^-1(im f), which
+    the square check puts in P, generate P: the first generate ker(pr_x)
+    (ker f's are certified by its closure) and the rest map onto X', pr_x's
+    image.  pr_x is given both, checked by |P| = |ker f| * |X'|."""
     gmap = g.code_map()
     G, H = f.codomain, g.codomain
     if G is not H:
@@ -898,25 +911,25 @@ def pullback_group(
     E, X = f.domain, g.domain
     amb = _ProductAmbient(E.ambient(caps), X.ambient(caps))
     nx = amb.nb
-    fmap, section = f.code_map(), f.section()
-    lifted = [x for x in X.codes(caps) if gmap[x] in section]
+    fmap, fibers = f.code_map(), f.fibers()
+    lifted = [x for x in X.codes(caps) if gmap[x] in fibers]
     Xf = X if len(lifted) == X.order(caps) else X._sub(lifted)
-    gens = [k * nx for k in f.kernel().gen_codes(caps)]
-    gens += [section[gmap[x]] * nx + x for x in Xf.gen_codes(caps)]
+    kgens = [k * nx for k in f.kernel().gen_codes(caps)]
+    gens = kgens + [fibers[gmap[x]][0] * nx + x for x in Xf.gen_codes(caps)]
     if any(fmap[p // nx] != gmap[p % nx] for p in gens):
         raise FlatlabError("fiber-product square does not commute")
-    P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})")
-    codes = P.codes(caps)
-    if len(codes) != f.kernel().order(caps) * len(lifted):
-        raise FlatlabError("fiber-product generators do not span the fiber product")
-    map_e = {p: p // nx for p in codes}
-    map_x = {p: p % nx for p in codes}
-    pr_e = GroupHom._from_codes(
-        P, E, [map_e[p] for p in gens], caps, trusted=True, mapping=map_e
+    codes = sorted(e * nx + x for x in lifted for e in fibers[gmap[x]])
+    P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})", codes)
+    K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in f.kernel().codes(caps)])
+    # P.order re-checks the listed codes against the caps, as a closure would
+    if P.order(caps) != K2.order(caps) * len(lifted):
+        raise FlatlabError("kernel order times image order != domain order")
+    map_e, map_x = {p: p // nx for p in codes}, {p: p % nx for p in codes}
+    pr_e, pr_x = (
+        GroupHom._from_codes(P, Y, [m[p] for p in gens], caps, trusted=True, mapping=m)
+        for Y, m in ((E, map_e), (X, map_x))
     )
-    pr_x = GroupHom._from_codes(
-        P, X, [map_x[p] for p in gens], caps, trusted=True, mapping=map_x
-    )
+    pr_x._image, pr_x._kernel = Xf, K2
     return P, pr_e, pr_x
 
 

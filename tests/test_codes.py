@@ -23,6 +23,7 @@ from flatlab.homs import enumerate_homs, hom_count
 from flatlab.permgroup import (
     GroupHom,
     PermGroup,
+    _Ambient,
     _conjugacy_class_sizes,
     _ProductAmbient,
     direct_product,
@@ -192,6 +193,21 @@ def test_conjugation_columns_agree_with_permutations(battery_pullbacks):
     assert {type(P.ambient()) for P in totals} == {_ProductAmbient}
     for P in totals:
         _check_conjugators(P)
+
+
+def test_product_evaluation_agrees_with_the_letterwise_reference(battery_pullbacks):
+    words = [rel for G in default_battery(64) for rel in G.presentation.relators]
+    words += [parse_word("x1^4"), parse_word("x1^2")]  # the quasi-variety words
+    words = list(dict.fromkeys(words))
+    arity = 1 + max(s for w in words for s, _ in w.letters)
+    for _, _, pulled in battery_pullbacks:
+        P = pulled.extension.total
+        amb, codes = P.ambient(), P.codes()
+        n = len(codes)
+        for i in range(n):
+            values = [codes[(i + j) % n] for j in range(arity)]
+            for w in words:
+                assert amb.evaluate(w, values) == _Ambient.evaluate(amb, w, values)
 
 
 def test_conjugation_columns_are_cached_per_generator():

@@ -13,7 +13,13 @@ from flatlab.catalog import (
     symmetric,
     trivial_group,
 )
-from flatlab.errors import FlatlabError, FlavorMismatchError, NotSurjectiveError
+from flatlab.caps import Caps
+from flatlab.errors import (
+    CapExceededError,
+    FlatlabError,
+    FlavorMismatchError,
+    NotSurjectiveError,
+)
 from flatlab.extensions import (
     Extension,
     certify_prop44,
@@ -37,7 +43,14 @@ from flatlab.functors import (
     standard_quasi_c4_c2,
 )
 from flatlab.homs import enumerate_homs, realize_presentation
-from flatlab.permgroup import GroupHom, is_isomorphic, normal_subgroups, quotient
+from flatlab.permgroup import (
+    GroupHom,
+    _extend_mapping,
+    is_isomorphic,
+    normal_subgroups,
+    pullback_group,
+    quotient,
+)
 from flatlab.verbal import derived_subgroup
 from flatlab.words import Presentation, Word, parse_word
 
@@ -450,12 +463,32 @@ def test_pullback_is_the_fiber_product_and_its_kernel_is_generated(battery_pullb
         assert K2.code_set() == {p for p, x in pr_x.code_map().items() if x == 0}
         assert P.generate(K2.gen_codes()).codes() == K2.codes()
         assert new.iota.image() is K2
+        # P's generators generate it, pr_x's image is the x with a lift, and
+        # the composed canonical map is the one its generator images define
+        assert P.generate(P.gen_codes()).codes() == P.codes()
+        lifts = set(proj.values())
+        assert pr_x.image().code_set() == {x for x in X.codes() if fmap[x] in lifts}
+        canonical = pulled.canonical_kernel_map
+        assert canonical.code_map() == _extend_mapping(
+            ext.kernel_group, P, canonical.image_codes, Caps()
+        )
     assert len(battery_pullbacks) == 1_422
+    # a kernel with an ambient of its own: C2 -> Q8 -> V4 along every probe
+    Q8, C2 = quaternion(8), cyclic(2)
+    centre = next(N for N in normal_subgroups(Q8) if N.order() == 2)
+    ext = Extension(GroupHom(C2, Q8, centre.generators), quotient(Q8, centre)[1])
+    for X in default_battery(4):
+        for f in enumerate_homs(X, ext.base):
+            pulled = pullback_extension(ext, f)
+            P, canonical = pulled.extension.total, pulled.canonical_kernel_map
+            assert canonical.code_map() == _extend_mapping(C2, P, canonical.image_codes, Caps())
+            assert canonical.image().code_set() == pulled.extension.kernel_group.code_set()
 
 
-def test_a_pullback_runs_one_closure(monkeypatch):
-    # once an extension's projection has its section and its kernel's
-    # generators (memoised on the projection), a pullback closes only P
+def test_a_pullback_runs_no_closure(monkeypatch):
+    # once an extension's projection has its fibers and its kernel's
+    # generators (memoised on the projection), a pullback lists P from the
+    # fibers and closes nothing
     calls = []
     original = permgroup._closure
 
@@ -475,5 +508,23 @@ def test_a_pullback_runs_one_closure(monkeypatch):
     monkeypatch.setattr(permgroup, "_closure", counted)
     for ext, f in pairs:
         calls.clear()
-        P = pullback_extension(ext, f).extension.total
-        assert calls == [P.gen_codes()]
+        pullback_extension(ext, f)
+        assert calls == []
+    assert len(pairs) == 1_422
+
+
+def test_a_capped_pullback_fails_the_same_way_every_time():
+    # C4 -> C4 -> 1 pulled back along C4 -> 1: P = C4 x C4 has 16 elements
+    C4 = cyclic(4)
+    ext = extension_from_normal_subgroup(C4, C4)
+    f = GroupHom(C4, ext.base, [ext.base.identity()])
+    small = Caps(order=8)
+    for caps in (small, Caps(), small):
+        if caps is small:
+            for build in (pullback_extension, pullback_group):
+                with pytest.raises(CapExceededError) as exc:
+                    build(ext if build is pullback_extension else ext.proj, f, caps)
+                assert str(exc.value) == "order cap 8 exceeded"
+                assert exc.value.partial == 8
+        else:
+            assert pullback_extension(ext, f, caps).extension.total.order() == 16

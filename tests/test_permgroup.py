@@ -176,10 +176,14 @@ def test_pullback_with_two_non_surjective_legs():
     C2 = cyclic(2)
     inc_a = GroupHom(C2, V4, (a,))
     inc_b = GroupHom(C2, V4, (b,))
-    P_same, _, _ = pullback_group(inc_a, inc_a)
+    P_same, _, pr_same = pullback_group(inc_a, inc_a)
     assert P_same.order() == 2  # the diagonal copy
-    P_diff, _, _ = pullback_group(inc_a, inc_b)
+    P_diff, _, pr_diff = pullback_group(inc_a, inc_b)
     assert P_diff.order() == 1
+    # the second projection is given its image: the part of C2 with a lift
+    for pr, order in ((pr_same, 2), (pr_diff, 1)):
+        assert pr.image().code_set() == set(pr.code_map().values())
+        assert pr.image().order() == order and pr.kernel().order() == 1
 
 
 def test_is_isomorphic_basics():
