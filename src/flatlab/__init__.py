@@ -92,7 +92,7 @@ from .functors import (
     radical_subgroup,
     standard_quasi_c4_c2,
 )
-from .homs import enumerate_hom_images, enumerate_homs, hom_count, realize_presentation
+from .homs import enumerate_homs, hom_count, realize_presentation
 from .perm import Permutation, parse_cycle_string
 from .permgroup import (
     GroupHom,
@@ -106,14 +106,12 @@ from .permgroup import (
     normal_subgroups,
     pullback_group,
     quotient,
-    small_generating_set,
 )
 from .verbal import (
     derived_subgroup,
     lower_central_series,
     s_p_subgroup,
     verbal_subgroup,
-    word_values,
 )
 from .words import Presentation, Word, parse_word
 

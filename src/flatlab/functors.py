@@ -150,11 +150,14 @@ def _apply_quotient_functor(F, G: PermGroup, W: PermGroup, caps: Caps) -> Locali
 
 @cache
 def _abelian_product_form(pres: Presentation) -> tuple[int, ...] | None:
-    """Exponents n_i if pres is <x_1..x_k | x_i^{n_i}, all [x_i,x_j]>."""
+    """Exponents n_i if pres is <x_1..x_k | x_i^{n_i}, all [x_i,x_j]>; the
+    one reader of abelian presentations (empty relators are skipped)."""
     k = len(pres.generators)
     powers = {}
     pairs = set()
     for rel in pres.relators:
+        if rel.is_empty():
+            continue
         if len(rel.letters) == 1:
             sym, exp = rel.letters[0]
             powers[sym] = gcd(powers.get(sym, 0), abs(exp))
@@ -174,6 +177,13 @@ def _abelian_product_form(pres: Presentation) -> tuple[int, ...] | None:
     }:
         return None
     return tuple(powers.get(i, 0) for i in range(k))
+
+
+def _cyclic_order_of_presentation(pres: Presentation) -> int | None:
+    """n when pres presents C_n on one generator (0 for Z): the one-generator
+    case of ``_abelian_product_form``."""
+    form = _abelian_product_form(pres)
+    return form[0] if form is not None and len(form) == 1 else None
 
 
 def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
@@ -299,15 +309,6 @@ def _columns_in_lattice(A: AbGroup, M: IntMatrix) -> bool:
         solve_in_column_lattice(A.snf, M.column(j)) is not None
         for j in range(M.cols)
     )
-
-
-def _cyclic_order_of_presentation(pres: Presentation) -> int | None:
-    if len(pres.generators) != 1:
-        return None
-    n = 0
-    for rel in pres.relators:
-        n = gcd(n, abs(rel.exponent_sum()))
-    return n
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:

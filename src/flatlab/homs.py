@@ -78,14 +78,6 @@ def hom_image_codes(
     return relator_solutions(pres, X, X.codes(caps), (0,), caps)
 
 
-def enumerate_hom_images(
-    pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> list[tuple[Permutation, ...]]:
-    """All generator-image tuples satisfying the relators, in sorted order."""
-    decode = X.ambient(caps).decode
-    return [tuple(map(decode, imgs)) for imgs in hom_image_codes(pres, X, caps)]
-
-
 def hom_count(pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     return len(hom_image_codes(pres, X, caps))
 

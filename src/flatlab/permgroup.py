@@ -6,11 +6,12 @@ Every group computes on integer codes.  A group lives in an *ambient*, a
 finite group whose elements are numbered 0, 1, ... in sorted-Permutation
 order: the identity is code 0, and a scan in code order is a scan in sorted
 order, so every witness, list and report reads exactly as if the group were
-enumerated as sorted permutations.  A table ambient numbers the elements of
-one group given by permutations (a catalog group, a quotient, a realized
-presentation) and multiplies through columns of its Cayley table, built on
-first use from the generator columns (the regular representation).  A
-product ambient numbers the pairs (a, b) of two ambients as a*|B| + b and
+enumerated as sorted permutations.  A table ambient lists one group given by
+permutations (a catalog group, a quotient, a realized presentation) in one
+breadth-first pass over its generators, numbers the elements, and multiplies
+through columns of its Cayley table, built on first use from the generator
+columns that pass recorded (the regular representation).  Every later
+enumeration is a closure on codes.  A product ambient numbers the pairs (a, b) of two ambients as a*|B| + b and
 multiplies componentwise; it serves fiber and direct products.  Subgroups
 share their parent's ambient and are sets of codes, and homomorphisms are
 maps of codes.  Permutations appear only at the boundary: the generators a
@@ -74,52 +75,55 @@ _TABLE_MAX = 1024
 
 
 class _TableAmbient(_Ambient):
-    """The sorted elements of one permutation group.  Up to ``_TABLE_MAX``
-    elements, column b of the Cayley table (x -> x*b) is built on first use
-    from its parent in a breadth-first tree over the generators: if b = p*g
-    then x*b = (x*p)*g.  A larger group multiplies the permutations of its
-    codes and builds no column, Cayley or conjugation."""
+    """The sorted elements of the permutation group <gens>, listed in one
+    breadth-first pass from the identity over the generators' image tuples
+    that records each generator's column and each new element's parent (the
+    orbit listing; Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, §4.1), then renumbered in sorted order.  Up to
+    ``_TABLE_MAX`` elements, column b of the Cayley table (x -> x*b) is built
+    on first use from its parent in that tree: if b = p*g then x*b = (x*p)*g.
+    A larger group multiplies the permutations of its codes and builds no
+    column, Cayley or conjugation."""
 
-    def __init__(self, perms: Sequence[Permutation], gens: Sequence[Permutation]):
-        self.perms = perms
-        self.size = len(perms)
-        self.degree = perms[0].degree
-        self.index = {p.images: c for c, p in enumerate(perms)}
-        self._gens = tuple(gens)
-        self._cols: list[list[int] | None] | None = None
+    def __init__(self, gens: Sequence[Permutation], degree: int, cap: int):
+        tuples = [tuple(range(degree))]
+        seen = {tuples[0]: 0}  # image tuple -> listing number
+        moves = [g.images.__getitem__ for g in gens]
+        gcols: list[list[int]] = [[] for _ in moves]
+        parent: list = [None]
+        for x, t in enumerate(tuples):  # the list grows while it is walked
+            for i, move in enumerate(moves):
+                y = tuple(map(move, t))
+                c = seen.get(y)
+                if c is None:
+                    if len(tuples) >= cap:
+                        raise CapExceededError(f"order cap {cap} exceeded", partial=len(tuples))
+                    c = seen[y] = len(tuples)
+                    tuples.append(y)
+                    parent.append((x, i))
+                gcols[i].append(c)
+        order = sorted(range(len(tuples)), key=tuples.__getitem__)
+        self.index = index = {tuples[x]: c for c, x in enumerate(order)}
+        self.perms = [Permutation._make(tuples[x]) for x in order]
+        self.size = len(order)
+        self.degree = degree
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
         self._conj: dict[int, list[int]] = {}
         self.tabled = self.size <= _TABLE_MAX
-
-    def _grow(self) -> None:
-        """The generator columns, and a breadth-first tree from the identity
-        giving each other code its parent and the generator column to it."""
-        index = self.index
-        gcols = [
-            [index[tuple(map(g.images.__getitem__, p.images))] for p in self.perms]
-            for g in self._gens
-        ]
-        cols = [None] * self.size
-        cols[0] = list(range(self.size))
-        for col in gcols:
-            cols[col[0]] = col
-        tree = [None] * self.size
-        order = [0]
-        for x in order:
-            for col in gcols:
-                y = col[x]
-                if tree[y] is None and y:
-                    tree[y] = (x, col)
-                    order.append(y)
-        # the tree before the columns, so a concurrent reader never sees one
-        # without the other
-        self._tree = tree
-        self._cols = cols
+        self._cols: list[list[int] | None] | None = None
+        if self.tabled:
+            code = [index[t] for t in tuples]
+            gcols = [[code[col[x]] for x in order] for col in gcols]
+            self._cols = [None] * self.size
+            for col in [list(range(self.size)), *gcols]:
+                self._cols[col[0]] = col
+            self._tree = [None] * self.size  # code -> (parent, generator column)
+            for x in range(1, self.size):
+                p, i = parent[x]
+                self._tree[code[x]] = (code[p], gcols[i])
 
     def column(self, b: int) -> list[int]:
-        if self._cols is None:
-            self._grow()
         cols = self._cols
         col = cols[b]
         if col is None:
@@ -235,11 +239,10 @@ class _ProductAmbient(_Ambient):
         return None if i is None or j is None else i * self.nb + j
 
 
-def _closure(seeds: Iterable, ident, right, cap: int, start=None) -> tuple[list, tuple]:
-    """Sorted elements and a small generating set of <seeds>; the one
-    multiplicative closure of the package, on permutations (``ident`` the
-    identity permutation) or on codes (``ident`` 0).  ``start``, the elements
-    and generators of a subgroup H, continues from H, giving <H, seeds>.
+def _closure(seeds: Iterable[int], right, cap: int, start=None) -> tuple[list, tuple]:
+    """Sorted codes and a small generating set of <seeds>; the one
+    multiplicative closure on codes of an ambient.  ``start``, the codes and
+    generators of a subgroup H, continues from H, giving <H, seeds>.
 
     Seeds are taken in sorted order and kept only if not yet generated.  A
     kept seed e first adds the coset H*e of the subgroup H built so far (all
@@ -248,7 +251,7 @@ def _closure(seeds: Iterable, ident, right, cap: int, start=None) -> tuple[list,
     insertion is checked against the cap, and finiteness makes inverses
     automatic.
     """
-    elts, gens = ([ident], []) if start is None else map(list, start)
+    elts, gens = ([0], []) if start is None else map(list, start)
     moves = list(map(right, gens))
     have = set(elts)
     for e in sorted(set(seeds)):
@@ -276,21 +279,6 @@ def _closure(seeds: Iterable, ident, right, cap: int, start=None) -> tuple[list,
                     have.add(y)
                     elts.append(y)
     return sorted(elts), tuple(gens)
-
-
-def generated_subgroup(
-    seeds: Iterable[Permutation], degree: int, cap: int
-) -> tuple[list[Permutation], tuple[Permutation, ...]]:
-    """Sorted elements and a small generating set of the permutation group
-    <seeds> (see ``_closure``)."""
-    return _closure(seeds, Permutation.identity(degree), lambda g: lambda x: x * g, cap)
-
-
-def small_generating_set(
-    elements: Sequence[Permutation], degree: int
-) -> tuple[Permutation, ...]:
-    """Greedy minimal-ish generating set for a known closed element set."""
-    return generated_subgroup(elements, degree, len(set(elements)) + 1)[1]
 
 
 class PermGroup:
@@ -331,7 +319,8 @@ class PermGroup:
         self.presentation = presentation
         self.presentation_exact = presentation_exact
         self.name = name
-        self._memo: dict = {}
+        self._codes = self._code_set = None  # the element table
+        self._memo: dict = {}  # derived data
         if presentation is not None:
             if len(presentation.generators) != len(generators):
                 raise ValueError("presentation generator count mismatch")
@@ -359,9 +348,9 @@ class PermGroup:
         G.presentation = None
         G.presentation_exact = False
         G.name = name
+        G._codes = None if codes is None else tuple(codes)
+        G._code_set = None
         G._memo = {}
-        if codes is not None:
-            G._memo["codes"] = tuple(codes)
         return G
 
     # -- codes -------------------------------------------------------------
@@ -373,9 +362,8 @@ class PermGroup:
                 A, B = self._factors
                 self._amb = _ProductAmbient(A.ambient(caps), B.ambient(caps))
             else:
-                perms, _ = generated_subgroup(self._gens, self.degree, caps.order)
-                self._amb = _TableAmbient(perms, self._gens)
-                self._memo["codes"] = tuple(range(len(perms)))
+                self._amb = _TableAmbient(self._gens, self.degree, caps.order)
+                self._codes = tuple(range(self._amb.size))
         return self._amb
 
     def gen_codes(self, caps: Caps | None = DEFAULT_CAPS) -> tuple[int, ...]:
@@ -385,20 +373,19 @@ class PermGroup:
                 self._gen_codes = tuple(amb.encode(g.images) for g in self._gens)
             else:  # a subgroup known by its codes: greedy generators
                 codes = self.codes(caps)
-                self._gen_codes = _closure(codes, 0, amb.right, len(codes) + 1)[1]
+                self._gen_codes = _closure(codes, amb.right, len(codes) + 1)[1]
         return self._gen_codes
 
     def codes(self, caps: Caps | None = DEFAULT_CAPS) -> tuple[int, ...]:
         """The sorted codes of the elements.  ``caps`` None is a cap-free
         query: a stored table is used as it is."""
-        codes = self._memo.get("codes")
+        codes = self._codes
         if codes is None:
             amb = self.ambient(caps)
-            codes = self._memo.get("codes")
+            codes = self._codes
             if codes is None:
                 cap = (caps or DEFAULT_CAPS).order
-                codes = tuple(_closure(self.gen_codes(caps), 0, amb.right, cap)[0])
-                self._memo["codes"] = codes
+                codes = self._codes = tuple(_closure(self.gen_codes(caps), amb.right, cap)[0])
         elif caps is not None and len(codes) > caps.order:
             # a stored table obeys the caps of this call, not of the first one
             raise CapExceededError(f"order cap {caps.order} exceeded", partial=caps.order)
@@ -406,10 +393,9 @@ class PermGroup:
 
     def code_set(self, caps: Caps | None = DEFAULT_CAPS) -> frozenset[int]:
         codes = self.codes(caps)
-        found = self._memo.get("code_set")
-        if found is None:
-            found = self._memo["code_set"] = frozenset(codes)
-        return found
+        if self._code_set is None:
+            self._code_set = frozenset(codes)
+        return self._code_set
 
     def encode(self, p: Permutation, caps: Caps | None = None) -> int | None:
         """The code of p in this group's ambient, or None outside it."""
@@ -425,7 +411,7 @@ class PermGroup:
         amb = self.ambient(caps)
         if start is not None:
             start = (start.codes(caps), start.gen_codes(caps))
-        codes, gens = _closure(seeds, 0, amb.right, caps.order, start)
+        codes, gens = _closure(seeds, amb.right, caps.order, start)
         return PermGroup._coded(amb, gens, name=name, codes=codes)
 
     def _sub(self, codes, name: str | None = None) -> "PermGroup":
@@ -521,7 +507,8 @@ class PermGroup:
         if self.degree != other.degree:
             return False
         if self.ambient(caps) is other.ambient(caps):
-            return self.code_set(caps) <= other.code_set(caps)
+            self.codes(caps)  # this group's table obeys the caps too
+            return other.code_set(caps).issuperset(self.gen_codes(caps))
         return self.element_set(caps) <= other.element_set(caps)
 
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
@@ -636,17 +623,17 @@ class GroupHom:
                 raise InvalidHomomorphismError(
                     f"image {amb.decode(c).cycle_string()} not in codomain"
                 )
-        if domain.presentation is not None and domain.presentation_exact:
+        if domain._amb is amb and codes == domain.gen_codes(caps):
+            # an inclusion: the domain is generated by these codes of the
+            # codomain (``_amb``, so a domain that is not listed stays unlisted)
+            self._map = {x: x for x in domain.codes(caps)}
+        elif domain.presentation is not None and domain.presentation_exact:
             for rel in domain.presentation.relators:
                 if amb.evaluate(rel, codes) != 0:
                     raise InvalidHomomorphismError(
                         f"relator {rel.text(domain.presentation.generators)} "
                         "not satisfied by the images"
                     )
-        elif codes and amb is domain.ambient(caps) and codes == domain.gen_codes(caps):
-            # an inclusion: trivially a homomorphism
-            if not domain.code_set(caps) <= cod_set:
-                raise InvalidHomomorphismError("inclusion source is not a subgroup")
         else:
             mapping = _extend_mapping(domain, codomain, codes, caps)
             if mapping is None:
@@ -663,16 +650,10 @@ class GroupHom:
 
     def code_map(self) -> dict[int, int]:
         if self._map is None:
-            caps = self._caps
-            if self.domain.ambient(caps) is self.codomain.ambient(caps) and (
-                self.image_codes == self.domain.gen_codes(caps)
-            ):
-                self._map = {x: x for x in self.domain.codes(caps)}
-            else:
-                mapping = _extend_mapping(self.domain, self.codomain, self.image_codes, caps)
-                if mapping is None:  # cannot happen for a verified hom
-                    raise InvalidHomomorphismError("inconsistent mapping")
-                self._map = mapping
+            mapping = _extend_mapping(self.domain, self.codomain, self.image_codes, self._caps)
+            if mapping is None:  # cannot happen for a verified hom
+                raise InvalidHomomorphismError("inconsistent mapping")
+            self._map = mapping
         return self._map
 
     def apply(self, x: Permutation) -> Permutation:
@@ -1075,7 +1056,7 @@ def find_isomorphism(
     amb = G.ambient(caps)
     gens = G.gen_codes(caps)
     if len(gens) > 4 or not gens:
-        gens = _closure(G.codes(caps), 0, amb.right, G.order(caps) + 1)[1]
+        gens = G._sub(G.codes(caps)).gen_codes(caps)  # greedy, from the code set
     if not gens:  # trivial group
         return GroupHom(G, H, (), caps=caps) if H.is_trivial() else None
     # cumulative subgroups for partial verification

@@ -17,7 +17,6 @@ from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, FlatlabError
-from .perm import Permutation
 from .permgroup import PermGroup, is_normal, normal_closure_codes
 from .words import Word
 
@@ -55,13 +54,6 @@ def word_value_codes(G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS) -> set
         return {0}
     evaluate = G.ambient(caps).evaluate
     return {evaluate(word, tup) for tup in iproduct(G.codes(caps), repeat=arity)}
-
-
-def word_values(
-    G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS
-) -> set[Permutation]:
-    """Exhaustive value census {w(g_1,...,g_k)} over all tuples."""
-    return set(map(G.ambient(caps).decode, word_value_codes(G, word, caps)))
 
 
 def _normal_subgroup_of(G: PermGroup, seeds, name: str, caps: Caps) -> PermGroup:
@@ -133,15 +125,6 @@ def lower_central_series(
     while len(out) <= depth:
         out.append(chain[-1])
     return out
-
-
-def lcs_stabilization_index(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
-    """Smallest k with lcs(k+1) = lcs(k)."""
-    chain = lower_central_series(G, None, caps)
-    for k in range(len(chain) - 1):
-        if chain[k + 1].code_set(caps) == chain[k].code_set(caps):
-            return k
-    return len(chain) - 1
 
 
 def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:

@@ -28,7 +28,6 @@ from flatlab.permgroup import (
     _ProductAmbient,
     direct_product,
     find_isomorphism,
-    generated_subgroup,
     normal_closure_codes,
     normal_subgroups,
     quotient,
@@ -54,8 +53,27 @@ def test_elements_rendered_from_codes_are_the_sorted_permutations():
         _pullback(source=D8, probe=product(cyclic(2), cyclic(2))),
     ]
     for G in groups:
-        by_permutations = generated_subgroup(G.generators, G.degree, 10**6)[0]
-        assert list(G.elements()) == by_permutations, G.describe()
+        # a reference of its own: {1} closed under the generators as permutations
+        by_permutations = {G.identity()}
+        frontier = [G.identity()]
+        for x in frontier:  # the list grows while it is walked
+            for y in (x * g for g in G.generators):
+                if y not in by_permutations:
+                    by_permutations.add(y)
+                    frontier.append(y)
+        assert list(G.elements()) == sorted(by_permutations), G.describe()
+
+
+def test_table_multiplication_agrees_with_permutations():
+    groups = default_battery(64) + [
+        quotient(symmetric(4), extensions_from_group(symmetric(4))[1].kernel_group)[0],
+    ]
+    for G in groups:
+        amb, codes = G.ambient(), G.codes()
+        perms = [amb.decode(a) for a in codes]
+        for a, pa in zip(codes, perms):
+            for b, pb in zip(codes, perms):
+                assert amb.decode(amb.mul(a, b)) == pa * pb, G.describe()
 
 
 def test_product_multiplication_agrees_with_permutations():
@@ -72,8 +90,10 @@ def test_product_multiplication_agrees_with_permutations():
 
 
 def test_cap_partial_is_the_same_for_permutation_and_code_seeds():
+    S4 = symmetric(4)
     with pytest.raises(CapExceededError) as exc:
-        generated_subgroup(symmetric(4).generators, 4, cap=7)
+        PermGroup(4, S4.generators).order(Caps(order=7))  # the first listing
+    assert str(exc.value) == "order cap 7 exceeded"
     assert exc.value.partial == 7
     G = direct_product(cyclic(5), cyclic(6))  # enumerated on product codes
     with pytest.raises(CapExceededError) as fresh:

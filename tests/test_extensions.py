@@ -513,6 +513,26 @@ def test_a_pullback_runs_no_closure(monkeypatch):
     assert len(pairs) == 1_422
 
 
+def test_an_inclusion_runs_no_edge_check(monkeypatch):
+    # an inclusion, of the trivial subgroup too, and the identity of a
+    # presented group are the identity map on codes: no BFS verifies them
+    calls = []
+    original = permgroup._extend_mapping
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return original(*args, **kw)
+
+    monkeypatch.setattr(permgroup, "_extend_mapping", counted)
+    for G in default_battery(16):
+        assert G.presentation_exact
+        incl = GroupHom.inclusion(G.generate((), "1"), G)
+        assert incl.code_map() == {0: 0} and incl.kernel().is_trivial()
+        ident = GroupHom.identity_hom(G)
+        assert ident.code_map() == {x: x for x in G.codes()}
+    assert calls == []
+
+
 def test_a_capped_pullback_fails_the_same_way_every_time():
     # C4 -> C4 -> 1 pulled back along C4 -> 1: P = C4 x C4 has 16 elements
     C4 = cyclic(4)

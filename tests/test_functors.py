@@ -320,6 +320,22 @@ def test_radicals_do_no_confirming_closure(monkeypatch):
     assert calls == [(1, 24)]
 
 
+def test_an_empty_relator_leaves_the_abelian_form_alone(monkeypatch):
+    # x^2*x^-2 reduces to the empty word, so the target is still C4 and its
+    # nullification takes the pi-element radical, not the preimage chain
+    odd, plain = Presentation.parse("x", "x^2*x^-2,x^4"), Presentation.parse("x", "x^4")
+    assert _abelian_product_form(odd) == (4,)
+    assert TestMap(odd, plain, (Word.generator(0),)).as_cyclic() == (4, 4, 1)
+
+    def no_chain(*args):
+        raise AssertionError("an abelian target runs no preimage chain")
+
+    monkeypatch.setattr(functors, "_preimage_chain", no_chain)
+    for G in default_battery(16):
+        R = radical_subgroup(Nullification(odd), G)
+        assert R.code_set() == radical_subgroup(Nullification(plain), G).code_set()
+
+
 def test_equal_specs_built_apart_share_one_memo_entry():
     def specs():
         return [

@@ -4,9 +4,9 @@ from flatlab.caps import Caps
 from flatlab.catalog import cyclic, dihedral, quaternion, symmetric, trivial_group
 from flatlab.errors import CapExceededError, RealizationError
 from flatlab.homs import (
-    enumerate_hom_images,
     enumerate_homs,
     hom_count,
+    hom_image_codes,
     realize_presentation,
 )
 from flatlab.permgroup import is_isomorphic
@@ -50,7 +50,7 @@ def test_enumerate_homs_returns_verified_homs():
 
 def test_hom_search_cap():
     with pytest.raises(CapExceededError):
-        enumerate_hom_images(
+        hom_image_codes(
             symmetric(4).presentation, dihedral(16), Caps(hom_search=10)
         )
 
