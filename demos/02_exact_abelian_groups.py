@@ -46,5 +46,5 @@ print(f"Pullback of {Z.name} -> {Z2.name} <- {C4.name}: invariants "
       f"{P.canonical_invariants()}  (free rank 1, one factor of 2)")
 
 # Bridging flavors: a finite abelian permutation group classifies exactly.
-A, _ = perm_to_abelian(product(cyclic(2), cyclic(4)))
+A = perm_to_abelian(product(cyclic(2), cyclic(4)))
 print(f"C2 x C4 classifies as invariants {A.canonical_invariants()}")

@@ -652,8 +652,6 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
     Generators correspond; the relation lattice is recovered from the
     walk defects of a breadth-first exponent-vector assignment, and the
     result is cross-checked against the element-order census classification.
-
-    Returns (AbGroup, dict element code -> canonical coordinates).
     """
     from .permgroup import abelian_census_invariants
 
@@ -690,7 +688,7 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
             f"perm_to_abelian disagreement: lattice says "
             f"{A.canonical_invariants()}, census says {census}"
         )
-    return A, {e: A.from_raw(v) for e, v in vec.items()}
+    return A
 
 
 def enumerate_ab_homs(

@@ -175,14 +175,12 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
         canonical = GroupHom._from_codes(
             ext.kernel_group, P,
             [iota[k] * nx for k in ext.kernel_group.gen_codes(caps)], caps,
-            trusted=True, mapping={k: e * nx for k, e in iota.items()},
+            mapping={k: e * nx for k, e in iota.items()},
         )
         K2 = pr_x.kernel()
         if canonical.image().code_set(caps) != K2.code_set(caps) or not canonical.is_injective():
             raise FlatlabError("canonical kernel comparison map is not an isomorphism")
-        # the canonical images of K's generators generate its image, K2; the
-        # verified isomorphism carries every radical of K to one of K2
-        K2._gen_codes = canonical.image_codes
+        # the verified isomorphism carries every radical of K to one of K2
         K2.transport = canonical
         new_ext = from_surjection(pr_x, caps=caps)
         return PulledBackExtension(new_ext, pr_e, f, canonical)
@@ -531,7 +529,7 @@ def _homs_into_base(X, ext: Extension, caps: Caps):
             raise FlavorMismatchError(
                 "only abelian test groups can probe an abelian extension"
             )
-        X, _ = perm_to_abelian(X, caps)
+        X = perm_to_abelian(X, caps)
     return enumerate_ab_homs(X, ext.base, caps)
 
 

@@ -286,8 +286,7 @@ class PermGroup:
 
     ``presentation_exact`` records that the attached presentation is known to
     present exactly this group (catalog constructions and realizations set
-    it); only then may relator checking substitute for elementwise
-    homomorphism verification.
+    it); only then may Hom from this group be enumerated by its relators.
 
     A group built from permutations gets its own table ambient when its
     elements are first needed; subgroups, kernels, images and fiber products
@@ -564,11 +563,14 @@ def _extend_mapping(domain, codomain, images, caps: Caps):
 
 
 class GroupHom:
-    """A verified homomorphism, stored as generator image codes.
+    """A verified homomorphism, stored as generator image codes and its full
+    code map, which it holds from construction.
 
-    Verification uses the domain presentation when it is known-exact and the
-    elementwise edge check otherwise; either way the full code map is
-    available through :meth:`code_map`, and :meth:`apply` maps permutations.
+    A hom that is one by construction (a projection, a composite, a found
+    isomorphism) is handed its map.  Any other is checked by one rule: an
+    inclusion is the identity on codes, and every other hom is verified by
+    the edge check of :func:`_extend_mapping`, which also builds its map.
+    :meth:`apply` maps permutations.
     """
 
     def __init__(
@@ -578,11 +580,7 @@ class GroupHom:
         images: Iterable[Permutation],
         caps: Caps = DEFAULT_CAPS,
         name: str | None = None,
-        _trusted: bool = False,
     ):
-        """``_trusted`` skips elementwise verification; reserved for maps that
-        are homomorphisms by construction (quotient projections, coordinate
-        projections of fiber products, composites of verified maps)."""
         images = tuple(images)
         if len(images) != len(domain.generators):
             raise InvalidHomomorphismError(
@@ -594,53 +592,44 @@ class GroupHom:
             raise InvalidHomomorphismError(
                 f"image {images[codes.index(None)].cycle_string()} not in codomain"
             )
-        self._init(domain, codomain, codes, caps, name, _trusted)
+        self._init(domain, codomain, codes, caps, name)
         self._images = images
 
     @classmethod
     def _from_codes(
-        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, trusted=False, mapping=None
+        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None
     ) -> "GroupHom":
         hom = cls.__new__(cls)
         hom._images = None
-        hom._init(domain, codomain, tuple(codes), caps, None, trusted, mapping)
+        hom._init(domain, codomain, tuple(codes), caps, None, mapping)
         return hom
 
-    def _init(self, domain, codomain, codes, caps, name, trusted, mapping=None):
+    def _init(self, domain, codomain, codes, caps, name, mapping=None):
         self.domain = domain
         self.codomain = codomain
         self.image_codes = codes
         self.name = name
         self._caps = caps
-        self._map = mapping
         self._kernel = self._image = self._fibers = None
-        if trusted:
-            return
-        cod_set = codomain.code_set(caps)
-        amb = codomain.ambient(caps)
-        for c in codes:
-            if c not in cod_set:
-                raise InvalidHomomorphismError(
-                    f"image {amb.decode(c).cycle_string()} not in codomain"
-                )
-        if domain._amb is amb and codes == domain.gen_codes(caps):
-            # an inclusion: the domain is generated by these codes of the
-            # codomain (``_amb``, so a domain that is not listed stays unlisted)
-            self._map = {x: x for x in domain.codes(caps)}
-        elif domain.presentation is not None and domain.presentation_exact:
-            for rel in domain.presentation.relators:
-                if amb.evaluate(rel, codes) != 0:
+        if mapping is None:
+            cod_set = codomain.code_set(caps)
+            amb = codomain.ambient(caps)
+            for c in codes:
+                if c not in cod_set:
                     raise InvalidHomomorphismError(
-                        f"relator {rel.text(domain.presentation.generators)} "
-                        "not satisfied by the images"
+                        f"image {amb.decode(c).cycle_string()} not in codomain"
                     )
-        else:
-            mapping = _extend_mapping(domain, codomain, codes, caps)
-            if mapping is None:
-                raise InvalidHomomorphismError(
-                    "generator images do not extend to a homomorphism"
-                )
-            self._map = mapping
+            if domain._amb is amb and codes == domain.gen_codes(caps):
+                # an inclusion: the domain is generated by these codes of the
+                # codomain (``_amb``, so a domain that is not listed stays unlisted)
+                mapping = {x: x for x in domain.codes(caps)}
+            else:
+                mapping = _extend_mapping(domain, codomain, codes, caps)
+                if mapping is None:
+                    raise InvalidHomomorphismError(
+                        "generator images do not extend to a homomorphism"
+                    )
+        self._map = mapping
 
     @property
     def images(self) -> tuple[Permutation, ...]:
@@ -649,11 +638,6 @@ class GroupHom:
         return self._images
 
     def code_map(self) -> dict[int, int]:
-        if self._map is None:
-            mapping = _extend_mapping(self.domain, self.codomain, self.image_codes, self._caps)
-            if mapping is None:  # cannot happen for a verified hom
-                raise InvalidHomomorphismError("inconsistent mapping")
-            self._map = mapping
         return self._map
 
     def apply(self, x: Permutation) -> Permutation:
@@ -697,16 +681,15 @@ class GroupHom:
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite (apply self first, then other)."""
-        if other.domain.ambient(self._caps) is not self.codomain.ambient(self._caps):
+        caps, cmap = self._caps, other.code_map()
+        if other.domain.ambient(caps) is not self.codomain.ambient(caps):
             # other's domain holds self's image but lives in another ambient
-            return GroupHom(
-                self.domain, other.codomain, tuple(map(other.apply, self.images)),
-                caps=self._caps, _trusted=True,
-            )
-        cmap = other.code_map()
+            decode, encode = self.codomain.ambient(None).decode, other.domain.encode
+            cmap = {y: cmap[encode(decode(y))] for y in set(self._map.values())}
+        mapping = {x: cmap[y] for x, y in self._map.items()}
         return GroupHom._from_codes(
-            self.domain, other.codomain, [cmap[y] for y in self.image_codes],
-            self._caps, trusted=True,
+            self.domain, other.codomain, [cmap[y] for y in self.image_codes], caps,
+            mapping=mapping,
         )
 
     @classmethod
@@ -826,8 +809,12 @@ def quotient(
     )
     if Q.order(caps) * N.order(caps) != G.order(caps):
         raise FlatlabError("quotient order times subgroup order != group order")
-    proj = GroupHom(G, Q, proj_images, caps=caps, _trusted=True)
-    return Q, proj
+    # Q acts regularly on the cosets, and x sends point 0 (N itself) to x's
+    # coset: x maps to the one q of Q that does the same
+    decode = Q.ambient(caps).decode
+    by_point = {decode(q).images[0]: q for q in Q.codes(caps)}
+    mapping = {x: by_point[i] for x, i in coset_index.items()}
+    return Q, GroupHom._from_codes(G, Q, Q.gen_codes(caps), caps, mapping=mapping)
 
 
 def direct_product(
@@ -907,7 +894,7 @@ def pullback_group(
         raise FlatlabError("kernel order times image order != domain order")
     map_e, map_x = {p: p // nx for p in codes}, {p: p % nx for p in codes}
     pr_e, pr_x = (
-        GroupHom._from_codes(P, Y, [m[p] for p in gens], caps, trusted=True, mapping=m)
+        GroupHom._from_codes(P, Y, [m[p] for p in gens], caps, mapping=m)
         for Y, m in ((E, map_e), (X, map_x))
     )
     pr_x._image, pr_x._kernel = Xf, K2
@@ -1077,8 +1064,7 @@ def find_isomorphism(
                 if i + 1 == len(gens):
                     # the chosen generators span G: the mapping is the whole map
                     return GroupHom._from_codes(
-                        G, H, [mapping[g] for g in G.gen_codes(caps)], caps,
-                        trusted=True, mapping=mapping,
+                        G, H, [mapping[g] for g in G.gen_codes(caps)], caps, mapping=mapping
                     )
                 result = backtrack(i + 1)
                 if result is not None:

@@ -452,7 +452,7 @@ def _group_invariants(G, caps: Caps):
         return G.canonical_invariants()
     if not G.is_abelian():
         return None
-    return perm_to_abelian(G, caps)[0].canonical_invariants()
+    return perm_to_abelian(G, caps).canonical_invariants()
 
 
 def _shape_expectations(sec: Section, scn: Scenario, G, caps: Caps):

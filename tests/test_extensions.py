@@ -515,7 +515,9 @@ def test_a_pullback_runs_no_closure(monkeypatch):
 
 def test_an_inclusion_runs_no_edge_check(monkeypatch):
     # an inclusion, of the trivial subgroup too, and the identity of a
-    # presented group are the identity map on codes: no BFS verifies them
+    # presented group are the identity map on codes: no BFS verifies them.
+    # A quotient projection and a pullback's maps are handed their maps, and
+    # an enumerated hom runs the BFS once, as it is built.
     calls = []
     original = permgroup._extend_mapping
 
@@ -530,6 +532,15 @@ def test_an_inclusion_runs_no_edge_check(monkeypatch):
         assert incl.code_map() == {0: 0} and incl.kernel().is_trivial()
         ident = GroupHom.identity_hom(G)
         assert ident.code_map() == {x: x for x in G.codes()}
+    assert calls == []
+    exts = [ext for G in default_battery(16) for ext in extensions_from_group(G)]
+    assert calls == []
+    pairs = [(ext, f) for ext in exts for X in default_battery(4)
+             for f in enumerate_homs(X, ext.base)]
+    assert len(calls) == len(pairs) == 1_422
+    calls.clear()
+    for ext, f in pairs:
+        pullback_extension(ext, f)
     assert calls == []
 
 

@@ -1,15 +1,24 @@
+from itertools import product
+
 import pytest
 
 from flatlab.caps import Caps
-from flatlab.catalog import cyclic, dihedral, quaternion, symmetric, trivial_group
-from flatlab.errors import CapExceededError, RealizationError
+from flatlab.catalog import (
+    cyclic,
+    default_battery,
+    dihedral,
+    quaternion,
+    symmetric,
+    trivial_group,
+)
+from flatlab.errors import CapExceededError, InvalidHomomorphismError, RealizationError
 from flatlab.homs import (
     enumerate_homs,
     hom_count,
     hom_image_codes,
     realize_presentation,
 )
-from flatlab.permgroup import is_isomorphic
+from flatlab.permgroup import GroupHom, is_isomorphic
 from flatlab.words import Presentation, Word, parse_word
 
 
@@ -25,6 +34,30 @@ def test_hom_c4_d8():
 
 def test_hom_into_trivial():
     assert hom_count(cyclic(4).presentation, trivial_group()) == 1
+
+
+def test_the_edge_check_accepts_exactly_the_relator_solutions():
+    # the one verification rule of GroupHom against the relators as oracle
+    for D in default_battery(8):
+        for X in default_battery(8):
+            homs = set(hom_image_codes(D.presentation, X))
+            for t in product(X.codes(), repeat=len(D.gen_codes())):
+                try:
+                    GroupHom._from_codes(D, X, t)
+                except InvalidHomomorphismError:
+                    assert t not in homs, (D.name, X.name, t)
+                else:
+                    assert t in homs, (D.name, X.name, t)
+
+
+def test_the_hom_domain_cap_applies_when_a_hom_is_built():
+    # an enumerated hom is verified, and capped, as it is built: every call
+    # fails the same way, whatever ran before
+    C8, C2, caps = cyclic(8), cyclic(2), Caps(hom_domain=4)
+    for _ in range(2):
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_homs(C8, C2, caps)
+        assert str(exc.value) == "hom verification cap 4 exceeded by |domain| = 8"
 
 
 def test_hom_count_invariant_under_isomorphic_replacement():

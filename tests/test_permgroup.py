@@ -27,6 +27,7 @@ from flatlab.permgroup import (
     GroupHom,
     PermGroup,
     _conjugacy_class_sizes,
+    _extend_mapping,
     abelian_census_invariants,
     is_isomorphic,
     is_normal,
@@ -111,6 +112,16 @@ def test_quotient_d8_center():
     assert proj.kernel().order() == 2
 
 
+def test_a_quotient_projection_is_built_with_its_map():
+    # the map read off the coset pass is the one the edge check would build
+    for G in default_battery(64):
+        for N in normal_subgroups(G):
+            Q, proj = quotient(G, N)
+            assert proj.code_map() == _extend_mapping(G, Q, proj.image_codes, Caps()), (
+                G.name, N.order()
+            )
+
+
 def test_quotient_requires_normal():
     D8 = dihedral(8)
     y = D8.generators[1]
@@ -126,6 +137,23 @@ def test_kernel_image_identity_and_trivial():
     assert ident.image().order() == 8
     triv = GroupHom(D8, trivial_group(), tuple(Permutation.identity(1) for _ in D8.generators))
     assert triv.kernel().order() == 8
+
+
+def test_a_composite_maps_as_its_legs_do():
+    # then() composes code maps; a second leg whose domain lives in another
+    # ambient is reached by re-encoding the first leg's image
+    S4, C2 = symmetric(4), cyclic(2)
+    f = GroupHom(C2, S4, (parse_cycle_string("(0 1)(2 3)", 4),))
+    A4 = next(N for N in normal_subgroups(S4) if N.order() == 12)
+    # a D8 of S4 in an ambient of its own, whose codes differ from S4's
+    D8 = PermGroup(4, (parse_cycle_string("(0 1 2 3)", 4), parse_cycle_string("(0 2)", 4)))
+    for g in (GroupHom.identity_hom(S4), quotient(S4, A4)[1],
+              GroupHom.identity_hom(PermGroup(4, S4.generators)),
+              GroupHom.identity_hom(D8), quotient(D8, derived_subgroup(D8))[1]):
+        composite = f.then(g)
+        assert composite.code_map().keys() == set(C2.codes())
+        for x in C2.elements():
+            assert composite.apply(x) == g.apply(f.apply(x))
 
 
 def test_kernel_order_product():
@@ -304,6 +332,26 @@ def test_every_public_library_name_is_exported_or_used():
         # references inside its own definition (recursion) do not count
         and used[node.name] == references([node])[node.name]
     ]
+    assert offenders == []
+
+
+def test_private_fields_are_written_only_by_their_own_module():
+    # obj._name = ... outside self and cls is allowed only in a module whose
+    # own class assigns self._name: a private field is set up by its class
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatlab"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        stores = [
+            n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and n.attr.startswith("_")
+        ]
+        own = {n.attr for n in stores if ast.unparse(n.value) == "self"}
+        offenders += [
+            f"{path.name}:{n.lineno} {ast.unparse(n)}"
+            for n in stores
+            if ast.unparse(n.value) not in ("self", "cls") and n.attr not in own
+        ]
     assert offenders == []
 
 
