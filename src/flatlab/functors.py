@@ -27,16 +27,18 @@ from .abelian import (
     solve_in_column_lattice,
 )
 from .caps import DEFAULT_CAPS, Caps
+from .catalog import parse_group_literal
 from .errors import (
     CapExceededError,
     FlatlabError,
     InvalidHomomorphismError,
+    ScenarioError,
     UnsupportedFunctorError,
 )
 from .homs import hom_image_codes, relator_solutions
 from .permgroup import GroupHom, PermGroup, normal_closure_codes, quotient, right_cosets
 from .verbal import is_prime, lower_central_series, s_p_subgroup, verbal_subgroup
-from .words import Presentation, Word
+from .words import Presentation, Word, _split_top_level, parse_word
 
 
 # -- functor specifications --------------------------------------------------
@@ -128,6 +130,42 @@ SUBFUNCTOR = "subfunctor"
 
 def functor_kind(F: FunctorSpec) -> str:
     return SUBFUNCTOR if isinstance(F, SpSubfunctor) else EPIREFLECTION
+
+
+def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> FunctorSpec:
+    """Shared by scenario [functor] sections and the CLI --functor option."""
+    try:
+        if kind == "abelianization":
+            return Abelianization()
+        if kind == "nilpotent":
+            return NilpotentQuotient(int(params["class"]))
+        if kind == "variety":
+            words = tuple(
+                parse_word(chunk)
+                for chunk in _split_top_level(params["words"].strip()[1:-1])
+            )
+            return Variety(words)
+        if kind == "nullification":
+            H = parse_group_literal(params["H"])
+            if H.presentation is None:
+                raise FlatlabError("nullification target needs a presentation")
+            return Nullification(H.presentation)
+        if kind == "quasivariety":
+            # one-variable rules are written in the single letter x
+            def one_var(text: str) -> Word:
+                try:
+                    return parse_word(text, ("x",))
+                except ValueError:
+                    return parse_word(text)
+
+            return QuasiVarietyReflection(
+                ((one_var(params["cond"]), one_var(params["impose"])),)
+            )
+        if kind == "sp":
+            return SpSubfunctor(int(params["p"]))
+    except KeyError as exc:
+        raise ScenarioError(f"functor {kind} missing parameter {exc}", line) from None
+    raise ScenarioError(f"unknown functor kind {kind!r}", line)
 
 
 @dataclass

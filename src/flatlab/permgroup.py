@@ -423,7 +423,9 @@ class PermGroup:
         as a subgroup of this group (NotASubgroupError if they are not)."""
         if H.ambient(caps) is self.ambient(caps):
             return H
-        return self.subgroup_from_elements(H.elements(caps), name=H.name)
+        error = NotASubgroupError("elements lie outside the group")
+        recoded = _recode(H, H.codes(caps), self, caps, error)
+        return self._sub(recoded.values(), name=H.name)
 
     # -- element table -----------------------------------------------------
 
@@ -525,6 +527,23 @@ class PermGroup:
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
         return f"PermGroup(deg={self.degree}, gens={len(self.generators)}{nm})"
+
+
+def _recode(
+    H: PermGroup, codes: Iterable[int], G: PermGroup, caps: Caps | None, error: Exception
+) -> dict[int, int]:
+    """Each of ``codes`` of H's ambient -> the code of its permutation in
+    G's ambient, the one way codes cross ambients; ``error`` is raised when
+    one of them is not an element of G."""
+    amb = G.ambient(caps)
+    if H.ambient(caps) is amb:
+        recoded = {c: c for c in codes}
+    else:
+        decode, encode = H.ambient(caps).decode, amb.encode
+        recoded = {c: encode(decode(c).images) for c in codes}
+    if not G.code_set(caps).issuperset(recoded.values()):
+        raise error
+    return recoded
 
 
 # -- homomorphisms ---------------------------------------------------------
@@ -650,10 +669,7 @@ class GroupHom:
     def kernel(self) -> PermGroup:
         if self._kernel is None:
             kern = [x for x, y in self.code_map().items() if y == 0]
-            k = self.domain._sub(kern, name="ker")
-            if self.domain.order(None) != k.order(None) * self.image().order(None):
-                raise FlatlabError("kernel order times image order != domain order")
-            self._kernel = k
+            self._kernel = self.domain._sub(kern, name="ker")
         return self._kernel
 
     def image(self) -> PermGroup:
@@ -680,12 +696,12 @@ class GroupHom:
         return self.is_injective() and self.is_surjective()
 
     def then(self, other: "GroupHom") -> "GroupHom":
-        """Composite (apply self first, then other)."""
+        """Composite (apply self first, then other); self's image must lie
+        in other's domain, in whatever ambient that lives."""
         caps, cmap = self._caps, other.code_map()
-        if other.domain.ambient(caps) is not self.codomain.ambient(caps):
-            # other's domain holds self's image but lives in another ambient
-            decode, encode = self.codomain.ambient(None).decode, other.domain.encode
-            cmap = {y: cmap[encode(decode(y))] for y in set(self._map.values())}
+        error = InvalidHomomorphismError("image of the first map is not in the second's domain")
+        recode = _recode(self.codomain, set(self._map.values()), other.domain, caps, error)
+        cmap = {y: cmap[z] for y, z in recode.items()}
         mapping = {x: cmap[y] for x, y in self._map.items()}
         return GroupHom._from_codes(
             self.domain, other.codomain, [cmap[y] for y in self.image_codes], caps,
@@ -807,14 +823,15 @@ def quotient(
     Q = PermGroup(
         max(len(reps), 1), tuple(proj_images), name=f"{gname}/{nname}"
     )
-    if Q.order(caps) * N.order(caps) != G.order(caps):
-        raise FlatlabError("quotient order times subgroup order != group order")
-    # Q acts regularly on the cosets, and x sends point 0 (N itself) to x's
-    # coset: x maps to the one q of Q that does the same
+    # N is normal, so the action's kernel is N and Q = G/N acts regularly on
+    # the cosets; x sends point 0 (N itself) to x's coset, and maps to the
+    # one q of Q that does the same
     decode = Q.ambient(caps).decode
     by_point = {decode(q).images[0]: q for q in Q.codes(caps)}
     mapping = {x: by_point[i] for x, i in coset_index.items()}
-    return Q, GroupHom._from_codes(G, Q, Q.gen_codes(caps), caps, mapping=mapping)
+    proj = GroupHom._from_codes(G, Q, Q.gen_codes(caps), caps, mapping=mapping)
+    proj._kernel = N  # the x whose coset is N itself, mapped to Q's identity
+    return Q, proj
 
 
 def direct_product(
@@ -860,45 +877,42 @@ def direct_product(
 
 def pullback_group(
     f: GroupHom, g: GroupHom, caps: Caps = DEFAULT_CAPS
-) -> tuple[PermGroup, GroupHom, GroupHom]:
+) -> tuple[PermGroup, GroupHom]:
     """Fiber product {(e, x) : f(e) = g(x)} in the product of E's and X's
-    ambients, with its two projections.
+    ambients, with its projection to X.  The E component of a pair code p
+    is p // |X's ambient|, the first E.degree points of its permutation.
 
     P is listed from the fibers of f over g(X').  Its generators, ker(f) x 1
-    and (least e over g(x), x) for each generator x of X' = g^-1(im f), which
-    the square check puts in P, generate P: the first generate ker(pr_x)
+    and (least e over g(x), x) for each generator x of X' = g^-1(im f), lie
+    in P by construction and generate it: the first generate ker(pr_x)
     (ker f's are certified by its closure) and the rest map onto X', pr_x's
-    image.  pr_x is given both, checked by |P| = |ker f| * |X'|."""
+    image.  pr_x is given both; |P| = |ker f| * |X'|, as each fiber of f is
+    a coset of ker f."""
     gmap = g.code_map()
     G, H = f.codomain, g.codomain
     if G is not H:
-        if G.degree != H.degree or G.element_set(caps) != H.element_set(caps):
-            raise InvalidHomomorphismError("pullback legs must share a codomain")
-        decode = H.ambient(caps).decode
-        gmap = {x: G.encode(decode(y)) for x, y in gmap.items()}
+        error = InvalidHomomorphismError("pullback legs must share a codomain")
+        recode = _recode(H, H.codes(caps), G, caps, error)
+        if G.order(caps) != H.order(caps):
+            raise error
+        gmap = {x: recode[y] for x, y in gmap.items()}
     E, X = f.domain, g.domain
     amb = _ProductAmbient(E.ambient(caps), X.ambient(caps))
     nx = amb.nb
-    fmap, fibers = f.code_map(), f.fibers()
+    fibers = f.fibers()
     lifted = [x for x in X.codes(caps) if gmap[x] in fibers]
     Xf = X if len(lifted) == X.order(caps) else X._sub(lifted)
     kgens = [k * nx for k in f.kernel().gen_codes(caps)]
     gens = kgens + [fibers[gmap[x]][0] * nx + x for x in Xf.gen_codes(caps)]
-    if any(fmap[p // nx] != gmap[p % nx] for p in gens):
-        raise FlatlabError("fiber-product square does not commute")
     codes = sorted(e * nx + x for x in lifted for e in fibers[gmap[x]])
     P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})", codes)
     K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in f.kernel().codes(caps)])
-    # P.order re-checks the listed codes against the caps, as a closure would
-    if P.order(caps) != K2.order(caps) * len(lifted):
-        raise FlatlabError("kernel order times image order != domain order")
-    map_e, map_x = {p: p // nx for p in codes}, {p: p % nx for p in codes}
-    pr_e, pr_x = (
-        GroupHom._from_codes(P, Y, [m[p] for p in gens], caps, mapping=m)
-        for Y, m in ((E, map_e), (X, map_x))
+    P.order(caps)  # checks the listed codes against the caps, as a closure would
+    pr_x = GroupHom._from_codes(
+        P, X, [p % nx for p in gens], caps, mapping={p: p % nx for p in codes}
     )
     pr_x._image, pr_x._kernel = Xf, K2
-    return P, pr_e, pr_x
+    return P, pr_x
 
 
 def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:

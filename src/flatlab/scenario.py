@@ -48,17 +48,7 @@ from .extensions import (
     probe_conditional_flatness,
     pullback_extension,
 )
-from .functors import (
-    Abelianization,
-    FunctorSpec,
-    NilpotentQuotient,
-    Nullification,
-    QuasiVarietyReflection,
-    SpSubfunctor,
-    TestMap,
-    Variety,
-    apply,
-)
+from .functors import FunctorSpec, TestMap, apply, parse_functor_literal
 from .homs import realize_presentation
 from .perm import parse_cycle_string
 from .permgroup import GroupHom, PermGroup, is_isomorphic
@@ -284,42 +274,6 @@ def _build_functor(sec: Section) -> FunctorSpec:
         {k: v for k, v in sec.fields if k != "kind"},
         sec.line,
     )
-
-
-def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> FunctorSpec:
-    """Shared by scenario [functor] sections and the CLI --functor option."""
-    try:
-        if kind == "abelianization":
-            return Abelianization()
-        if kind == "nilpotent":
-            return NilpotentQuotient(int(params["class"]))
-        if kind == "variety":
-            words = tuple(
-                parse_word(chunk)
-                for chunk in _split_top_level(params["words"].strip()[1:-1])
-            )
-            return Variety(words)
-        if kind == "nullification":
-            H = parse_group_literal(params["H"])
-            if H.presentation is None:
-                raise FlatlabError("nullification target needs a presentation")
-            return Nullification(H.presentation)
-        if kind == "quasivariety":
-            # one-variable rules are written in the single letter x
-            def one_var(text: str) -> Word:
-                try:
-                    return parse_word(text, ("x",))
-                except ValueError:
-                    return parse_word(text)
-
-            return QuasiVarietyReflection(
-                ((one_var(params["cond"]), one_var(params["impose"])),)
-            )
-        if kind == "sp":
-            return SpSubfunctor(int(params["p"]))
-    except KeyError as exc:
-        raise ScenarioError(f"functor {kind} missing parameter {exc}", line) from None
-    raise ScenarioError(f"unknown functor kind {kind!r}", line)
 
 
 def _lookup(table: dict, name: str, line: int, what: str):

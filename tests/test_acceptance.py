@@ -44,6 +44,7 @@ from flatlab.functors import (
     standard_quasi_c4_c2,
 )
 from flatlab.homs import enumerate_homs
+from flatlab.permgroup import is_normal, normal_subgroups, quotient
 from flatlab.registry import case_ids
 from flatlab.search import search_counterexamples
 from flatlab.verbal import verbal_subgroup
@@ -196,6 +197,27 @@ def test_criterion_05_nullification_suite(battery_extensions, pullback_table):
     print(f"  nullification pullback checks: {checked}, failures: {failures}")
     _report("criterion 5 (nullifications idempotent, acyclic kernels, stable flatness)",
             ok, time.monotonic() - start, 300.0)
+
+
+def test_checks_known_by_construction_would_pass(battery_extensions, pullback_table):
+    # an extension does not test that iota(K) is normal, a pullback does not
+    # test its canonical map, and a quotient hands its projection N as the
+    # kernel: each of these checks, run here, passes
+    assert all(is_normal(ext.iota.image(), ext.total) for ext in battery_extensions)
+    pulled_count = 0
+    for _, pulled_list in pullback_table:
+        for _, _, pulled in pulled_list:
+            new, canonical = pulled.extension, pulled.canonical_kernel_map
+            assert is_normal(new.iota.image(), new.total)
+            assert canonical.image().code_set() == new.kernel_group.code_set()
+            assert canonical.is_injective()
+            pulled_count += 1
+    assert (len(battery_extensions), pulled_count) == (112, 12_696)
+    for G in default_battery(64):
+        for N in normal_subgroups(G):
+            proj = quotient(G, N)[1]
+            killed = {x for x, q in proj.code_map().items() if q == 0}
+            assert proj.kernel().code_set() == killed
 
 
 def test_criterion_06_non_idempotency():

@@ -36,6 +36,12 @@ def test_reproduce_exit_codes(capsys):
     assert "result: pass" in out
 
 
+def test_unknown_case_id_is_an_execution_error(capsys):
+    code = main(["reproduce", "no-such-case"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: unknown case 'no-such-case'")
+
+
 def test_reproduce_json_deterministic(capsys):
     code1, out1 = run_cli(capsys, "reproduce", "thm-4.1", "--format", "json")
     code2, out2 = run_cli(capsys, "reproduce", "thm-4.1", "--format", "json")

@@ -118,6 +118,11 @@ def test_fresh_import_builds_no_table_and_loads_no_application_layer():
         "assert all(G._amb is None for G in battery)\n"
         "lazy = ('registry', 'scenario', 'search')\n"
         "assert not [m for m in lazy if 'flatlab.' + m in sys.modules]\n"
+        "import contextlib, io, flatlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert flatlab.cli.main(['localize', '--functor', 'sp p=2',\n"
+        "                             '--group', 'dihedral(8)']) == 0\n"
+        "assert not [m for m in lazy if 'flatlab.' + m in sys.modules]\n"
         "for name in ('CaseReport', 'case_ids', 'reproduce', 'Scenario',\n"
         "             'parse_scenario', 'run_scenario', 'SearchReport',\n"
         "             'search_counterexamples'):\n"

@@ -96,6 +96,26 @@ def test_from_surjection_rejects_non_surjective():
     incl = GroupHom(C2, C4, (x * x,))
     with pytest.raises(NotSurjectiveError):
         from_surjection(incl)
+    Z = ab_from_invariants(1, ())
+    with pytest.raises(NotSurjectiveError):
+        from_surjection(AbHom(Z, Z, IntMatrix([[2]])))
+
+
+def test_extension_rejects_an_inexact_permutation_sequence():
+    # over D8 -> D8/Z: an inclusion that is not injective, and two whose
+    # images are not the kernel Z (one of them normal, one not)
+    D8 = dihedral(8)
+    Z = derived_subgroup(D8)
+    proj = quotient(D8, Z)[1]
+    z = next(p for p in Z.elements() if not p.is_identity())
+    r = next(p for p in D8.elements() if p.order() == 4)
+    s = next(p for p in D8.elements() if p.order() == 2 and p not in Z)
+    with pytest.raises(FlatlabError, match="not injective"):
+        Extension(GroupHom(cyclic(4), D8, (z,)), proj)
+    for iota in (GroupHom(cyclic(2), D8, (s,)), GroupHom(cyclic(4), D8, (r,))):
+        with pytest.raises(FlatlabError, match="image of inclusion != kernel"):
+            Extension(iota, proj)
+    assert Extension(GroupHom(cyclic(2), D8, (z,)), proj).kernel_group.order() == 2
 
 
 def test_extension_rejects_mixed_flavors():

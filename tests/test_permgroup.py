@@ -18,6 +18,7 @@ from flatlab.catalog import (
 )
 from flatlab.errors import (
     CapExceededError,
+    InvalidHomomorphismError,
     NotASubgroupError,
     NotNormalError,
     NotSurjectiveError,
@@ -156,6 +157,17 @@ def test_a_composite_maps_as_its_legs_do():
             assert composite.apply(x) == g.apply(f.apply(x))
 
 
+def test_a_composite_needs_the_first_image_in_the_second_domain():
+    # (0 1) is odd, so C2 -> S4 -> ... cannot go on through A4 -> S4, whether
+    # A4 shares S4's ambient or has one of its own
+    S4, C2 = symmetric(4), cyclic(2)
+    f = GroupHom(C2, S4, (parse_cycle_string("(0 1)", 4),))
+    A4 = next(N for N in normal_subgroups(S4) if N.order() == 12)
+    for domain in (A4, PermGroup(4, A4.generators)):
+        with pytest.raises(InvalidHomomorphismError):
+            f.then(GroupHom.inclusion(domain, S4))
+
+
 def test_kernel_order_product():
     D8 = dihedral(8)
     Q, proj = quotient(D8, derived_subgroup(D8))
@@ -165,7 +177,7 @@ def test_kernel_order_product():
 def test_pullback_along_identity():
     D8 = dihedral(8)
     Q, proj = quotient(D8, derived_subgroup(D8))
-    P, pre, prx = pullback_group(proj, GroupHom.identity_hom(Q))
+    P, _ = pullback_group(proj, GroupHom.identity_hom(Q))
     assert is_isomorphic(P, D8)
 
 
@@ -174,7 +186,7 @@ def test_pullback_with_trivial_leg_is_kernel():
     Q, proj = quotient(D8, derived_subgroup(D8))
     one = trivial_group()
     triv = GroupHom(one, Q, ())
-    P, pre, prx = pullback_group(proj, triv)
+    P, _ = pullback_group(proj, triv)
     assert is_isomorphic(P, proj.kernel())
 
 
@@ -183,7 +195,7 @@ def test_pullback_of_d8_along_rotation_image_is_c4():
     Q, proj = quotient(D8, derived_subgroup(D8))
     xbar = proj.apply(D8.generators[0])
     incl = GroupHom(cyclic(2), Q, (xbar,))
-    P, _, prx = pullback_group(proj, incl)
+    P, _ = pullback_group(proj, incl)
     assert P.order() == 4
     assert is_isomorphic(P, cyclic(4))
     # direct count of the fiber pairs
@@ -203,9 +215,9 @@ def test_pullback_with_two_non_surjective_legs():
     C2 = cyclic(2)
     inc_a = GroupHom(C2, V4, (a,))
     inc_b = GroupHom(C2, V4, (b,))
-    P_same, _, pr_same = pullback_group(inc_a, inc_a)
+    P_same, pr_same = pullback_group(inc_a, inc_a)
     assert P_same.order() == 2  # the diagonal copy
-    P_diff, _, pr_diff = pullback_group(inc_a, inc_b)
+    P_diff, pr_diff = pullback_group(inc_a, inc_b)
     assert P_diff.order() == 1
     # the second projection is given its image: the part of C2 with a lift
     for pr, order in ((pr_same, 2), (pr_diff, 1)):
@@ -362,3 +374,25 @@ def test_class_sizes_are_the_orbits_of_all_conjugations():
         classes = {frozenset(g.inverse() * x * g for g in elts) for x in elts}
         sizes = tuple(sorted(map(len, classes)))
         assert _conjugacy_class_sizes(G, Caps()) == sizes, G.describe()
+
+
+def test_every_imported_name_is_used():
+    # an import left behind by a deleted check is dead weight at start-up
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatlab"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        offenders += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert offenders == []

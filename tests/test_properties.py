@@ -41,6 +41,7 @@ from flatlab.functors import (
     radical_subgroup,
 )
 from flatlab.homs import enumerate_homs, hom_image_codes
+from flatlab.perm import Permutation
 from flatlab.permgroup import (
     GroupHom,
     normal_subgroups,
@@ -192,7 +193,7 @@ def test_pullback_squares_and_order():
     Q, proj = quotient(D8, radical_subgroup(Abelianization(), D8))
     for X in (cyclic(2), elementary_abelian(2, 2)):
         for f in enumerate_homs(X, Q):
-            P, pre, prx = pullback_group(proj, f)
+            P, prx = pullback_group(proj, f)
             count = sum(
                 1
                 for e in D8.elements()
@@ -201,7 +202,9 @@ def test_pullback_squares_and_order():
             )
             assert P.order() == count
             for p in P.elements():
-                assert proj.apply(pre.apply(p)) == f.apply(prx.apply(p))
+                # the E component is the pair's first D8.degree points
+                e = Permutation(p.images[: D8.degree])
+                assert proj.apply(e) == f.apply(prx.apply(p))
 
 
 WORDS = [parse_word("x1^2"), Word.lcs_word(1), parse_word("x1^3")]
