@@ -8,6 +8,12 @@ radical); the subfunctor returns an inclusion.  All functors apply to finite
 permutation groups; the abelian flavor supports every variety word (words
 collapse to exponent sums), quasi-variety rules, S_p as p-torsion, and
 nullification at a finite cyclic group.
+
+The nullification radical at a solvable target H is generated by the
+pi-elements of G, pi the primes dividing |H^ab| (Cauchy's theorem), and is
+all of G when H^ab has a Z summand.  H is solvable when its presentation is
+abelian or its Todd-Coxeter realization has a derived series reaching 1;
+any other target runs the preimage chain.
 """
 
 from __future__ import annotations
@@ -32,12 +38,19 @@ from .errors import (
     CapExceededError,
     FlatlabError,
     InvalidHomomorphismError,
+    RealizationError,
     ScenarioError,
     UnsupportedFunctorError,
 )
-from .homs import hom_image_codes, relator_solutions
+from .homs import hom_image_codes, realize_presentation, relator_solutions
 from .permgroup import GroupHom, PermGroup, normal_closure_codes, quotient, right_cosets
-from .verbal import is_prime, lower_central_series, s_p_subgroup, verbal_subgroup
+from .verbal import (
+    derived_subgroup,
+    is_prime,
+    lower_central_series,
+    s_p_subgroup,
+    verbal_subgroup,
+)
 from .words import Presentation, Word, _split_top_level, parse_word
 
 
@@ -247,19 +260,61 @@ def _hom_components(pres: Presentation, G: PermGroup, N: PermGroup, caps: Caps) 
     return {y for images in solutions for y in images}
 
 
-def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> PermGroup:
-    """Smallest normal N with no nontrivial map from the target into G/N.
+@cache
+def _pi_exponent(pres: Presentation, caps: Caps) -> int | None:
+    """An m whose prime divisors are pi, the primes dividing |H^ab|, for the
+    presented group H: 0 (every prime) when H^ab has a Z summand, |H^ab| when
+    H is certified finite and solvable, None otherwise.
 
-    For an abelian target A = C_n1 x ... x C_nk, Cauchy's theorem gives
-    Hom(A, G/N) = 1 exactly when |G/N| is prime to every n_i, so N is
-    O^pi'(G), the subgroup generated by the pi-elements of G, where pi is
-    the set of primes dividing some n_i (every prime when some n_i = 0).
-    The pi-elements are closed under conjugation, so one closure gives N.
-    Any other target runs the preimage chain on hom components."""
-    form = _abelian_product_form(F.target)
-    if form is None:
+    H^ab is Z^k modulo the relators' exponent sums: one Smith normal form.
+    A free rank needs no realization, as H then maps onto Z and so onto
+    every C_p.  An abelian H is solvable by ``_abelian_product_form``; any
+    other H is realized by Todd-Coxeter coset enumeration (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, §5.1) and is
+    solvable when its derived series reaches 1.  A perfect section (A5) or
+    a realization beyond the caps gives None."""
+    k = len(pres.generators)
+    sums = [[0] * k for _ in pres.relators]
+    for col, rel in zip(sums, pres.relators):
+        for sym, exp in rel.letters:
+            col[sym] += exp
+    Hab = AbGroup(k, IntMatrix.from_columns(sums, k))
+    if Hab.rank:
+        return 0
+    if _abelian_product_form(pres) is None:
+        try:
+            D = realize_presentation(pres, caps)
+            while not D.is_trivial():
+                D2 = derived_subgroup(D, caps)
+                if D2.order(caps) == D.order(caps):
+                    return None  # a perfect section
+                D = D2
+        except (RealizationError, CapExceededError):
+            return None
+    return prod(Hab.invariants)
+
+
+def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> PermGroup:
+    """Smallest normal N with no nontrivial map from the target H into G/N.
+
+    Let pi be the primes dividing |H^ab|, every prime when H^ab has a Z
+    summand.  If H is solvable or H^ab has a Z summand, then Hom(H, Q) != 1
+    for a finite Q exactly when Q has an element of some order p in pi.
+    (<=) H maps onto C_p through H^ab, and C_p onto that element's subgroup.
+    (=>) A nontrivial image M of H is solvable, so M^ab != 1; M^ab is a
+    quotient of H^ab, so some p in pi divides |M|, and by Cauchy's theorem
+    M has an element of order p.  (With a Z summand every prime is in pi.)
+    By Cauchy again, N is the least normal subgroup with G/N a pi'-group:
+    O^pi'(G), generated by the pi-elements of G.  They are closed under
+    conjugation, so one closure gives N.
+
+    A target not certified solvable (``_pi_exponent`` is None) runs the
+    preimage chain on hom components.  Both routes give the same N, so no
+    radical depends on the caps the target was realized under."""
+    m = _pi_exponent(F.target, caps)
+    if m is None:
         return _preimage_chain(G, lambda N: _hom_components(F.target, G, N, caps), caps)
-    m, codes = prod(form), G.codes(caps)
+    codes = G.codes(caps)
     # o divides m^o exactly when every prime factor of o divides m
     pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
     return G.generate(pi, "ncl" if len(pi) > 1 else "1", caps)
@@ -496,8 +551,6 @@ class TestMap:
         for w in images:
             if w.arity > len(codomain_pres.generators):
                 raise ValueError("image word uses undeclared codomain generators")
-        from .homs import realize_presentation
-
         B = realize_presentation(codomain_pres, caps)
         b_images = tuple(
             w.evaluate(B.generators, B.identity()) for w in images

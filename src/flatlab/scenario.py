@@ -52,8 +52,6 @@ from .functors import FunctorSpec, TestMap, apply, parse_functor_literal
 from .homs import realize_presentation
 from .perm import parse_cycle_string
 from .permgroup import GroupHom, PermGroup, is_isomorphic
-from .registry import reproduce
-from .search import search_counterexamples
 from .words import Presentation, Word, parse_word, _split_top_level
 
 _HEADER = re.compile(r"^\[\s*(group|hom|extension|functor|directive)\s*([A-Za-z_0-9.'-]*)\s*\]\s*(.*)$")
@@ -615,6 +613,8 @@ def _run_certify(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
 
 
 def _run_reproduce(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+    from .registry import reproduce  # only a reproduce directive loads the registry
+
     case = sec.require("case")
     rep = reproduce(case, caps)
     verdict = "pass" if rep.passed else "fail"
@@ -630,6 +630,8 @@ def _run_reproduce(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
 
 
 def _run_search(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+    from .search import search_counterexamples  # only a search directive loads it
+
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     max_order = int(sec.require("max_order"))
     probe_max = int(sec.get("probe_max_order", "16") or 16)

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, FlatlabError
-from .permgroup import PermGroup, is_normal, normal_closure_codes
+from .permgroup import PermGroup, normal_closure_codes
 from .words import Word
 
 
@@ -56,22 +56,18 @@ def word_value_codes(G: PermGroup, word: Word, caps: Caps = DEFAULT_CAPS) -> set
     return {evaluate(word, tup) for tup in iproduct(G.codes(caps), repeat=arity)}
 
 
-def _normal_subgroup_of(G: PermGroup, seeds, name: str, caps: Caps) -> PermGroup:
-    """The subgroup generated by a conjugation-closed set of codes, checked
-    to be normal."""
-    W = G.generate(seeds, name, caps)
-    if not is_normal(W, G, caps):
-        raise FlatlabError(f"{name} failed its normality assertion")
-    return W
-
-
 def verbal_subgroup(
     G: PermGroup,
     words: list[Word] | tuple[Word, ...],
     caps: Caps = DEFAULT_CAPS,
     force_scan: bool = False,
 ) -> PermGroup:
-    """Normal subgroup generated by all values of the given words."""
+    """Normal subgroup generated by all values of the given words.
+
+    The seeds are closed under conjugation: the values of a word are (see
+    above), and so are the powers g^n and the normal subgroup gamma_c.  A
+    subgroup generated by a conjugation-closed set S is normal, as
+    (s_1...s_r)^h = s_1^h...s_r^h, so no normality check is run."""
     key = ("verbal", tuple(words), force_scan)
 
     def compute():
@@ -86,7 +82,7 @@ def verbal_subgroup(
                 seeds.update(lower_central_series(G, c, caps)[c].codes(caps))
             else:
                 seeds.update(word_value_codes(G, w, caps))
-        return _normal_subgroup_of(G, seeds, "W(G)", caps)
+        return G.generate(seeds, "W(G)", caps)
 
     return G.memo(key, compute, caps)
 
@@ -143,13 +139,14 @@ def is_prime(p: int) -> bool:
 
 
 def s_p_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Subgroup generated by the elements of order exactly p (normal)."""
+    """Subgroup generated by the elements of order exactly p; normal, as
+    conjugation keeps the order of an element (see ``verbal_subgroup``)."""
     if not is_prime(p):
         raise FlatlabError(f"{p} is not prime")
 
     def compute():
         order_of = G.ambient(caps).order_of
         seeds = [g for g in G.codes(caps) if order_of(g) == p]
-        return _normal_subgroup_of(G, seeds, f"S_{p}(G)", caps)
+        return G.generate(seeds, f"S_{p}(G)", caps)
 
     return G.memo(("s_p", p), compute, caps)

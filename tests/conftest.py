@@ -1,7 +1,8 @@
 """The interpreters that tests start (the CLI determinism check, the
 fresh-import probe) import flatlab from this checkout's src/, as the test
 process does through ``pythonpath`` in pyproject.toml.  The battery
-pullbacks are shared by the tests that check pullback totals."""
+pullbacks, and the battery groups with their totals, are shared by the
+tests that check pullback totals."""
 
 import os
 from pathlib import Path
@@ -28,3 +29,15 @@ def battery_pullbacks():
         for X in default_battery(4)
         for f in enumerate_homs(X, ext.base)
     ]
+
+
+@pytest.fixture(scope="session")
+def battery_groups(battery_pullbacks):
+    """The 23 groups of ``default_battery(64)`` and the 1,422 pullback
+    totals: the 1,445 groups a shortcut is checked on against the general
+    path."""
+    from flatlab.catalog import default_battery
+
+    groups = [*default_battery(64), *(p.extension.total for _, _, p in battery_pullbacks)]
+    assert len(groups) == 1_445
+    return groups

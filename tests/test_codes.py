@@ -4,6 +4,7 @@ canonical kernel map of a pullback."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,8 @@ from flatlab.scenario import _group_invariants
 from flatlab.search import search_counterexamples
 from flatlab.verbal import lower_central_series
 from flatlab.words import parse_word
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "thm-4.1.scn"
 
 
 def _pullback(ext_index=-1, source=cyclic(16), probe=cyclic(4)):
@@ -112,6 +115,7 @@ def test_search_reports_how_far_a_capped_closure_got():
 
 
 def test_fresh_import_builds_no_table_and_loads_no_application_layer():
+    # a scenario with no reproduce or search directive loads neither module
     probe = (
         "import sys, flatlab\n"
         "battery = flatlab.default_battery()\n"
@@ -123,6 +127,9 @@ def test_fresh_import_builds_no_table_and_loads_no_application_layer():
         "    assert flatlab.cli.main(['localize', '--functor', 'sp p=2',\n"
         "                             '--group', 'dihedral(8)']) == 0\n"
         "assert not [m for m in lazy if 'flatlab.' + m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert flatlab.cli.main(['run', {str(SCENARIO)!r}]) == 0\n"
+        "assert not [m for m in ('registry', 'search') if 'flatlab.' + m in sys.modules]\n"
         "for name in ('CaseReport', 'case_ids', 'reproduce', 'Scenario',\n"
         "             'parse_scenario', 'run_scenario', 'SearchReport',\n"
         "             'search_counterexamples'):\n"

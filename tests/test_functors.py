@@ -7,6 +7,7 @@ import pytest
 from flatlab import functors
 from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
 from flatlab.catalog import (
+    alternating,
     cyclic,
     default_battery,
     dihedral,
@@ -17,7 +18,12 @@ from flatlab.catalog import (
     trivial_group,
 )
 from flatlab.caps import DEFAULT_CAPS, Caps
-from flatlab.errors import CapExceededError, FlatlabError, UnsupportedFunctorError
+from flatlab.errors import (
+    CapExceededError,
+    FlatlabError,
+    RealizationError,
+    UnsupportedFunctorError,
+)
 from flatlab.extensions import extensions_from_group, pullback_extension
 from flatlab.functors import (
     Abelianization,
@@ -35,12 +41,13 @@ from flatlab.functors import (
     _abelian_product_form,
     _hom_components,
     _nullification_radical,
+    _pi_exponent,
     _preimage_chain,
     radical_subgroup,
     standard_quasi_c4_c2,
 )
 from flatlab.homs import enumerate_homs
-from flatlab.permgroup import GroupHom, PermGroup, is_isomorphic, quotient
+from flatlab.permgroup import GroupHom, PermGroup, direct_product, is_isomorphic, quotient
 from flatlab.verbal import derived_subgroup, lower_central_series
 from flatlab.words import Presentation, Word, parse_word
 
@@ -266,10 +273,15 @@ def test_nullification_at_a_free_target_kills_everything():
         assert radical_subgroup(Nullification(Z), G).order() == G.order()
 
 
-def test_abelian_target_radical_is_the_chain_radical():
-    # the pi-element radical against the generic preimage chain, which lifts
-    # every hom into G/N to coset representatives, on the battery and on
-    # every pullback total of default_battery(16) along default_battery(4)
+def _chain_radical(pres, G, caps=DEFAULT_CAPS):
+    """The generic preimage chain, which lifts every hom into G/N to coset
+    representatives."""
+    return _preimage_chain(G, lambda N: _hom_components(pres, G, N, caps), caps)
+
+
+def test_abelian_target_radical_is_the_chain_radical(battery_groups):
+    # the pi-element radical against the preimage chain on the battery and
+    # on every pullback total of default_battery(16) along default_battery(4)
     targets = [
         G.presentation
         for G in (
@@ -282,26 +294,96 @@ def test_abelian_target_radical_is_the_chain_radical():
             trivial_group(),
         )
     ] + [Presentation(("x",), ())]
-    groups = list(default_battery(64))
-    for G in default_battery(16):
-        for ext in extensions_from_group(G):
-            for X in default_battery(4):
-                for f in enumerate_homs(X, ext.base):
-                    groups.append(pullback_extension(ext, f).extension.total)
     caps = DEFAULT_CAPS
     for pres in targets:
         assert _abelian_product_form(pres) is not None
         F = Nullification(pres)
-        for G in groups:
-            chain = _preimage_chain(G, lambda N: _hom_components(pres, G, N, caps), caps)
+        for G in battery_groups:
+            chain = _chain_radical(pres, G, caps)
             assert _nullification_radical(F, G, caps).code_set() == chain.code_set()
-    assert len(targets) * len(groups) == 11_560
+    assert len(targets) * len(battery_groups) == 11_560
+
+
+def _solvable_targets():
+    targets = [H for H in default_battery(24) if not H.is_abelian()]
+    assert [H.name for H in targets] == ["S3", "D8", "Q8", "D12", "A4", "D16", "S4"]
+    return targets
+
+
+def test_solvable_target_radical_is_the_chain_radical(battery_groups):
+    # every non-abelian target of the battery realizes to a solvable group,
+    # so its radical is generated by the elements whose order has only prime
+    # factors of |H^ab|; the preimage chain gives the same subgroup
+    caps = DEFAULT_CAPS
+    targets = _solvable_targets()
+    assert [_pi_exponent(H.presentation, caps) for H in targets] == [2, 4, 4, 4, 3, 4, 2]
+    checked = 0
+    for H in targets:
+        F = Nullification(H.presentation)
+        for G in battery_groups:
+            chain = _chain_radical(H.presentation, G, caps)
+            assert _nullification_radical(F, G, caps).code_set() == chain.code_set()
+            checked += 1
+    assert checked == 10_115
+
+
+def test_a_target_not_certified_solvable_takes_the_chain(monkeypatch):
+    # A5 is perfect, so the pi-element rule does not apply: its radical in
+    # A5 x C2 is the A5 factor, from the chain
+    A5 = alternating(5).presentation
+    G = direct_product(alternating(5), cyclic(2))
+    assert _pi_exponent(A5, DEFAULT_CAPS) is None
+    R = radical_subgroup(Nullification(A5), G)
+    assert R.order() == 60
+    assert all(p.images[5:] == (5, 6) for p in R.elements())
+    assert R.code_set() == _chain_radical(A5, G).code_set()
+    # a solvable target that cannot be realized (as beyond the caps) gets no
+    # certificate and runs the chain, to the same radical
+    caps = DEFAULT_CAPS
+    targets = [Nullification(H.presentation) for H in _solvable_targets()]
+    groups = default_battery(64)
+    expected = [[_nullification_radical(F, G, caps).code_set() for G in groups] for F in targets]
+    chains = []
+    original = functors._preimage_chain
+
+    def unrealizable(pres, caps=DEFAULT_CAPS, name=None):
+        raise RealizationError("could not realize within caps")
+
+    def counted(*args):
+        chains.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(functors, "realize_presentation", unrealizable)
+    monkeypatch.setattr(functors, "_preimage_chain", counted)
+    functors._pi_exponent.cache_clear()
+    try:
+        for F, radicals in zip(targets, expected):
+            assert _pi_exponent(F.target, caps) is None
+            assert [_nullification_radical(F, G, caps).code_set() for G in groups] == radicals
+    finally:
+        functors._pi_exponent.cache_clear()
+    assert len(chains) == len(targets) * len(groups)
+
+
+def test_a_z_summand_kills_everything_without_realization(monkeypatch):
+    # <a,b | a^2> maps onto Z, so onto every C_p: its radical is all of G,
+    # found from the abelianization alone
+    def no_realization(*args, **kwargs):
+        raise AssertionError("a Z summand needs no realization")
+
+    monkeypatch.setattr(functors, "realize_presentation", no_realization)
+    pres = Presentation.parse("a,b", "a^2")
+    assert _pi_exponent(pres, DEFAULT_CAPS) == 0
+    for G in default_battery(64):
+        R = _nullification_radical(Nullification(pres), G, DEFAULT_CAPS)
+        assert R.code_set() == G.code_set() == _chain_radical(pres, G).code_set()
 
 
 def test_radicals_do_no_confirming_closure(monkeypatch):
-    # an abelian target needs no normal closure at all; the S3 chain on S4
-    # grows once to all of S4 and stops without closing again (a call whose
-    # codes all lie in its start hands the start back and closes nothing)
+    # a solvable target needs no normal closure at all; the A5 chain on
+    # A5 x C2 grows once to the A5 factor and stops without closing again (a
+    # call whose codes all lie in its start hands the start back and closes
+    # nothing)
     calls = []
     original = functors.normal_closure_codes
 
@@ -315,9 +397,12 @@ def test_radicals_do_no_confirming_closure(monkeypatch):
     C3, S3 = Nullification(cyclic(3).presentation), Nullification(symmetric(3).presentation)
     for G in (cyclic(8), dihedral(8), quaternion(8), elementary_abelian(2, 3)):
         assert _nullification_radical(C3, G, DEFAULT_CAPS).is_trivial()
-    assert calls == []
     assert _nullification_radical(S3, symmetric(4), DEFAULT_CAPS).order() == 24
-    assert calls == [(1, 24)]
+    assert calls == []
+    A5 = Nullification(alternating(5).presentation)
+    G = direct_product(alternating(5), cyclic(2))
+    assert _nullification_radical(A5, G, DEFAULT_CAPS).order() == 60
+    assert calls == [(1, 60)]
 
 
 def test_an_empty_relator_leaves_the_abelian_form_alone(monkeypatch):

@@ -150,3 +150,17 @@ def test_lcs_from_generators_matches_the_census_chain(battery_pullbacks):
         for c in (1, 2):
             scan = verbal_subgroup(G, [Word.lcs_word(c)], force_scan=True)
             assert scan.codes() == lower_central_series(G, c)[c].codes()
+
+
+def test_verbal_and_order_p_subgroups_are_normal_by_construction(battery_groups):
+    # both are generated by conjugation-closed seeds, so they are normal with
+    # no check; the check they no longer run holds on every group the sweeps
+    # build: the variety words of the variety functors (and their
+    # idempotency checks) and the involution subfunctor
+    words = [[Word.lcs_word(c)] for c in (1, 2, 3)] + [[SQUARE]]
+    checked = 0
+    for G in battery_groups:
+        for W in [verbal_subgroup(G, w) for w in words] + [s_p_subgroup(G, 2)]:
+            assert is_normal(W, G), G.describe()
+            checked += 1
+    assert checked == 5 * 1_445
