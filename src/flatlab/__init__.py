@@ -97,7 +97,6 @@ from .perm import Permutation, parse_cycle_string
 from .permgroup import (
     GroupHom,
     PermGroup,
-    abelian_census_invariants,
     direct_product,
     find_isomorphism,
     is_isomorphic,

@@ -10,9 +10,10 @@ the result is returned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -437,8 +438,6 @@ class AbGroup:
         a = self._normalize(a)
         if any(a[: self.rank]):
             return None
-        from math import lcm
-
         o = 1
         for x, d in zip(a[self.rank :], self.invariants):
             o = lcm(o, d // gcd(d, x))
@@ -552,16 +551,17 @@ class AbHom:
         return f"AbHom({self.domain.describe()} -> {self.codomain.describe()})"
 
 
-def _solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
-    """C with basis*C = targets; basis must have full column rank."""
-    snf = smith_normal_form(basis)
+def solve_columns(M: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
+    """X with M*X = targets, from one Smith normal form of M, or None when
+    some target column lies outside M's column lattice."""
+    snf = smith_normal_form(M)
     cols = []
-    for j in range(targets.cols):
-        x = solve_in_column_lattice(snf, targets.column(j))
+    for t in targets.columns():
+        x = solve_in_column_lattice(snf, t)
         if x is None:
-            raise FlatlabError("solve_columns: target outside the lattice")
+            return None
         cols.append(x)
-    return IntMatrix.from_columns(cols, basis.cols)
+    return IntMatrix.from_columns(cols, M.cols)
 
 
 def kernel_lattice_basis(f: AbHom) -> IntMatrix:
@@ -582,28 +582,27 @@ def image_lattice_basis(f: AbHom) -> IntMatrix:
 
 def lattice_leq(A: IntMatrix, B: IntMatrix) -> bool:
     """Column lattice of A contained in column lattice of B (same ambient)."""
-    snf = smith_normal_form(B)
-    return all(
-        solve_in_column_lattice(snf, A.column(j)) is not None for j in range(A.cols)
-    )
+    return solve_columns(B, A) is not None
+
+
+def _spanned_subgroup(basis: IntMatrix, A: AbGroup) -> tuple[AbGroup, AbHom]:
+    """The subgroup of A spanned by a lattice basis that contains A's
+    relation lattice, with its inclusion."""
+    rels = solve_columns(basis, A.relations) if basis.cols else IntMatrix.zeros(0, 0)
+    if rels is None:
+        raise FlatlabError("solve_columns: target outside the lattice")
+    S = AbGroup(basis.cols, rels)
+    return S, AbHom(S, A, basis)
 
 
 def ab_kernel(f: AbHom) -> tuple[AbGroup, AbHom]:
     """Kernel with its inclusion."""
-    basis = kernel_lattice_basis(f)
-    rels = _solve_columns(basis, f.domain.relations) if basis.cols else IntMatrix.zeros(0, 0)
-    K = AbGroup(basis.cols, rels)
-    incl = AbHom(K, f.domain, basis)
-    return K, incl
+    return _spanned_subgroup(kernel_lattice_basis(f), f.domain)
 
 
 def ab_image(f: AbHom) -> tuple[AbGroup, AbHom]:
     """Image subgroup of the codomain with its inclusion."""
-    basis = image_lattice_basis(f)
-    rels = _solve_columns(basis, f.codomain.relations) if basis.cols else IntMatrix.zeros(0, 0)
-    I = AbGroup(basis.cols, rels)
-    incl = AbHom(I, f.codomain, basis)
-    return I, incl
+    return _spanned_subgroup(image_lattice_basis(f), f.codomain)
 
 
 def ab_cokernel(f: AbHom) -> tuple[AbGroup, AbHom]:
@@ -614,7 +613,11 @@ def ab_cokernel(f: AbHom) -> tuple[AbGroup, AbHom]:
 
 
 def ab_pullback(f: AbHom, g: AbHom) -> tuple[AbGroup, AbHom, AbHom]:
-    """P = kernel of (f, -g) : E + X -> G, with its two projections."""
+    """P = kernel of (f, -g) : E + X -> G, with its two projections.
+
+    The square commutes by construction and is not checked: P's generators
+    are a basis of the lattice {(e, x) : f(e) - g(x) in rel(G)}, so
+    f(pr_e(p)) = g(pr_x(p)) in G on each of them, and so on all of P."""
     if f.codomain is not g.codomain and not f.codomain.same_presentation(g.codomain):
         raise InvalidHomomorphismError("pullback legs must share a codomain")
     E, X = f.domain, g.domain
@@ -627,13 +630,6 @@ def ab_pullback(f: AbHom, g: AbHom) -> tuple[AbGroup, AbHom, AbHom]:
     P, incl = ab_kernel(h)
     pr_e = AbHom(P, E, incl.matrix.row_slice(0, E.ngens))
     pr_x = AbHom(P, X, incl.matrix.row_slice(E.ngens, E.ngens + X.ngens))
-    # the square commutes: f*prE - g*prX kills every generator of P
-    diff = f.matrix * pr_e.matrix
-    diff2 = g.matrix * pr_x.matrix
-    for j in range(P.ngens):
-        delta = tuple(a - b for a, b in zip(diff.column(j), diff2.column(j)))
-        if solve_in_column_lattice(f.codomain.snf, delta) is None:
-            raise FlatlabError("pullback square does not commute")
     P.name = "P"
     return P, pr_e, pr_x
 
@@ -650,11 +646,11 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
     """Bridge a finite abelian permutation group to an AbGroup.
 
     Generators correspond; the relation lattice is recovered from the
-    walk defects of a breadth-first exponent-vector assignment, and the
-    result is cross-checked against the element-order census classification.
+    walk defects of a breadth-first exponent-vector assignment.  The result
+    is cross-checked against G: it must be finite with G's number of
+    elements of each order, which fixes a finite abelian group up to
+    isomorphism (see ``permgroup.is_isomorphic``).
     """
-    from .permgroup import abelian_census_invariants
-
     if not G.is_abelian():
         raise NotAbelianError("perm_to_abelian needs an abelian group")
     amb = G.ambient(caps)
@@ -682,11 +678,11 @@ def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):
                 defects.add(d)
     R = IntMatrix.from_columns(sorted(defects), k)
     A = AbGroup(k, R, name=G.name)
-    census = abelian_census_invariants(G, caps)
-    if A.canonical_invariants() != census:
+    hist = G.order_histogram(caps)
+    if A.rank or dict(Counter(map(A.element_order, A.elements(caps)))) != hist:
         raise FlatlabError(
             f"perm_to_abelian disagreement: lattice says "
-            f"{A.canonical_invariants()}, census says {census}"
+            f"{A.canonical_invariants()}, element orders say {hist}"
         )
     return A
 

@@ -13,7 +13,7 @@ from .errors import CatalogError
 from .perm import Permutation
 from .permgroup import PermGroup, direct_product
 from .verbal import is_prime
-from .words import Presentation, Word
+from .words import Presentation, Word, _split_top_level
 
 _cache: dict[tuple, PermGroup] = {}
 
@@ -200,20 +200,8 @@ def parse_group_literal(text: str) -> PermGroup:
     ``elementary(2,3)``, ``trivial`` ..."""
     text = text.strip()
     if text.startswith("product(") and text.endswith(")"):
-        inner = text[len("product(") : -1]
-        parts, depth, cur = [], 0, []
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur))
-        return product(*(parse_group_literal(p) for p in parts if p.strip()))
+        parts = _split_top_level(text[len("product(") : -1])
+        return product(*(parse_group_literal(p) for p in parts))
     m = _LITERAL.match(text)
     if not m:
         raise CatalogError(f"bad group literal {text!r}")

@@ -18,6 +18,7 @@ from .abelian import (
     IntMatrix,
     ab_cokernel,
     ab_kernel,
+    ab_pullback,
     enumerate_ab_homs,
     image_lattice_basis,
     kernel_lattice_basis,
@@ -25,6 +26,7 @@ from .abelian import (
     n_torsion,
     perm_to_abelian,
     smith_normal_form,
+    solve_columns,
     solve_in_column_lattice,
 )
 from .caps import DEFAULT_CAPS, Caps
@@ -38,6 +40,7 @@ from .functors import (
     FunctorSpec,
     LocalityReport,
     TestMap,
+    _cyclic_order_of_presentation,
     apply,
     functor_kind,
     induce,
@@ -155,13 +158,17 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
     """Pull K -> E -> G back along f: X -> G; the canonical map identifies
     the kernel of the new extension with K.
 
-    For permutation groups the canonical map k -> (iota k, 1), the verified
-    iota composed with the hom e -> (e, 1) (pair code e * |X's ambient|), is
-    an isomorphism onto K' = ker(P -> X) by construction and is not checked.
-    Its image is iota(K) x 1 = ker(E -> G) x 1, which is K' as
-    ``pullback_group`` lists it, because ``ext`` was checked to have
+    In both flavors the canonical map k -> (iota k, 1), (iota k, 0) in the
+    abelian flavor, is an isomorphism onto K' = ker(P -> X) by construction
+    and is not checked.  Its image is iota(K) x 1 = ker(E -> G) x 1 =
+    {(e, 1) in P} = K', because ``ext`` was checked to have
     iota(K) = ker(E -> G); it is injective because iota was checked
-    injective."""
+    injective.
+
+    For permutation groups it is the verified iota composed with the hom
+    e -> (e, 1) (pair code e * |X's ambient|), and K' is the kernel
+    ``pullback_group`` lists.  For abelian groups it is solved in P's
+    basis; a (iota k, 0) outside P would be a bug, and raises."""
     if ext.flavor == PERM:
         if not isinstance(f, GroupHom):
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
@@ -178,36 +185,18 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
         return PulledBackExtension(from_surjection(pr_x, caps=caps), canonical)
     if not isinstance(f, AbHom):
         raise FlavorMismatchError("abelian extension needs an AbHom leg")
-    from .abelian import ab_pullback
-
     P, pr_e, pr_x = ab_pullback(ext.proj, f)
-    new_ext = from_surjection(pr_x, caps=caps)
     # canonical K -> P: k maps to (iota k, 0), solved in P's inclusion basis
-    K = ext.kernel_group
-    embed_cols = []
-    nE, nX = ext.total.ngens, f.domain.ngens
-    incl_matrix = IntMatrix.from_columns(
-        [pr_e.matrix.column(j) + pr_x.matrix.column(j) for j in range(P.ngens)],
-        nE + nX,
-    )
-    block = incl_matrix.hstack(
+    iota = ext.iota.matrix
+    block = IntMatrix(pr_e.matrix.entries + pr_x.matrix.entries, cols=P.ngens).hstack(
         IntMatrix.diag_blocks(ext.total.relations, f.domain.relations)
     )
-    snf = smith_normal_form(block)
-    for j in range(K.ngens):
-        target = ext.iota.matrix.column(j) + (0,) * nX
-        sol = solve_in_column_lattice(snf, target)
-        if sol is None:
-            raise FlatlabError("canonical kernel map does not land in the pullback")
-        embed_cols.append(sol[: P.ngens])
-    canonical = AbHom(K, P, IntMatrix.from_columns(embed_cols, P.ngens))
-    if not canonical.is_injective():
-        raise FlatlabError("canonical kernel comparison map is not injective")
-    im_c = image_lattice_basis(canonical)
-    ker_x = kernel_lattice_basis(pr_x)
-    if not (lattice_leq(im_c, ker_x) and lattice_leq(ker_x, im_c)):
-        raise FlatlabError("canonical kernel comparison map is not an isomorphism")
-    return PulledBackExtension(new_ext, canonical)
+    zero = ((0,) * iota.cols,) * f.domain.ngens
+    sol = solve_columns(block, IntMatrix(iota.entries + zero, cols=iota.cols))
+    if sol is None:
+        raise FlatlabError("canonical kernel map does not land in the pullback")
+    canonical = AbHom(ext.kernel_group, P, sol.row_slice(0, P.ngens))
+    return PulledBackExtension(from_surjection(pr_x, caps=caps), canonical)
 
 
 def pullback_along_localization(
@@ -563,8 +552,6 @@ class CertifyReport:
 def _hom_set_trivial(pres, E, caps: Caps) -> bool:
     if isinstance(E, PermGroup):
         return len(hom_image_codes(pres, E, caps)) == 1
-    from .functors import _cyclic_order_of_presentation
-
     n = _cyclic_order_of_presentation(pres)
     if n is None or n == 0:
         raise FlatlabError("triviality of the hom set needs a finite cyclic source")
@@ -650,8 +637,6 @@ def certify_prop44(
             P, _ = pullback_group(surj_aligned, L.eta, caps)
             pdesc = f"order {P.order(caps)}"
         else:
-            from .abelian import ab_pullback
-
             P, _, _ = ab_pullback(surj_aligned, L.eta)
             pdesc = f"rank {P.rank}, torsion {list(P.invariants)}"
         pullback_local = is_local_wrt(P, phi, caps)

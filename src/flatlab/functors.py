@@ -29,7 +29,7 @@ from .abelian import (
     IntMatrix,
     ab_kernel,
     n_torsion,
-    smith_normal_form,
+    solve_columns,
     solve_in_column_lattice,
 )
 from .caps import DEFAULT_CAPS, Caps
@@ -194,11 +194,6 @@ class LocalizedResult:
 # -- application: permutation flavor -----------------------------------------
 
 
-def _apply_quotient_functor(F, G: PermGroup, W: PermGroup, caps: Caps) -> LocalizedResult:
-    Q, proj = quotient(G, W, caps)
-    return LocalizedResult(F, G, Q, proj, W, EPIREFLECTION)
-
-
 @cache
 def _abelian_product_form(pres: Presentation) -> tuple[int, ...] | None:
     """Exponents n_i if pres is <x_1..x_k | x_i^{n_i}, all [x_i,x_j]>; the
@@ -323,17 +318,20 @@ def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> Perm
 def _quasivariety_radical(
     F: "QuasiVarietyReflection", G: PermGroup, caps: Caps
 ) -> PermGroup:
-    """Preimage chain: keep adjoining u(g) whenever t(g) already dies."""
+    """Preimage chain: keep adjoining u(g) whenever t(g) already dies.
+
+    The pairs (t(g), u(g)) do not change along the chain, so they are
+    evaluated once; each step only asks which t(g) lie in N."""
     evaluate = G.ambient(caps).evaluate
+    pairs = {
+        (evaluate(cond, (g,)), evaluate(imp, (g,)))
+        for cond, imp in F.rules
+        for g in G.codes(caps)
+    }
 
     def imposed(N: PermGroup) -> set:
         n_set = N.code_set(caps)
-        return {
-            evaluate(imp, (g,))
-            for cond, imp in F.rules
-            for g in G.codes(caps)
-            if evaluate(cond, (g,)) in n_set
-        }
+        return {u for t, u in pairs if t in n_set}
 
     return _preimage_chain(G, imposed, caps)
 
@@ -371,7 +369,9 @@ def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> LocalizedResult:
         incl = GroupHom.inclusion(S, G, caps)
         return LocalizedResult(F, G, S, incl, None, SUBFUNCTOR)
     # every epireflection is the quotient by its radical
-    return _apply_quotient_functor(F, G, radical_subgroup(F, G, caps), caps)
+    W = radical_subgroup(F, G, caps)
+    Q, proj = quotient(G, W, caps)
+    return LocalizedResult(F, G, Q, proj, W, EPIREFLECTION)
 
 
 # -- application: abelian flavor ----------------------------------------------
@@ -395,13 +395,6 @@ def _iterated_quotient(F, A: AbGroup, relations_to_impose) -> LocalizedResult:
     while (extra := relations_to_impose(eta.codomain)) is not None:
         eta = eta.then(_quotient_by_columns(eta.codomain, extra))
     return _epireflection(F, A, eta)
-
-
-def _columns_in_lattice(A: AbGroup, M: IntMatrix) -> bool:
-    return all(
-        solve_in_column_lattice(A.snf, M.column(j)) is not None
-        for j in range(M.cols)
-    )
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
@@ -433,7 +426,7 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
                         [[b * x for x in row] for row in incl.matrix.entries],
                         cols=incl.matrix.cols,
                     )
-                if not _columns_in_lattice(cur, imposed):
+                if any(solve_in_column_lattice(cur.snf, c) is None for c in imposed.columns()):
                     return imposed
             return None
 
@@ -482,9 +475,10 @@ def induce(F: FunctorSpec, f, caps: Caps = DEFAULT_CAPS):
                 raise FlatlabError("induced map undefined: radical not preserved")
             eta = Lcod.eta.code_map()
             images = [eta[fmap[g]] for g in f.domain.gen_codes(caps)]
-            induced = GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
-            _assert_naturality_perm(Ldom, Lcod, f, induced, caps)
-            return induced
+            # LG's generators are the eta-images of G's, so the square
+            # eta_cod f = induced eta_dom holds on G's generators by
+            # definition; both sides are homs, so it holds on all of G
+            return GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
         sub_cod = Lcod.result.code_set(caps)
         if any(fmap[x] not in sub_cod for x in Ldom.result.codes(caps)):
             raise FlatlabError("induced map undefined: subfunctor not preserved")
@@ -501,30 +495,13 @@ def induce(F: FunctorSpec, f, caps: Caps = DEFAULT_CAPS):
                     f"induced map undefined: radical not preserved ({exc})"
                 ) from None
         # subfunctor: solve incl_cod * M = f * incl_dom modulo codomain relations
-        comp = f.matrix * Ldom.eta.matrix
-        block = Lcod.eta.matrix.hstack(f.codomain.relations)
-        snf = smith_normal_form(block)
-        cols = []
-        for j in range(comp.cols):
-            sol = solve_in_column_lattice(snf, comp.column(j))
-            if sol is None:
-                raise FlatlabError("induced map undefined: subfunctor not preserved")
-            cols.append(sol[: Lcod.result.ngens])
-        return AbHom(
-            Ldom.result,
-            Lcod.result,
-            IntMatrix.from_columns(cols, Lcod.result.ngens),
+        sol = solve_columns(
+            Lcod.eta.matrix.hstack(f.codomain.relations), f.matrix * Ldom.eta.matrix
         )
+        if sol is None:
+            raise FlatlabError("induced map undefined: subfunctor not preserved")
+        return AbHom(Ldom.result, Lcod.result, sol.row_slice(0, Lcod.result.ngens))
     raise UnsupportedFunctorError(f"cannot induce along {type(f).__name__}")
-
-
-def _assert_naturality_perm(Ldom, Lcod, f, induced, caps: Caps):
-    src = f.domain
-    codes = src.codes(caps) if src.order(caps) <= 500 else src.gen_codes(caps)
-    fmap, ind = f.code_map(), induced.code_map()
-    eta_dom, eta_cod = Ldom.eta.code_map(), Lcod.eta.code_map()
-    if any(eta_cod[fmap[x]] != ind[eta_dom[x]] for x in codes):
-        raise FlatlabError("naturality square does not commute")
 
 
 # -- locality -----------------------------------------------------------------

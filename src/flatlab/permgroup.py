@@ -31,9 +31,7 @@ from typing import Iterable, Sequence
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     CapExceededError,
-    FlatlabError,
     InvalidHomomorphismError,
-    NotAbelianError,
     NotASubgroupError,
     NotNormalError,
 )
@@ -941,78 +939,6 @@ def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]
     return G.memo(key, compute, caps)
 
 
-def abelian_census_invariants(
-    G: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> tuple[int, tuple[int, ...]]:
-    """Invariant factors of a finite abelian group read off the element-order
-    census (the counts #{g : g^(p^j) = 1} determine each p-partition)."""
-    if not G.is_abelian():
-        raise NotAbelianError("census classification needs an abelian group")
-    hist = G.order_histogram(caps)
-    n = G.order(caps)
-    primes = _prime_factors(n)
-    per_prime: dict[int, list[int]] = {}
-    for p in primes:
-        sizes = []
-        j = 0
-        while True:
-            target = p**j
-            s = sum(cnt for o, cnt in hist.items() if target % o == 0)
-            sizes.append(s)
-            if s == sum(cnt for o, cnt in hist.items() if _is_p_power(o, p)):
-                break
-            j += 1
-        exps = []
-        for jj in range(1, len(sizes)):
-            m = _int_log(sizes[jj], p) - _int_log(sizes[jj - 1], p)
-            exps.append(m)
-        # exps[j-1] = number of invariant p-exponents >= j
-        multiset = []
-        for v in range(1, len(exps) + 1):
-            count = exps[v - 1] - (exps[v] if v < len(exps) else 0)
-            multiset.extend([v] * count)
-        per_prime[p] = sorted(multiset, reverse=True)
-    k = max((len(v) for v in per_prime.values()), default=0)
-    factors = []
-    for t in range(k):
-        d = 1
-        for p, exps in per_prime.items():
-            if t < len(exps):
-                d *= p ** exps[t]
-        factors.append(d)
-    return 0, tuple(sorted(factors))
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _int_log(n: int, p: int) -> int:
-    k = 0
-    while n > 1:
-        if n % p:
-            raise FlatlabError("census size is not a prime power")
-        n //= p
-        k += 1
-    return k
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- isomorphism -----------------------------------------------------------
 
 
@@ -1090,9 +1016,16 @@ def find_isomorphism(
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    """True iff an isomorphism exists; never a wrong answer, errors on cap."""
+    """True iff an isomorphism exists; never a wrong answer, errors on cap.
+
+    Finite abelian groups are isomorphic exactly when they have the same
+    number of elements of each order.  The order histogram counts the x with
+    x^(p^j) = 1; they form the Sylow p-subgroup's elements of order dividing
+    p^j, which for Z/p^e_1 x ... x Z/p^e_r number p^(min(e_1, j) + ... +
+    min(e_r, j)).  So the count at j over the count at j - 1 is p to the
+    number of e_i >= j, and the counts fix every Sylow subgroup's invariants."""
     if G.order(caps) != H.order(caps):
         return False
     if G.is_abelian() and H.is_abelian():
-        return abelian_census_invariants(G, caps) == abelian_census_invariants(H, caps)
+        return G.order_histogram(caps) == H.order_histogram(caps)
     return find_isomorphism(G, H, caps) is not None

@@ -427,85 +427,51 @@ def _shape_expectations(sec: Section, scn: Scenario, G, caps: Caps):
 
 def run_scenario(scn: Scenario, caps: Caps = DEFAULT_CAPS) -> RunResult:
     """Execute directives in order; exit 0 when every expectation matched,
-    2 on any mismatch or cap exhaustion, 1 on execution error."""
+    2 on any mismatch or cap exhaustion, 1 on execution error.  Each runner
+    returns (summary, verdict, matched, details); a cap hit is the verdict
+    cap-exceeded and an execution error ends the run."""
     results: list[DirectiveResult] = []
-    error = False
     for sec in scn.directives:
-        form = sec.form
+        runner = _RUNNERS.get(sec.form)
+        if runner is None:
+            raise ScenarioError(f"unknown directive {sec.form!r}", sec.line)
         try:
-            if form == "check":
-                res = _run_check(sec, scn, caps)
-            elif form == "pullback":
-                res = _run_pullback(sec, scn, caps)
-            elif form == "probe":
-                res = _run_probe(sec, scn, caps)
-            elif form == "localize":
-                res = _run_localize(sec, scn, caps)
-            elif form == "certify":
-                res = _run_certify(sec, scn, caps)
-            elif form == "reproduce":
-                res = _run_reproduce(sec, scn, caps)
-            elif form == "search":
-                res = _run_search(sec, scn, caps)
-            else:
-                raise ScenarioError(f"unknown directive {form!r}", sec.line)
+            summary, verdict, matched, details = runner(sec, scn, caps)
         except CapExceededError as exc:
+            summary, verdict, matched = f"directive at line {sec.line}", "cap-exceeded", False
             details = {"error": str(exc)}
             if exc.partial is not None:
                 details["partial"] = exc.partial
-            res = DirectiveResult(
-                form or "?",
-                f"directive at line {sec.line}",
-                "cap-exceeded",
-                sec.get("expect"),
-                False,
-                details,
-            )
         except ScenarioError:
             raise
         except FlatlabError as exc:
-            results.append(
-                DirectiveResult(
-                    form or "?",
-                    f"directive at line {sec.line}",
-                    "error",
-                    sec.get("expect"),
-                    None,
-                    {"error": str(exc)},
-                )
-            )
-            error = True
-            break
-        results.append(res)
-    if error:
-        return RunResult(1, results)
+            summary, verdict, matched = f"directive at line {sec.line}", "error", None
+            details = {"error": str(exc)}
+        results.append(
+            DirectiveResult(sec.form, summary, verdict, sec.get("expect"), matched, details)
+        )
+        if verdict == "error":  # no runner returns this verdict
+            return RunResult(1, results)
     mismatched = any(r.matched is False for r in results)
     return RunResult(2 if mismatched else 0, results)
 
 
-def _expect_match(expectation: str | None, verdict: str) -> bool | None:
-    if expectation is None:
-        return None
-    return expectation == verdict
+def _expect_match(sec: Section, verdict: str) -> bool | None:
+    """None when the directive has no expect= clause."""
+    expectation = sec.get("expect")
+    return None if expectation is None else expectation == verdict
 
 
-def _run_check(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_check(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     ext = _lookup(scn.extensions, sec.require("extension"), sec.line, "extension")
     rep = check_flatness(F, ext, caps)
     verdict = "flat" if rep.is_flat else "not-flat"
-    exp = sec.get("expect")
-    return DirectiveResult(
-        "check",
-        f"{F.describe()} on {ext.describe()}",
-        verdict,
-        exp,
-        _expect_match(exp, verdict),
-        rep.to_dict(),
-    )
+    summary = f"{F.describe()} on {ext.describe()}"
+    return summary, verdict, _expect_match(sec, verdict), rep.to_dict()
 
 
-def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     ext = _lookup(scn.extensions, sec.require("extension"), sec.line, "extension")
     f = _lookup(scn.homs, sec.require("along"), sec.line, "hom")
     pulled = pullback_extension(ext, f, caps)
@@ -517,7 +483,6 @@ def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
     }
     verdict_parts = []
     matched: bool | None = None
-    exp = sec.get("expect")
     fname = sec.get("functor")
     if fname:
         F = _lookup(scn.functors, fname, sec.line, "functor")
@@ -525,22 +490,16 @@ def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
         verdict = "flat" if rep.is_flat else "not-flat"
         verdict_parts.append(verdict)
         payload["flatness"] = rep.to_dict()
-        matched = _expect_match(exp, verdict)
+        matched = _expect_match(sec, verdict)
     for part, ok, details in _shape_expectations(sec, scn, pulled.extension.total, caps):
         payload.update(details)
         matched = ok if matched is None else (matched and ok)
         verdict_parts.append(f"{part}-{'ok' if ok else 'mismatch'}")
-    return DirectiveResult(
-        "pullback",
-        f"{ext.describe()} along {sec.require('along')}",
-        ";".join(verdict_parts) or "computed",
-        exp,
-        matched,
-        payload,
-    )
+    summary = f"{ext.describe()} along {sec.require('along')}"
+    return summary, ";".join(verdict_parts) or "computed", matched, payload
 
 
-def _run_probe(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_probe(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     ext = _lookup(scn.extensions, sec.require("extension"), sec.line, "extension")
     max_order = int(sec.get("max_order", "8") or 8)
@@ -548,18 +507,11 @@ def _run_probe(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
     catalog = default_battery(max_order)
     probe = probe_conditional_flatness(F, ext, catalog, caps, allow_nonflat_base=allow)
     verdict = "all-flat" if probe.all_pullbacks_flat else "counterexample"
-    exp = sec.get("expect")
-    return DirectiveResult(
-        "probe",
-        f"{F.describe()} on {ext.describe()} over catalog <= {max_order}",
-        verdict,
-        exp,
-        _expect_match(exp, verdict),
-        probe.to_dict(),
-    )
+    summary = f"{F.describe()} on {ext.describe()} over catalog <= {max_order}"
+    return summary, verdict, _expect_match(sec, verdict), probe.to_dict()
 
 
-def _run_localize(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_localize(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     G = _lookup(scn.groups, sec.require("group"), sec.line, "group")
     L = apply(F, G, caps)
@@ -578,17 +530,10 @@ def _run_localize(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
         verdict = f"{part}-{'ok' if ok else 'mismatch'}"
         if "invariants_expected" in details:
             payload["invariants_expected"] = details["invariants_expected"]
-    return DirectiveResult(
-        "localize",
-        f"{F.describe()} on {sec.require('group')}",
-        verdict,
-        sec.get("expect"),
-        matched,
-        payload,
-    )
+    return f"{F.describe()} on {sec.require('group')}", verdict, matched, payload
 
 
-def _run_certify(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_certify(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     phi = _test_map_from_hom(sec.require("phi"), scn, sec.line, caps)
     G = _lookup(scn.groups, sec.require("group"), sec.line, "group")
@@ -601,35 +546,20 @@ def _run_certify(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
         verdict = "local"
     else:
         verdict = "not-local"
-    exp = sec.get("expect")
-    return DirectiveResult(
-        "certify",
-        f"pullback locality certificate for {sec.require('group')}",
-        verdict,
-        exp,
-        _expect_match(exp, verdict),
-        cert.to_dict(),
-    )
+    summary = f"pullback locality certificate for {sec.require('group')}"
+    return summary, verdict, _expect_match(sec, verdict), cert.to_dict()
 
 
-def _run_reproduce(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_reproduce(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     from .registry import reproduce  # only a reproduce directive loads the registry
 
     case = sec.require("case")
     rep = reproduce(case, caps)
     verdict = "pass" if rep.passed else "fail"
-    exp = sec.get("expect")
-    return DirectiveResult(
-        "reproduce",
-        f"registry case {case}",
-        verdict,
-        exp,
-        _expect_match(exp, verdict),
-        rep.to_dict(),
-    )
+    return f"registry case {case}", verdict, _expect_match(sec, verdict), rep.to_dict()
 
 
-def _run_search(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
+def _run_search(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     from .search import search_counterexamples  # only a search directive loads it
 
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
@@ -637,12 +567,16 @@ def _run_search(sec: Section, scn: Scenario, caps: Caps) -> DirectiveResult:
     probe_max = int(sec.get("probe_max_order", "16") or 16)
     rep = search_counterexamples(F, max_order, probe_max, caps)
     verdict = "empty" if not rep.hits else "found"
-    exp = sec.get("expect")
-    return DirectiveResult(
-        "search",
-        f"{F.describe()} over catalog <= {max_order}",
-        verdict,
-        exp,
-        _expect_match(exp, verdict),
-        rep.to_dict(),
-    )
+    summary = f"{F.describe()} over catalog <= {max_order}"
+    return summary, verdict, _expect_match(sec, verdict), rep.to_dict()
+
+
+_RUNNERS = {
+    "check": _run_check,
+    "pullback": _run_pullback,
+    "probe": _run_probe,
+    "localize": _run_localize,
+    "certify": _run_certify,
+    "reproduce": _run_reproduce,
+    "search": _run_search,
+}

@@ -60,7 +60,6 @@ def verbal_subgroup(
     G: PermGroup,
     words: list[Word] | tuple[Word, ...],
     caps: Caps = DEFAULT_CAPS,
-    force_scan: bool = False,
 ) -> PermGroup:
     """Normal subgroup generated by all values of the given words.
 
@@ -68,17 +67,15 @@ def verbal_subgroup(
     above), and so are the powers g^n and the normal subgroup gamma_c.  A
     subgroup generated by a conjugation-closed set S is normal, as
     (s_1...s_r)^h = s_1^h...s_r^h, so no normality check is run."""
-    key = ("verbal", tuple(words), force_scan)
+    key = ("verbal", tuple(words))
 
     def compute():
         amb = G.ambient(caps)
         seeds: set[int] = set()
         for w in words:
-            n = None if force_scan else _is_power_word(w)
-            c = None if force_scan else _lcs_class(w)
-            if n is not None:
+            if (n := _is_power_word(w)) is not None:
                 seeds.update(amb.power(g, n) for g in G.codes(caps))
-            elif c is not None:
+            elif (c := _lcs_class(w)) is not None:
                 seeds.update(lower_central_series(G, c, caps)[c].codes(caps))
             else:
                 seeds.update(word_value_codes(G, w, caps))

@@ -1,7 +1,19 @@
 import pytest
 
 from flatlab import permgroup
-from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, ab_kernel
+from flatlab.abelian import (
+    AbGroup,
+    AbHom,
+    IntMatrix,
+    ab_from_invariants,
+    ab_kernel,
+    ab_pullback,
+    enumerate_ab_homs,
+    image_lattice_basis,
+    kernel_lattice_basis,
+    lattice_leq,
+    solve_in_column_lattice,
+)
 from flatlab.catalog import (
     alternating,
     cyclic,
@@ -579,3 +591,60 @@ def test_a_capped_pullback_fails_the_same_way_every_time():
                 assert exc.value.partial == 8
         else:
             assert pullback_extension(ext, f, caps).extension.total.order() == 16
+
+
+def test_abelian_pullbacks_need_none_of_the_deleted_checks():
+    # ab_pullback's P is a basis of {(e, x) : f(e) - g(x) in rel(G)}, and the
+    # canonical map's image is iota(K) x 0 = ker(P -> X): the checks of the
+    # square, of injectivity and of that image, run here, pass on every
+    # pullback of every surjection between small abelian groups
+    g = ab_from_invariants
+    sources = [g(0, (2,)), g(0, (4,)), g(0, (2, 2)), g(0, (2, 4)), g(1, ()), g(1, (2,))]
+    bases = [g(0, (2,)), g(0, (4,)), g(0, (2, 2))]
+    probes = [g(0, ()), g(0, (2,)), g(0, (4,)), g(1, ())]
+    exts = [
+        from_surjection(p)
+        for E in sources for B in bases for p in enumerate_ab_homs(E, B) if p.is_surjective()
+    ]
+    pulled_count = 0
+    for ext in exts:
+        for X in probes:
+            for f in enumerate_ab_homs(X, ext.base):
+                P, pr_e, pr_x = ab_pullback(ext.proj, f)
+                lhs, rhs = ext.proj.matrix * pr_e.matrix, f.matrix * pr_x.matrix
+                for j in range(P.ngens):
+                    delta = tuple(a - b for a, b in zip(lhs.column(j), rhs.column(j)))
+                    assert solve_in_column_lattice(ext.base.snf, delta) is not None
+                pulled = pullback_extension(ext, f)
+                canonical = pulled.canonical_kernel_map
+                assert canonical.is_injective()
+                im, ker = image_lattice_basis(canonical), kernel_lattice_basis(pulled.extension.proj)
+                assert lattice_leq(im, ker) and lattice_leq(ker, im)
+                pulled_count += 1
+    assert (len(exts), pulled_count) == (42, 450)
+
+
+def test_a_leg_into_a_copy_of_the_base_gives_the_same_pullback():
+    # a leg into the same group built again, in an ambient of its own or as
+    # a subgroup of the symmetric group (whose codes differ from the base's),
+    # is recoded into the base's ambient: P's codes and the verdicts agree
+    functors_ = (Abelianization(), NilpotentQuotient(2), SpSubfunctor(2))
+    compared = 0
+    for G in default_battery(8):
+        for ext in extensions_from_group(G):
+            base = ext.base
+            copies = [permgroup.PermGroup(base.degree, base.generators, name=base.name)]
+            if 2 < base.degree <= 5:
+                copies.append(symmetric(base.degree).subgroup(base.generators))
+                assert copies[-1].codes() != base.codes()
+            for X in default_battery(4):
+                for f in enumerate_homs(X, base):
+                    a = pullback_extension(ext, f).extension
+                    flat = [check_flatness(F, a).to_dict() for F in functors_]
+                    for copy in copies:
+                        f_copy = GroupHom(X, copy, f.images)
+                        b = pullback_extension(ext, f_copy).extension
+                        assert b.total.codes() == a.total.codes()
+                        assert [check_flatness(F, b).to_dict() for F in functors_] == flat
+                        compared += 1
+    assert compared == 1_229

@@ -446,3 +446,28 @@ def test_equal_specs_built_apart_share_one_memo_entry():
         for seed in ("1", "2")
     ]
     assert seeds[0] == seeds[1]
+
+
+def test_induced_maps_make_the_naturality_square_commute(battery_pullbacks):
+    # induce gives LG's generators, the eta-images of G's generators, the
+    # images eta(f(g)); the square eta_cod f = induced eta_dom then holds on
+    # every element, as the check that no longer runs would confirm
+    functors_ = (
+        Abelianization(),
+        NilpotentQuotient(2),
+        NilpotentQuotient(3),
+        Variety((parse_word("x1^2"),)),
+    )
+    exts = {id(ext): ext for ext, _, _ in battery_pullbacks}
+    exts.update((id(p.extension), p.extension) for _, _, p in battery_pullbacks)
+    squares = 0
+    for ext in exts.values():
+        for f in (ext.iota, ext.proj):
+            fmap = f.code_map()
+            for F in functors_:
+                ind = induce(F, f).code_map()
+                eta_dom = apply(F, f.domain).eta.code_map()
+                eta_cod = apply(F, f.codomain).eta.code_map()
+                assert all(eta_cod[fmap[x]] == ind[eta_dom[x]] for x in f.domain.codes())
+                squares += 1
+    assert (len(exts), squares) == (1_521, 12_168)

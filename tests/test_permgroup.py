@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from flatlab.abelian import perm_to_abelian
 from flatlab.caps import Caps
 from flatlab.catalog import (
     alternating,
@@ -29,7 +30,7 @@ from flatlab.permgroup import (
     PermGroup,
     _conjugacy_class_sizes,
     _extend_mapping,
-    abelian_census_invariants,
+    find_isomorphism,
     is_isomorphic,
     is_normal,
     normal_closure,
@@ -225,6 +226,21 @@ def test_pullback_with_two_non_surjective_legs():
         assert pr.image().order() == order and pr.kernel().order() == 1
 
 
+def test_a_leg_into_another_group_on_the_same_points_is_rejected():
+    # D8/N2 is V4 acting regularly on its 4 cosets; a C4 on those points is a
+    # group of the same order whose elements are not all in it, and a copy of
+    # a proper subgroup has its elements in it but the wrong order
+    D8 = dihedral(8)
+    Q, proj = quotient(D8, derived_subgroup(D8))
+    assert Q.degree == 4 and is_isomorphic(Q, elementary_abelian(2, 2))
+    C4 = PermGroup(4, [Permutation((1, 2, 3, 0))])
+    H = PermGroup(4, [Q.generators[0]])
+    assert H.order() == 2
+    for leg in (GroupHom.identity_hom(C4), GroupHom(cyclic(2), H, H.generators)):
+        with pytest.raises(InvalidHomomorphismError):
+            pullback_group(proj, leg)
+
+
 def test_is_isomorphic_basics():
     D8 = dihedral(8)
     assert is_isomorphic(D8, D8)
@@ -251,10 +267,10 @@ def test_normal_subgroup_counts():
 
 
 def test_census_invariants():
-    assert abelian_census_invariants(cyclic(4)) == (0, (4,))
-    assert abelian_census_invariants(elementary_abelian(2, 2)) == (0, (2, 2))
-    assert abelian_census_invariants(product(cyclic(2), cyclic(4))) == (0, (2, 4))
-    assert abelian_census_invariants(trivial_group()) == (0, ())
+    assert perm_to_abelian(cyclic(4)).canonical_invariants() == (0, (4,))
+    assert perm_to_abelian(elementary_abelian(2, 2)).canonical_invariants() == (0, (2, 2))
+    assert perm_to_abelian(product(cyclic(2), cyclic(4))).canonical_invariants() == (0, (2, 4))
+    assert perm_to_abelian(trivial_group()).canonical_invariants() == (0, ())
 
 
 def test_small_generating_set():
@@ -396,3 +412,49 @@ def test_every_imported_name_is_used():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert offenders == []
+
+
+def _function_reimports(path: pathlib.Path) -> list[str]:
+    """Imports inside a function from a module the file imports at top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def modules(node) -> list[tuple[int, str]]:
+        if isinstance(node, ast.ImportFrom):
+            return [(node.level, node.module)]
+        if isinstance(node, ast.Import):
+            return [(0, alias.name) for alias in node.names]
+        return []
+
+    top = {m for node in tree.body for m in modules(node)}
+    return [
+        f"{path.name}:{node.lineno} {'.' * level}{module}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        for level, module in modules(node)
+        if (level, module) in top
+    ]
+
+
+def test_no_function_reimports_a_top_level_module():
+    # a function-level import is kept only to defer loading a module (the
+    # application layer in cli, scenario and the package's lazy names); one
+    # from a module the file already loads at start-up defers nothing
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatlab"
+    assert [o for path in sorted(src.glob("*.py")) for o in _function_reimports(path)] == []
+
+
+def test_abelian_groups_are_classified_by_their_order_histograms(battery_groups):
+    # is_isomorphic decides two abelian groups by their histograms: on every
+    # abelian group the sweeps build, histograms and the invariants of the
+    # relation lattice determine each other, and two groups of a class are
+    # isomorphic by the general search
+    classes: dict = {}
+    for G in battery_groups:
+        if G.is_abelian():
+            hist = tuple(G.order_histogram().items())
+            classes.setdefault((hist, perm_to_abelian(G).canonical_invariants()), []).append(G)
+    assert sum(map(len, classes.values())) == 1_264
+    assert len(classes) == len({h for h, _ in classes}) == len({i for _, i in classes}) == 46
+    for members in classes.values():
+        assert find_isomorphism(members[0], members[-1]) is not None

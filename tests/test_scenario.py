@@ -129,6 +129,29 @@ def test_certify_test_map_is_realized_under_the_run_caps():
     assert result.exit_code == 1
     assert "coset limit 4" in result.results[0].payload["error"]
 
+def test_an_execution_error_ends_the_run_with_one_error_result():
+    text = """
+[group Z2] abelian torsion=[2]
+[group C8] abelian torsion=[8]
+[group Z]  abelian rank=1
+[hom phi]  from=Z2 to=C8 matrix=[[4]]
+[hom red]  from=Z to=Z2 matrix=[[1]]
+[functor L] kind=quasivariety cond=x^4 impose=x^2
+[directive] certify functor=L phi=phi group=Z2 local=Z surjection=red expect=hypothesis-failed
+[directive] localize functor=L group=Z
+"""
+    assert [r.verdict for r in run_scenario(parse_scenario(text)).results] == [
+        "hypothesis-failed", "computed"
+    ]
+    capped = Caps().with_(order=4)
+    result = run_scenario(parse_scenario(text, capped), capped)
+    assert result.exit_code == 1
+    [res] = result.results  # the localize directive never runs
+    assert (res.kind, res.summary, res.verdict, res.expectation, res.matched) == (
+        "certify", "directive at line 8", "error", "hypothesis-failed", None
+    )
+
+
 def test_reproduce_directive():
     text = "[directive] reproduce case=nonidempotent-verbal-d8 expect=pass\n"
     result = run_scenario(parse_scenario(text))
