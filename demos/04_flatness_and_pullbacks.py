@@ -15,6 +15,7 @@ Run:  python demos/04_flatness_and_pullbacks.py
 from flatlab import (
     AbGroup,
     AbHom,
+    Extension,
     GroupHom,
     IntMatrix,
     SpSubfunctor,
@@ -24,7 +25,6 @@ from flatlab import (
     cyclic,
     dihedral,
     extensions_from_group,
-    from_surjection,
     is_isomorphic,
     probe_conditional_flatness,
     pullback_extension,
@@ -38,7 +38,7 @@ print("=== Story 1: an epireflection that is not conditionally flat ===")
 Z = ab_from_invariants(1, (), name="Z")
 Z2 = ab_from_invariants(0, (2,), name="Z/2")
 C4 = AbGroup(1, IntMatrix([[4]]), name="C4")
-src = from_surjection(AbHom(Z, Z2, IntMatrix([[1]])), name="Z -> Z -> Z/2")
+src = Extension(AbHom(Z, Z2, IntMatrix([[1]])), name="Z -> Z -> Z/2")
 print(f"source extension {src.describe()}: flat = "
       f"{check_flatness(quasi, src).is_flat}")
 pulled = pullback_extension(src, AbHom(C4, Z2, IntMatrix([[1]])))

@@ -67,7 +67,6 @@ from .extensions import (
     check_right_exactness,
     extension_from_normal_subgroup,
     extensions_from_group,
-    from_surjection,
     induced_sequence,
     probe_conditional_flatness,
     pullback_along_localization,

@@ -580,11 +580,6 @@ def image_lattice_basis(f: AbHom) -> IntMatrix:
     return column_lattice_basis(f.matrix.hstack(f.codomain.relations))
 
 
-def lattice_leq(A: IntMatrix, B: IntMatrix) -> bool:
-    """Column lattice of A contained in column lattice of B (same ambient)."""
-    return solve_columns(B, A) is not None
-
-
 def _spanned_subgroup(basis: IntMatrix, A: AbGroup) -> tuple[AbGroup, AbHom]:
     """The subgroup of A spanned by a lattice basis that contains A's
     relation lattice, with its inclusion."""

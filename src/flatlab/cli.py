@@ -93,14 +93,24 @@ def _scenario_text_lines(result) -> list[str]:
     return lines
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a scenario file; FlatlabError (exit 1) when it
+    cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FlatlabError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     from .scenario import parse_scenario, run_scenario
 
     caps = parse_caps(args.caps)
     started = time.monotonic()
+    text = _read_text(args.file)
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            scn = parse_scenario(fh.read(), caps)
+        scn = parse_scenario(text, caps)
         result = run_scenario(scn, caps)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -197,8 +207,7 @@ def cmd_check(args) -> int:
     caps = parse_caps(args.caps)
     started = time.monotonic()
     F = _parse_functor_option(args.functor)
-    with open(args.extension, encoding="utf-8") as fh:
-        scn = parse_scenario(fh.read(), caps)
+    scn = parse_scenario(_read_text(args.extension), caps)
     if not scn.extensions:
         print("no [extension] defined in the file", file=sys.stderr)
         return 1

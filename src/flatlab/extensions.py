@@ -2,10 +2,12 @@
 flatness probes, and the certification engine for the local-pullback
 counterexample construction.
 
-An extension is a verified short exact sequence K -> E -> G in either
-group flavor.  Flatness of a functor on an extension is decided by exact
-element/lattice computation and reported with explicit witnesses locating
-the failing flag (left injectivity, middle exactness, right surjectivity).
+An extension K -> E -> G, in either group flavor, is fixed by its
+surjection E -> G: K is the kernel with its inclusion, so the sequence is
+exact by construction and only surjectivity is checked.  Flatness of a
+functor on an extension is decided by exact element/lattice computation
+and reported with explicit witnesses locating the failing flag (left
+injectivity, middle exactness, right surjectivity).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .abelian import (
     enumerate_ab_homs,
     image_lattice_basis,
     kernel_lattice_basis,
-    lattice_leq,
     n_torsion,
     perm_to_abelian,
     smith_normal_form,
@@ -61,47 +62,39 @@ PERM = "permutation"
 ABELIAN = "abelian"
 
 
-def _flavor_of(G) -> str:
-    if isinstance(G, PermGroup):
-        return PERM
-    if isinstance(G, AbGroup):
-        return ABELIAN
-    raise FlavorMismatchError(f"not a group object: {type(G).__name__}")
-
-
 class Extension:
-    """K >-> E ->> G, checked exact: the inclusion is injective, the
-    projection surjective, and the image of the inclusion equals the kernel
-    of the projection.  That image is then normal, being the kernel of a
-    verified homomorphism.
+    """The extension K >-> E ->> G fixed by its surjection ``proj``: E ->> G.
+
+    K is the kernel of ``proj`` and ``iota`` its inclusion: ``proj.kernel()``,
+    which lives in E's ambient, so that iota is the identity on codes, or
+    ``ab_kernel(proj)``, whose inclusion matrix is a basis of the kernel
+    lattice.  The sequence is then exact by definition, and only
+    surjectivity is checked (NotSurjectiveError):
+
+    - iota is injective, being an inclusion;
+    - iota(K) = K = ker(proj), as K is that kernel;
+    - K is normal in E, being the kernel of a homomorphism.
     """
 
-    def __init__(self, iota, proj, name: str | None = None, caps: Caps = DEFAULT_CAPS):
-        flavors = {_flavor_of(iota.domain), _flavor_of(iota.codomain),
-                   _flavor_of(proj.domain), _flavor_of(proj.codomain)}
-        if len(flavors) != 1:
-            raise FlavorMismatchError("extension mixes permutation and abelian groups")
-        self.flavor = flavors.pop()
-        if iota.codomain is not proj.domain:
-            raise FlatlabError("inclusion codomain must be the projection domain")
-        self.kernel_group = iota.domain
+    def __init__(self, proj, name: str | None = None, caps: Caps = DEFAULT_CAPS):
+        if isinstance(proj, GroupHom):
+            self.flavor = PERM
+            K = proj.kernel()
+            K.name = K.name or "ker"
+            iota = GroupHom.inclusion(K, proj.domain, caps)
+        elif isinstance(proj, AbHom):
+            self.flavor = ABELIAN
+            K, iota = ab_kernel(proj)
+        else:
+            raise FlavorMismatchError(f"not a homomorphism: {type(proj).__name__}")
+        if not proj.is_surjective():
+            raise NotSurjectiveError("extension projection is not surjective")
+        self.kernel_group = K
         self.total = proj.domain
         self.base = proj.codomain
         self.iota = iota
         self.proj = proj
         self.name = name
-        if not iota.is_injective():
-            raise FlatlabError("extension inclusion is not injective")
-        if not proj.is_surjective():
-            raise NotSurjectiveError("extension projection is not surjective")
-        if self.flavor == PERM:
-            if iota.image().code_set(caps) != proj.kernel().code_set(caps):
-                raise FlatlabError("image of inclusion != kernel of projection")
-        else:
-            im = image_lattice_basis(iota)
-            ker = kernel_lattice_basis(proj)
-            if not (lattice_leq(im, ker) and lattice_leq(ker, im)):
-                raise FlatlabError("image of inclusion != kernel of projection")
 
     def describe(self) -> str:
         if self.name:
@@ -115,27 +108,13 @@ class Extension:
         return f"Extension({self.describe()})"
 
 
-def from_surjection(p, name: str | None = None, caps: Caps = DEFAULT_CAPS) -> Extension:
-    """Extension with kernel ker(p) and its inclusion; NotSurjectiveError,
-    from the extension's own check, when p is not onto."""
-    if isinstance(p, GroupHom):
-        K = p.kernel()
-        K.name = K.name or "ker"
-        iota = GroupHom.inclusion(K, p.domain, caps)
-        return Extension(iota, p, name=name, caps=caps)
-    if isinstance(p, AbHom):
-        K, iota = ab_kernel(p)
-        return Extension(iota, p, name=name, caps=caps)
-    raise FlavorMismatchError(f"not a homomorphism: {type(p).__name__}")
-
-
 def extension_from_normal_subgroup(
     G: PermGroup, N: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> Extension:
     """N -> G -> G/N; an unnamed N is named by its order."""
     if N.name in (None, "ncl"):
         N.name = f"N{N.order(caps)}"
-    return from_surjection(quotient(G, N, caps)[1], caps=caps)
+    return Extension(quotient(G, N, caps)[1], caps=caps)
 
 
 def extensions_from_group(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Extension]:
@@ -161,12 +140,11 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
     In both flavors the canonical map k -> (iota k, 1), (iota k, 0) in the
     abelian flavor, is an isomorphism onto K' = ker(P -> X) by construction
     and is not checked.  Its image is iota(K) x 1 = ker(E -> G) x 1 =
-    {(e, 1) in P} = K', because ``ext`` was checked to have
-    iota(K) = ker(E -> G); it is injective because iota was checked
-    injective.
+    {(e, 1) in P} = K', and it is injective, because iota is the inclusion
+    of ker(E -> G) (see :class:`Extension`).
 
-    For permutation groups it is the verified iota composed with the hom
-    e -> (e, 1) (pair code e * |X's ambient|), and K' is the kernel
+    For permutation groups K lives in E's ambient, so the map is
+    k -> (k, 1), pair code k * |X's ambient|, and K' is the kernel
     ``pullback_group`` lists.  For abelian groups it is solved in P's
     basis; a (iota k, 0) outside P would be a bug, and raises."""
     if ext.flavor == PERM:
@@ -174,15 +152,14 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
         P, pr_x = pullback_group(ext.proj, f, caps)
         nx = f.domain.ambient(caps).size
-        iota = ext.iota.code_map()
+        K = ext.kernel_group
         canonical = GroupHom._from_codes(
-            ext.kernel_group, P,
-            [iota[k] * nx for k in ext.kernel_group.gen_codes(caps)], caps,
-            mapping={k: e * nx for k, e in iota.items()},
+            K, P, [k * nx for k in K.gen_codes(caps)], caps,
+            mapping={k: k * nx for k in K.codes(caps)},
         )
         # the isomorphism carries every radical of K to one of K'
         pr_x.kernel().transport = canonical
-        return PulledBackExtension(from_surjection(pr_x, caps=caps), canonical)
+        return PulledBackExtension(Extension(pr_x, caps=caps), canonical)
     if not isinstance(f, AbHom):
         raise FlavorMismatchError("abelian extension needs an AbHom leg")
     P, pr_e, pr_x = ab_pullback(ext.proj, f)
@@ -196,7 +173,7 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
     if sol is None:
         raise FlatlabError("canonical kernel map does not land in the pullback")
     canonical = AbHom(ext.kernel_group, P, sol.row_slice(0, P.ngens))
-    return PulledBackExtension(from_surjection(pr_x, caps=caps), canonical)
+    return PulledBackExtension(Extension(pr_x, caps=caps), canonical)
 
 
 def pullback_along_localization(
@@ -259,26 +236,27 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
+    # K = ker(proj) lives in E's ambient: iota is the identity on codes
     rk = radical_subgroup(F, ext.kernel_group, caps).code_set(caps)
     re = radical_subgroup(F, ext.total, caps).code_set(caps)
     rg = radical_subgroup(F, ext.base, caps).code_set(caps)
-    iota, proj = ext.iota.code_map(), ext.proj.code_map()
-    if any(iota[x] not in re for x in rk):
+    proj = ext.proj.code_map()
+    if not rk <= re:
         raise FlatlabError("naturality failed: inclusion does not preserve radical")
     if any(proj[x] not in rg for x in re):
         raise FlatlabError("naturality failed: projection does not preserve radical")
     witnesses: dict[str, str] = {}
     left = True
     for k in ext.kernel_group.codes(caps):
-        if iota[k] in re and k not in rk:
+        if k in re and k not in rk:
             left = False
             witnesses["left"] = (
                 f"kernel element {_cycles(ext.kernel_group, k)} maps into the radical "
                 "of the total group but lies outside the kernel's radical"
             )
             break
-    # iota(K) = ker(proj) and R(E) are normal, so iota(K)R(E) is the
-    # preimage of proj(R(E)): e lies in it iff proj(e) lies in proj(R(E))
+    # K = ker(proj) and R(E) are normal, so K R(E) is the preimage of
+    # proj(R(E)): e lies in it iff proj(e) lies in proj(R(E))
     total = ext.total
     proj_re = {proj[x] for x in re}
     middle = True
@@ -300,21 +278,20 @@ def _cycles(G: PermGroup, code: int) -> str:
 
 
 def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    sk = apply(F, ext.kernel_group, caps).result.codes(caps)
+    # K = ker(proj) lives in E's ambient: iota is the identity on codes
+    sk = apply(F, ext.kernel_group, caps).result.code_set(caps)
     se = apply(F, ext.total, caps).result.code_set(caps)
     sg = apply(F, ext.base, caps).result.code_set(caps)
-    iota, proj = ext.iota.code_map(), ext.proj.code_map()
-    if any(iota[x] not in se for x in sk):
+    proj = ext.proj.code_map()
+    if not sk <= se:
         raise FlatlabError("naturality failed: inclusion does not preserve the subfunctor")
     if any(proj[x] not in sg for x in se):
         raise FlatlabError("naturality failed: projection does not preserve the subfunctor")
     witnesses: dict[str, str] = {}
     left = True  # restriction of an injective map is injective
-    ker_total = ext.iota.image().code_set(caps)
-    im_restricted = {iota[x] for x in sk}
     middle = True
-    for e in sorted(se & ker_total):
-        if e not in im_restricted:
+    for e in sorted(se & ext.kernel_group.code_set(caps)):
+        if e not in sk:
             middle = False
             witnesses["middle"] = (
                 f"element {_cycles(ext.total, e)} is in the subfunctor of the total group "
@@ -335,6 +312,11 @@ def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
 
 
 def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:
+    """The three flags from lattices.  im(F iota) lies in ker(F proj) by
+    functoriality, as F(proj) F(iota) = F(proj iota) = F(0) = 0, so the
+    sequence is exact in the middle iff ker(F proj) lies in im(F iota): the
+    image lattice is factored once, and the first column of the kernel
+    basis that does not solve in it is the witness."""
     iota_ind = induce(F, ext.iota, caps)
     proj_ind = induce(F, ext.proj, caps)
     witnesses: dict[str, str] = {}
@@ -348,20 +330,19 @@ def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:
             f"localized kernel element {iota_ind.domain.format_element(elt)} "
             "dies in the localized total group"
         )
-    im = image_lattice_basis(iota_ind)
+    snf_im = smith_normal_form(image_lattice_basis(iota_ind))
     ker = kernel_lattice_basis(proj_ind)
-    middle = lattice_leq(ker, im) and lattice_leq(im, ker)
-    if not middle:
-        snf_im = smith_normal_form(im)
-        for j in range(ker.cols):
-            if solve_in_column_lattice(snf_im, ker.column(j)) is None:
-                elt = proj_ind.domain.from_raw(ker.column(j))
-                witnesses["middle"] = (
-                    f"element {proj_ind.domain.format_element(elt)} of the localized "
-                    "total group maps to zero in the localized base but is not in the "
-                    "image of the localized kernel"
-                )
-                break
+    middle = True
+    for j in range(ker.cols):
+        if solve_in_column_lattice(snf_im, ker.column(j)) is None:
+            middle = False
+            elt = proj_ind.domain.from_raw(ker.column(j))
+            witnesses["middle"] = (
+                f"element {proj_ind.domain.format_element(elt)} of the localized "
+                "total group maps to zero in the localized base but is not in the "
+                "image of the localized kernel"
+            )
+            break
     C, _ = ab_cokernel(proj_ind)
     right = C.is_trivial()
     if not right:
@@ -627,7 +608,7 @@ def certify_prop44(
     surj_aligned = _onto(surj, LG, caps, "surjection codomain is not the localization")
     hyp["surjection_onto_LG"] = surj_aligned.is_surjective()
 
-    source_ext = from_surjection(surj_aligned, caps=caps)
+    source_ext = Extension(surj_aligned, caps=caps)
     source_flatness = check_flatness(F, source_ext, caps)
 
     pullback_local: LocalityReport | None = None

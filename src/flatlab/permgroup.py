@@ -311,6 +311,7 @@ class PermGroup:
         self._gens = generators
         self._gen_codes = None
         self._amb = None
+        self._owns_ambient = True  # every code of the ambient is an element
         self._factors = None  # (A, B) for a direct product
         self.transport = None
         self.presentation = presentation
@@ -340,6 +341,7 @@ class PermGroup:
         G._gens = None
         G._gen_codes = None if gen_codes is None else tuple(gen_codes)
         G._amb = amb
+        G._owns_ambient = False
         G._factors = None
         G.transport = None
         G.presentation = None
@@ -399,6 +401,21 @@ class PermGroup:
         if p.degree != self.degree:
             return None
         return self.ambient(caps).encode(p.images)
+
+    def codes_of(
+        self, perms: Iterable[Permutation], error, caps: Caps | None = DEFAULT_CAPS
+    ) -> tuple[int, ...]:
+        """The codes of ``perms`` as elements of this group; ``error(p)`` is
+        raised for the first p that is not one, even when p lies in the
+        ambient.  A group that owns its ambient is all of it, and is not
+        listed to answer."""
+        perms = tuple(perms)
+        codes = tuple(self.encode(p, caps) for p in perms)
+        members = None if self._owns_ambient else self.code_set(caps)
+        for p, c in zip(perms, codes):
+            if c is None or (members is not None and c not in members):
+                raise error(p)
+        return codes
 
     def generate(
         self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS, start=None
@@ -487,19 +504,19 @@ class PermGroup:
         self, generators: Iterable[Permutation], name: str | None = None,
         caps: Caps = DEFAULT_CAPS,
     ) -> "PermGroup":
-        amb = self.ambient(caps)
-        codes = [self.encode(g) for g in generators]
-        if None in codes:
-            raise NotASubgroupError("subgroup generators lie outside the group")
-        return PermGroup._coded(amb, codes, name=name)
+        codes = self.codes_of(
+            generators,
+            lambda p: NotASubgroupError("subgroup generators lie outside the group"), caps,
+        )
+        return PermGroup._coded(self.ambient(caps), codes, name=name)
 
     def subgroup_from_elements(
         self, elements: Iterable[Permutation], name: str | None = None
     ) -> "PermGroup":
         """Subgroup whose full element set is already known and closed."""
-        codes = {self.encode(p) for p in elements}
-        if None in codes:
-            raise NotASubgroupError("elements lie outside the group")
+        codes = self.codes_of(
+            elements, lambda p: NotASubgroupError("elements lie outside the group"), None
+        )
         return self._sub(codes, name=name)
 
     def is_subgroup_of(self, other: "PermGroup", caps: Caps | None = None) -> bool:
@@ -603,12 +620,11 @@ class GroupHom:
             raise InvalidHomomorphismError(
                 f"{len(images)} images for {len(domain.generators)} generators"
             )
-        codomain.ambient(caps)
-        codes = tuple(map(codomain.encode, images))
-        if None in codes:
-            raise InvalidHomomorphismError(
-                f"image {images[codes.index(None)].cycle_string()} not in codomain"
-            )
+        codes = codomain.codes_of(
+            images,
+            lambda p: InvalidHomomorphismError(f"image {p.cycle_string()} not in codomain"),
+            caps,
+        )
         self._init(domain, codomain, codes, caps, name)
         self._images = images
 
@@ -616,6 +632,8 @@ class GroupHom:
     def _from_codes(
         cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None
     ) -> "GroupHom":
+        """The hom with these generator image codes, each the code of an
+        element of ``codomain`` by the caller's construction."""
         hom = cls.__new__(cls)
         hom._images = None
         hom._init(domain, codomain, tuple(codes), caps, None, mapping)
@@ -629,14 +647,7 @@ class GroupHom:
         self._caps = caps
         self._kernel = self._image = self._fibers = None
         if mapping is None:
-            cod_set = codomain.code_set(caps)
-            amb = codomain.ambient(caps)
-            for c in codes:
-                if c not in cod_set:
-                    raise InvalidHomomorphismError(
-                        f"image {amb.decode(c).cycle_string()} not in codomain"
-                    )
-            if domain._amb is amb and codes == domain.gen_codes(caps):
+            if domain._amb is codomain.ambient(caps) and codes == domain.gen_codes(caps):
                 # an inclusion: the domain is generated by these codes of the
                 # codomain (``_amb``, so a domain that is not listed stays unlisted)
                 mapping = {x: x for x in domain.codes(caps)}
@@ -658,8 +669,12 @@ class GroupHom:
         return self._map
 
     def apply(self, x: Permutation) -> Permutation:
-        c = self.domain.encode(x, self._caps)
-        return self.codomain.ambient(None).decode(self.code_map()[c])
+        (c,) = self.domain.codes_of(
+            (x,),
+            lambda p: NotASubgroupError(f"{p.cycle_string()} is not an element of the domain"),
+            self._caps,
+        )
+        return self.codomain.ambient(None).decode(self._map[c])
 
     def __call__(self, x: Permutation) -> Permutation:
         return self.apply(x)
@@ -712,13 +727,17 @@ class GroupHom:
 
     @classmethod
     def inclusion(cls, sub: PermGroup, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> "GroupHom":
-        if not sub.is_subgroup_of(G, caps):
-            raise NotASubgroupError("inclusion source is not a subgroup")
-        if sub.ambient(caps) is G.ambient(caps):
-            hom = cls._from_codes(sub, G, sub.gen_codes(caps), caps)
-            hom._image = sub
-            return hom
-        return cls(sub, G, sub.generators, caps=caps)
+        """sub -> G, x -> x, the identity on codes when sub lives in G's
+        ambient; the one membership check is on sub's generators."""
+        error = NotASubgroupError("inclusion source is not a subgroup")
+        if sub.ambient(caps) is not G.ambient(caps):
+            codes = G.codes_of(sub.generators, lambda p: error, caps)
+            return cls._from_codes(sub, G, codes, caps)
+        if not G.code_set(caps).issuperset(sub.gen_codes(caps)):
+            raise error
+        hom = cls._from_codes(sub, G, sub.gen_codes(caps), caps)
+        hom._image = sub
+        return hom
 
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
@@ -732,13 +751,9 @@ def normal_closure(
     G: PermGroup, elements: Iterable[Permutation], caps: Caps = DEFAULT_CAPS
 ) -> PermGroup:
     """Smallest normal subgroup of G containing the given elements."""
-    gset = G.code_set(caps)
-    codes = []
-    for e in elements:
-        c = G.encode(e)
-        if c not in gset:
-            raise NotASubgroupError(f"{e.cycle_string()} is not an element of G")
-        codes.append(c)
+    codes = G.codes_of(
+        elements, lambda e: NotASubgroupError(f"{e.cycle_string()} is not an element of G"), caps
+    )
     return normal_closure_codes(G, codes, caps)
 
 

@@ -24,12 +24,12 @@ from .catalog import (
 )
 from .errors import UnknownCaseError
 from .extensions import (
+    Extension,
     certify_prop44,
     check_flatness,
     check_right_exactness,
     extension_from_normal_subgroup,
     extensions_from_group,
-    from_surjection,
     probe_conditional_flatness,
     pullback_extension,
 )
@@ -206,7 +206,7 @@ def _case_thm_4_1(caps: Caps) -> CaseReport:
     for X, expected in ((Z, True), (Z2, True), (C4, False)):
         loc = is_local_wrt(X, phi, caps)
         rep.check(f"{X.describe()} local", expected, loc.is_local)
-    src = from_surjection(red, name="Z -> Z -> Z/2", caps=caps)
+    src = Extension(red, name="Z -> Z -> Z/2", caps=caps)
     src_rep = check_flatness(F, src, caps)
     rep.check("source extension flat", True, src_rep.is_flat)
     pulled = pullback_extension(src, phi_ab, caps)

@@ -44,7 +44,6 @@ from .extensions import (
     Extension,
     certify_prop44,
     check_flatness,
-    from_surjection,
     probe_conditional_flatness,
     pullback_extension,
 )
@@ -298,7 +297,7 @@ def parse_scenario(text: str, caps: Caps = DEFAULT_CAPS) -> Scenario:
                 if not sec.name:
                     raise ScenarioError("extension needs a name", sec.line)
                 p = _lookup(scn.homs, sec.require("surjection"), sec.line, "hom")
-                scn.extensions[sec.name] = from_surjection(p, name=sec.name, caps=caps)
+                scn.extensions[sec.name] = Extension(p, name=sec.name, caps=caps)
             elif sec.kind == "functor":
                 if not sec.name:
                     raise ScenarioError("functor needs a name", sec.line)

@@ -24,11 +24,11 @@ from flatlab.abelian import (
 )
 from flatlab.catalog import cyclic, default_battery, dihedral, elementary_abelian, symmetric
 from flatlab.extensions import (
+    Extension,
     check_flatness,
     check_right_exactness,
     certify_prop44,
     extensions_from_group,
-    from_surjection,
     pullback_extension,
 )
 from flatlab.functors import (
@@ -101,7 +101,7 @@ def test_criterion_01_quasivariety_counterexample_reproduction():
     C4 = AbGroup(1, IntMatrix([[4]]), name="C4")
     red = AbHom(Z, Z2, IntMatrix([[1]]))
     phi_leg = AbHom(C4, Z2, IntMatrix([[1]]))
-    src = from_surjection(red, name="Z -> Z -> Z/2")
+    src = Extension(red, name="Z -> Z -> Z/2")
     ok = check_flatness(QUASI, src).is_flat
     pulled = pullback_extension(src, phi_leg)
     ok = ok and pulled.extension.total.canonical_invariants() == (1, (2,))
@@ -199,15 +199,27 @@ def test_criterion_05_nullification_suite(battery_extensions, pullback_table):
             ok, time.monotonic() - start, 300.0)
 
 
+def _exact_at_the_kernel(ext) -> bool:
+    """iota injective, and iota(K) = ker(proj) as code sets, the kernel
+    read off the projection's map."""
+    iota = ext.iota.code_map()
+    killed = {e for e, g in ext.proj.code_map().items() if g == 0}
+    return ext.iota.is_injective() and set(iota.values()) == killed
+
+
 def test_checks_known_by_construction_would_pass(battery_extensions, pullback_table):
-    # an extension does not test that iota(K) is normal, a pullback does not
-    # test its canonical map, and a quotient hands its projection N as the
-    # kernel: each of these checks, run here, passes
-    assert all(is_normal(ext.iota.image(), ext.total) for ext in battery_extensions)
+    # an extension tests neither that iota is injective, nor that iota(K) is
+    # the kernel, nor that it is normal, a pullback does not test its
+    # canonical map, and a quotient hands its projection N as the kernel:
+    # each of these checks, run here, passes
+    for ext in battery_extensions:
+        assert _exact_at_the_kernel(ext)
+        assert is_normal(ext.iota.image(), ext.total)
     pulled_count = 0
     for _, pulled_list in pullback_table:
         for _, _, pulled in pulled_list:
             new, canonical = pulled.extension, pulled.canonical_kernel_map
+            assert _exact_at_the_kernel(new)
             assert is_normal(new.iota.image(), new.total)
             assert canonical.image().code_set() == new.kernel_group.code_set()
             assert canonical.is_injective()

@@ -114,6 +114,21 @@ def test_bad_scenario_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["run"], ["check", "--functor", "abelianization", "--extension"]],
+    ids=["run", "check"],
+)
+def test_an_unreadable_file_is_reported_and_exits_1(argv, tmp_path, capsys):
+    # a missing file and one that is not UTF-8 are errors, not tracebacks
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
+    for path in (tmp_path / "missing.scn", latin1):
+        assert main(argv + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+
 def test_caps_parsing():
     caps = parse_caps("order=2000,homs=99")
     assert caps.order == 2000

@@ -1,13 +1,18 @@
-"""Byte-for-byte comparison of CLI JSON output against committed golden files.
+"""Byte-for-byte comparison of CLI JSON output and demo output against
+committed golden files.
 
 The golden files under tests/golden/ are the ``--format json`` stdout of the
-registry cases, the shipped scenarios and one catalog search.  Refactors of
-the group machinery must leave every one of them unchanged.  To regenerate a
-file after an intended output change, run the command in ``CASES`` with
-``--format json`` and redirect stdout to the file.
+registry cases, the shipped scenarios and one catalog search, and the stdout
+of each demo (``demo-0N.txt`` for ``demos/0N_*.py``).  Refactors of the group
+machinery must leave every one of them unchanged.  To regenerate a file after
+an intended output change, run the command in ``CASES`` with ``--format
+json``, or the demo, and redirect stdout to the file.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,3 +49,19 @@ def test_json_output_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name[:2] for d in DEMOS])
+def test_demo_output_matches_golden(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    ))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = (GOLDEN / f"demo-{demo.name[:2]}.txt").read_bytes()
+    assert proc.stdout == expected

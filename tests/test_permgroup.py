@@ -169,6 +169,32 @@ def test_a_composite_needs_the_first_image_in_the_second_domain():
             f.then(GroupHom.inclusion(domain, S4))
 
 
+def test_a_permutation_outside_the_group_is_refused_even_in_its_ambient():
+    # A4 shares S4's ambient, so (0 1) has a code there but is not in A4
+    S4 = symmetric(4)
+    A4 = next(N for N in normal_subgroups(S4) if N.order() == 12)
+    t = parse_cycle_string("(0 1)", 4)
+    assert A4.encode(t) is not None and t not in A4
+    with pytest.raises(NotASubgroupError):
+        A4.subgroup([t])
+    with pytest.raises(NotASubgroupError):
+        A4.subgroup_from_elements([A4.identity(), t])
+    with pytest.raises(NotASubgroupError):
+        normal_closure(A4, [t])
+    with pytest.raises(InvalidHomomorphismError, match=r"image \(0 1\) not in codomain"):
+        GroupHom(cyclic(2), A4, (t,))
+    # apply: outside the domain but in its ambient, and outside the ambient
+    for hom in (GroupHom.inclusion(A4, S4), GroupHom.identity_hom(A4)):
+        for x in (t, parse_cycle_string("(0 1)", 5)):
+            with pytest.raises(NotASubgroupError, match="is not an element of the domain"):
+                hom.apply(x)
+    # an inclusion checks its source's generators, in either ambient
+    for sub in (S4, PermGroup(4, S4.generators)):
+        with pytest.raises(NotASubgroupError):
+            GroupHom.inclusion(sub, A4)
+    assert GroupHom.inclusion(PermGroup(4, A4.generators), S4).image().code_set() == A4.code_set()
+
+
 def test_kernel_order_product():
     D8 = dihedral(8)
     Q, proj = quotient(D8, derived_subgroup(D8))
