@@ -68,8 +68,8 @@ class Extension:
     K is the kernel of ``proj`` and ``iota`` its inclusion: ``proj.kernel()``,
     which lives in E's ambient, so that iota is the identity on codes, or
     ``ab_kernel(proj)``, whose inclusion matrix is a basis of the kernel
-    lattice.  The sequence is then exact by definition, and only
-    surjectivity is checked (NotSurjectiveError):
+    lattice.  The sequence is then exact by definition; only surjectivity is
+    checked (NotSurjectiveError), besides the inclusion's generator check:
 
     - iota is injective, being an inclusion;
     - iota(K) = K = ker(proj), as K is that kernel;

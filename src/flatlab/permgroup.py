@@ -885,6 +885,7 @@ def direct_product(
         dA + dB, gens, presentation=pres, presentation_exact=exact, name=prod_name
     )
     G._factors = (A, B)
+    G._owns_ambient = A._owns_ambient and B._owns_ambient  # all of A x B
     return G
 
 

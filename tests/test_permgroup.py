@@ -30,6 +30,7 @@ from flatlab.permgroup import (
     PermGroup,
     _conjugacy_class_sizes,
     _extend_mapping,
+    direct_product,
     find_isomorphism,
     is_isomorphic,
     is_normal,
@@ -193,6 +194,21 @@ def test_a_permutation_outside_the_group_is_refused_even_in_its_ambient():
         with pytest.raises(NotASubgroupError):
             GroupHom.inclusion(sub, A4)
     assert GroupHom.inclusion(PermGroup(4, A4.generators), S4).image().code_set() == A4.code_set()
+    # a product with a factor in a larger ambient computes in a larger product
+    # ambient, so it is no more all of it than A4 is all of S4's
+    G = direct_product(A4, cyclic(2))
+    t6 = parse_cycle_string("(0 1)", 6)
+    assert G.encode(t6) is not None and t6 not in G
+    with pytest.raises(NotASubgroupError):
+        G.subgroup([t6])
+    with pytest.raises(NotASubgroupError):
+        G.subgroup_from_elements([G.identity(), t6])
+    with pytest.raises(NotASubgroupError):
+        normal_closure(G, [t6])
+    with pytest.raises(InvalidHomomorphismError, match=r"image \(0 1\) not in codomain"):
+        GroupHom(cyclic(2), G, (t6,))
+    with pytest.raises(NotASubgroupError, match="is not an element of the domain"):
+        GroupHom.identity_hom(G).apply(t6)
 
 
 def test_kernel_order_product():
