@@ -11,7 +11,6 @@ the result is returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Sequence
@@ -167,13 +166,17 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
 
-@dataclass(frozen=True)
 class SmithNormalForm:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    """U*M*V = D, with the inverses Uinv and Vinv; immutable."""
+
+    __slots__ = ("U", "D", "V", "Uinv", "Vinv")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, Uinv: IntMatrix, Vinv: IntMatrix):
+        for name, value in zip(self.__slots__, (U, D, V, Uinv, Vinv)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SmithNormalForm is immutable")
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import parse_group_literal
@@ -191,13 +190,17 @@ def cmd_localize(args) -> int:
 
 def _parse_group_option(text: str):
     """A catalog literal, or the body of a scenario [group] abelian section;
-    the group is named by the literal text."""
+    the group is named by the literal text.  A malformed one is an error."""
     text = text.strip()
     if text.startswith("abelian"):
         from .scenario import _build_group, _parse_sections
 
         sec = _parse_sections(f"[group G] {text}")[0]
-        return _build_group(replace(sec, name=text))
+        sec.name = text
+        try:
+            return _build_group(sec)
+        except ValueError as exc:
+            raise FlatlabError(f"bad group {text!r}: {exc}") from None
     return parse_group_literal(text)
 
 

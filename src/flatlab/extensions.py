@@ -12,8 +12,6 @@ injectivity, middle exactness, right surjectivity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import (
     AbGroup,
     AbHom,
@@ -127,10 +125,12 @@ def extensions_from_group(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Exten
 # -- pullback of an extension -------------------------------------------------
 
 
-@dataclass
 class PulledBackExtension:
-    extension: Extension
-    canonical_kernel_map: object  # K -> ker(P -> X), an isomorphism
+    __slots__ = ("extension", "canonical_kernel_map")
+
+    def __init__(self, extension: Extension, canonical_kernel_map):
+        self.extension = extension
+        self.canonical_kernel_map = canonical_kernel_map  # K -> ker(P -> X), an isomorphism
 
 
 def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBackExtension:
@@ -196,14 +196,18 @@ def pullback_along_localization(
 # -- flatness ------------------------------------------------------------------
 
 
-@dataclass
 class FlatnessReport:
-    functor: str
-    extension: str
-    left_injective: bool
-    middle_exact: bool
-    right_surjective: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("functor", "extension", "left_injective", "middle_exact", "right_surjective",
+                 "witnesses")
+
+    def __init__(self, functor: str, extension: str, left_injective: bool, middle_exact: bool,
+                 right_surjective: bool, witnesses: dict[str, str]):
+        self.functor = functor
+        self.extension = extension
+        self.left_injective = left_injective
+        self.middle_exact = middle_exact
+        self.right_surjective = right_surjective
+        self.witnesses = witnesses
 
     @property
     def is_right_exact(self) -> bool:
@@ -374,15 +378,16 @@ def check_right_exactness(
 # -- induced sequence (honest objects, for reports and cross-checks) -----------
 
 
-@dataclass
 class InducedSequence:
-    extension: Extension
-    functor: str
-    left_group: object
-    middle_group: object
-    right_group: object
-    left_map: object
-    right_map: object
+    def __init__(self, extension: Extension, functor: str, left_group, middle_group,
+                 right_group, left_map, right_map):
+        self.extension = extension
+        self.functor = functor
+        self.left_group = left_group
+        self.middle_group = middle_group
+        self.right_group = right_group
+        self.left_map = left_map
+        self.right_map = right_map
 
 
 def induced_sequence(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) -> InducedSequence:
@@ -405,11 +410,11 @@ def induced_sequence(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) 
 # -- conditional flatness probe -------------------------------------------------
 
 
-@dataclass
 class ProbeEntry:
-    test_group: str
-    hom: str
-    report: FlatnessReport
+    def __init__(self, test_group: str, hom: str, report: FlatnessReport):
+        self.test_group = test_group
+        self.hom = hom
+        self.report = report
 
     def to_dict(self) -> dict:
         return {
@@ -419,12 +424,12 @@ class ProbeEntry:
         }
 
 
-@dataclass
 class ProbeReport:
-    extension: str
-    functor: str
-    base_flat: bool
-    entries: list[ProbeEntry]
+    def __init__(self, extension: str, functor: str, base_flat: bool, entries: list[ProbeEntry]):
+        self.extension = extension
+        self.functor = functor
+        self.base_flat = base_flat
+        self.entries = entries
 
     @property
     def all_pullbacks_flat(self) -> bool:
@@ -498,14 +503,16 @@ def _homs_into_base(X, ext: Extension, caps: Caps):
 # -- certification of the local-pullback construction ---------------------------
 
 
-@dataclass
 class CertifyReport:
-    hypotheses: dict[str, bool]
-    hypothesis_details: dict[str, str]
-    pullback_description: str
-    pullback_local: LocalityReport | None
-    source_flatness: FlatnessReport
-    conclusion_asserted: bool
+    def __init__(self, hypotheses: dict[str, bool], hypothesis_details: dict[str, str],
+                 pullback_description: str, pullback_local: LocalityReport | None,
+                 source_flatness: FlatnessReport, conclusion_asserted: bool):
+        self.hypotheses = hypotheses
+        self.hypothesis_details = hypothesis_details
+        self.pullback_description = pullback_description
+        self.pullback_local = pullback_local
+        self.source_flatness = source_flatness
+        self.conclusion_asserted = conclusion_asserted
 
     def all_hypotheses_hold(self) -> bool:
         return all(self.hypotheses.values())

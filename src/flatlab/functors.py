@@ -18,7 +18,6 @@ any other target runs the preimage chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
 from typing import Union
@@ -57,41 +56,64 @@ from .words import Presentation, Word, _split_top_level, parse_word
 # -- functor specifications --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Variety:
-    words: tuple[Word, ...]
+class _Spec:
+    """A functor specification: immutable, and equal and hashed by ``_key``,
+    the tuple of its parameters, since specs are the memo keys of radicals."""
+
+    __slots__ = ("_key",)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class Variety(_Spec):
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]):
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_key", (words,))
 
     def describe(self) -> str:
         return f"variety({','.join(w.text() for w in self.words)})"
 
 
-@dataclass(frozen=True)
-class NilpotentQuotient:
-    nilpotency_class: int
+class NilpotentQuotient(_Spec):
+    __slots__ = ("nilpotency_class",)
 
-    def __post_init__(self):
-        if self.nilpotency_class < 1:
+    def __init__(self, nilpotency_class: int):
+        if nilpotency_class < 1:
             raise ValueError("nilpotency class must be >= 1")
+        object.__setattr__(self, "nilpotency_class", nilpotency_class)
+        object.__setattr__(self, "_key", (nilpotency_class,))
 
     def describe(self) -> str:
         return f"nilpotent(class={self.nilpotency_class})"
 
 
-@dataclass(frozen=True)
-class Abelianization:
+class Abelianization(_Spec):
+    __slots__ = ()
+    _key = ()  # no parameters
+
     def describe(self) -> str:
         return "abelianization"
 
 
-@dataclass(frozen=True)
-class Nullification:
-    target: Presentation
+class Nullification(_Spec):
+    __slots__ = ("target",)
 
-    def __post_init__(self):
-        if len(self.target.generators) > 3:
+    def __init__(self, target: Presentation):
+        if len(target.generators) > 3:
             raise UnsupportedFunctorError(
                 "nullification target limited to <= 3 generators"
             )
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_key", (target,))
 
     def describe(self) -> str:
         gens = ",".join(self.target.generators)
@@ -99,16 +121,17 @@ class Nullification:
         return f"nullification(<{gens}|{rels}>)"
 
 
-@dataclass(frozen=True)
-class QuasiVarietyReflection:
-    rules: tuple[tuple[Word, Word], ...]
+class QuasiVarietyReflection(_Spec):
+    __slots__ = ("rules",)
 
-    def __post_init__(self):
-        for cond, imp in self.rules:
+    def __init__(self, rules: tuple[tuple[Word, Word], ...]):
+        for cond, imp in rules:
             if cond.arity > 1 or imp.arity > 1:
                 raise UnsupportedFunctorError(
                     "quasi-variety rules must be one-variable words"
                 )
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_key", (rules,))
 
     def describe(self) -> str:
         return "quasivariety(" + ";".join(
@@ -116,13 +139,14 @@ class QuasiVarietyReflection:
         ) + ")"
 
 
-@dataclass(frozen=True)
-class SpSubfunctor:
-    p: int
+class SpSubfunctor(_Spec):
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise FlatlabError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise FlatlabError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_key", (p,))
 
     def describe(self) -> str:
         return f"sp(p={self.p})"
@@ -145,8 +169,27 @@ def functor_kind(F: FunctorSpec) -> str:
     return SUBFUNCTOR if isinstance(F, SpSubfunctor) else EPIREFLECTION
 
 
+_PARAMETERS = {
+    "abelianization": (),
+    "nilpotent": ("class",),
+    "variety": ("words",),
+    "nullification": ("H",),
+    "quasivariety": ("cond", "impose"),
+    "sp": ("p",),
+}
+
+
 def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> FunctorSpec:
-    """Shared by scenario [functor] sections and the CLI --functor option."""
+    """Shared by scenario [functor] sections and the CLI --functor option;
+    an unknown kind or parameter and a malformed value are ScenarioErrors."""
+    if kind not in _PARAMETERS:
+        raise ScenarioError(f"unknown functor kind {kind!r}", line)
+    for key in params:
+        if key not in _PARAMETERS[kind]:
+            known = ", ".join(_PARAMETERS[kind]) or "none"
+            raise ScenarioError(
+                f"functor {kind} has no parameter {key!r} (known: {known})", line
+            )
     try:
         if kind == "abelianization":
             return Abelianization()
@@ -174,21 +217,23 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
             return QuasiVarietyReflection(
                 ((one_var(params["cond"]), one_var(params["impose"])),)
             )
-        if kind == "sp":
-            return SpSubfunctor(int(params["p"]))
+        return SpSubfunctor(int(params["p"]))  # the last kind left
     except KeyError as exc:
         raise ScenarioError(f"functor {kind} missing parameter {exc}", line) from None
-    raise ScenarioError(f"unknown functor kind {kind!r}", line)
+    except ValueError as exc:
+        raise ScenarioError(f"functor {kind}: {exc}", line) from None
 
 
-@dataclass
 class LocalizedResult:
-    functor: FunctorSpec
-    source: object
-    result: object
-    eta: object  # projection (epireflection) or inclusion (subfunctor)
-    radical: object | None  # kernel of eta, for epireflections
-    kind: str
+    __slots__ = ("functor", "source", "result", "eta", "radical", "kind")
+
+    def __init__(self, functor: FunctorSpec, source, result, eta, radical, kind: str):
+        self.functor = functor
+        self.source = source
+        self.result = result
+        self.eta = eta  # projection (epireflection) or inclusion (subfunctor)
+        self.radical = radical  # kernel of eta, for epireflections; else None
+        self.kind = kind
 
 
 # -- application: permutation flavor -----------------------------------------
@@ -573,14 +618,15 @@ def standard_quasi_c4_c2() -> tuple[TestMap, QuasiVarietyReflection]:
     return phi, F
 
 
-@dataclass
 class LocalityReport:
-    group: str
-    test_map: str
-    hom_count_b: int
-    hom_count_a: int
-    is_local: bool
-    witness: str | None
+    def __init__(self, group: str, test_map: str, hom_count_b: int, hom_count_a: int,
+                 is_local: bool, witness: str | None):
+        self.group = group
+        self.test_map = test_map
+        self.hom_count_b = hom_count_b
+        self.hom_count_a = hom_count_a
+        self.is_local = is_local
+        self.witness = witness
 
     def verdict(self) -> str:
         return "local" if self.is_local else "not local"
@@ -667,13 +713,14 @@ def is_acyclic(F: FunctorSpec, X, caps: Caps = DEFAULT_CAPS) -> bool:
     return apply(F, X, caps).result.is_trivial()
 
 
-@dataclass
 class IdempotencyReport:
-    functor: str
-    first_order: int | None
-    second_order: int | None
-    idempotent: bool
-    detail: str
+    def __init__(self, functor: str, first_order: int | None, second_order: int | None,
+                 idempotent: bool, detail: str):
+        self.functor = functor
+        self.first_order = first_order
+        self.second_order = second_order
+        self.idempotent = idempotent
+        self.detail = detail
 
 
 def idempotency_check(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> IdempotencyReport:

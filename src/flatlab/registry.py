@@ -8,8 +8,6 @@ Case ids are the stable external contract of reproduce()/the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import (
@@ -48,11 +46,11 @@ from .verbal import derived_subgroup
 from .words import Word
 
 
-@dataclass
 class Assertion:
-    name: str
-    expected: str
-    actual: str
+    def __init__(self, name: str, expected: str, actual: str):
+        self.name = name
+        self.expected = expected
+        self.actual = actual
 
     @property
     def ok(self) -> bool:
@@ -67,12 +65,12 @@ class Assertion:
         }
 
 
-@dataclass
 class CaseReport:
-    case_id: str
-    title: str
-    assertions: list[Assertion] = field(default_factory=list)
-    reports: dict = field(default_factory=dict)
+    def __init__(self, case_id: str, title: str):
+        self.case_id = case_id
+        self.title = title
+        self.assertions: list[Assertion] = []
+        self.reports: dict = {}
 
     @property
     def passed(self) -> bool:

@@ -34,7 +34,6 @@ any cap-exhaustion verdict, which is never a silent pass), 1 execution error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, perm_to_abelian
 from .caps import DEFAULT_CAPS, Caps
@@ -56,13 +55,21 @@ from .words import Presentation, Word, parse_word, _split_top_level
 _HEADER = re.compile(r"^\[\s*(group|hom|extension|functor|directive)\s*([A-Za-z_0-9.'-]*)\s*\]\s*(.*)$")
 
 
-@dataclass
 class Section:
-    kind: str
-    name: str | None
-    form: str | None
-    fields: tuple[tuple[str, str], ...]
-    line: int = field(compare=False, default=0)
+    def __init__(self, kind: str, name: str | None, form: str | None,
+                 fields: tuple[tuple[str, str], ...], line: int):
+        self.kind = kind
+        self.name = name
+        self.form = form
+        self.fields = fields
+        self.line = line
+
+    def __eq__(self, other) -> bool:
+        # the same text on another line is the same section
+        return isinstance(other, Section) and (
+            (self.kind, self.name, self.form, self.fields)
+            == (other.kind, other.name, other.form, other.fields)
+        )
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.fields:
@@ -77,15 +84,15 @@ class Section:
         return v
 
 
-@dataclass
 class Scenario:
-    sections: list[Section]
-    groups: dict[str, object] = field(default_factory=dict)
-    homs: dict[str, object] = field(default_factory=dict)
-    hom_words: dict[str, tuple] = field(default_factory=dict)
-    extensions: dict[str, Extension] = field(default_factory=dict)
-    functors: dict[str, FunctorSpec] = field(default_factory=dict)
-    directives: list[Section] = field(default_factory=list)
+    def __init__(self, sections: list[Section]):
+        self.sections = sections
+        self.groups: dict[str, object] = {}
+        self.homs: dict[str, object] = {}
+        self.hom_words: dict[str, tuple] = {}
+        self.extensions: dict[str, Extension] = {}
+        self.functors: dict[str, FunctorSpec] = {}
+        self.directives: list[Section] = []
 
     def to_text(self) -> str:
         lines = []
@@ -314,14 +321,15 @@ def parse_scenario(text: str, caps: Caps = DEFAULT_CAPS) -> Scenario:
 # -- execution ----------------------------------------------------------------
 
 
-@dataclass
 class DirectiveResult:
-    kind: str
-    summary: str
-    verdict: str
-    expectation: str | None
-    matched: bool | None  # None when no expectation clause
-    payload: dict
+    def __init__(self, kind: str, summary: str, verdict: str, expectation: str | None,
+                 matched: bool | None, payload: dict):
+        self.kind = kind
+        self.summary = summary
+        self.verdict = verdict
+        self.expectation = expectation
+        self.matched = matched  # None when no expectation clause
+        self.payload = payload
 
     def to_dict(self) -> dict:
         return {
@@ -334,10 +342,10 @@ class DirectiveResult:
         }
 
 
-@dataclass
 class RunResult:
-    exit_code: int
-    results: list[DirectiveResult]
+    def __init__(self, exit_code: int, results: list[DirectiveResult]):
+        self.exit_code = exit_code
+        self.results = results
 
     def to_dict(self) -> dict:
         return {

@@ -9,8 +9,6 @@ flatness verdict and witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import default_battery
 from .errors import CapExceededError
@@ -22,13 +20,14 @@ from .extensions import (
 from .functors import FunctorSpec
 
 
-@dataclass
 class SearchHit:
-    extension: str
-    source_group: str
-    test_group: str
-    hom: str
-    verdict: dict
+    def __init__(self, extension: str, source_group: str, test_group: str, hom: str,
+                 verdict: dict):
+        self.extension = extension
+        self.source_group = source_group
+        self.test_group = test_group
+        self.hom = hom
+        self.verdict = verdict
 
     def to_dict(self) -> dict:
         return {
@@ -40,16 +39,16 @@ class SearchHit:
         }
 
 
-@dataclass
 class SearchReport:
-    functor: str
-    max_order: int
-    probe_max_order: int
-    extensions_scanned: int = 0
-    flat_extensions: int = 0
-    pullbacks_checked: int = 0
-    hits: list[SearchHit] = field(default_factory=list)
-    cap_failures: list[str] = field(default_factory=list)
+    def __init__(self, functor: str, max_order: int, probe_max_order: int):
+        self.functor = functor
+        self.max_order = max_order
+        self.probe_max_order = probe_max_order
+        self.extensions_scanned = 0
+        self.flat_extensions = 0
+        self.pullbacks_checked = 0
+        self.hits: list[SearchHit] = []
+        self.cap_failures: list[str] = []
 
     def to_dict(self) -> dict:
         return {

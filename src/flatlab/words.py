@@ -9,7 +9,6 @@ Commutators use the convention [a, b] = a^-1 b^-1 a b.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -30,14 +29,22 @@ def _reduce(letters) -> tuple[tuple[int, int], ...]:
     return tuple((s, e) for s, e in out)
 
 
-@dataclass(frozen=True)
 class Word:
-    letters: tuple[tuple[int, int], ...] = ()
+    """Immutable, and equal and hashed by its reduced letters."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce(self.letters))
+    __slots__ = ("letters", "_hash")
+
+    def __init__(self, letters=()):
+        letters = _reduce(letters)
+        object.__setattr__(self, "letters", letters)
         # hashed once: functor specs holding words are memo keys
-        object.__setattr__(self, "_hash", hash(self.letters))
+        object.__setattr__(self, "_hash", hash(letters))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Word is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
         return self._hash
@@ -200,21 +207,33 @@ def parse_word(text: str, alphabet: Sequence[str] | None = None) -> Word:
     return w
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    """Immutable, and equal by generator names and relators."""
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    __slots__ = ("generators", "relators", "_hash")
+
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for rel in self.relators:
-            if rel.arity > len(self.generators):
+        for rel in relators:
+            if rel.arity > len(generators):
                 raise ValueError(
                     f"relator {rel.text()} uses undeclared generators"
                 )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
         # from integers only, so it does not depend on the string hash seed
-        object.__setattr__(self, "_hash", hash((len(self.generators), self.relators)))
+        object.__setattr__(self, "_hash", hash((len(generators), relators)))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Presentation is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Presentation)
+            and self.generators == other.generators
+            and self.relators == other.relators
+        )
 
     def __hash__(self) -> int:
         return self._hash

@@ -252,3 +252,36 @@ def test_non_positive_cap_is_bad_input_not_cap_exhaustion(value, capsys):
     assert main(argv + ["--caps", f"order={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cap 'order'") and "cap exceeded" not in err
+
+
+@pytest.mark.parametrize(
+    "option, literal",
+    [
+        ("--functor", "nilpotent class=0"),
+        ("--functor", "nilpotent class=x"),
+        ("--functor", "variety words=[x1^]"),
+        ("--functor", "sp p=x"),
+        ("--group", "abelian torsion=[1]"),
+    ],
+)
+def test_a_malformed_literal_is_an_error_not_a_traceback(option, literal, capsys):
+    # every command that reads the literal reports it on stderr and exits 1
+    if option == "--group":
+        argvs = [["localize", "--functor", "abelianization", "--group", literal]]
+    else:
+        argvs = [
+            ["localize", "--functor", literal, "--group", "cyclic(4)"],
+            ["check", "--functor", literal, "--extension", str(SCENARIOS / "prop-4.6.scn")],
+            ["search", "--functor", literal, "--max-order", "4"],
+        ]
+    for argv in argvs:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_an_unknown_functor_parameter_is_named(capsys):
+    argv = ["localize", "--functor", "abelianization foo=1", "--group", "cyclic(4)"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'foo'" in err

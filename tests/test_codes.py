@@ -115,7 +115,9 @@ def test_search_reports_how_far_a_capped_closure_got():
 
 
 def test_fresh_import_builds_no_table_and_loads_no_application_layer():
-    # a scenario with no reproduce or search directive loads neither module
+    # a scenario with no reproduce or search directive loads neither module,
+    # and no command loads dataclasses or the inspect, ast, dis and tokenize
+    # it imports, which every cold start would pay for
     probe = (
         "import sys, flatlab\n"
         "battery = flatlab.default_battery()\n"
@@ -130,6 +132,9 @@ def test_fresh_import_builds_no_table_and_loads_no_application_layer():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert flatlab.cli.main(['run', {str(SCENARIO)!r}]) == 0\n"
         "assert not [m for m in ('registry', 'search') if 'flatlab.' + m in sys.modules]\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         "for name in ('CaseReport', 'case_ids', 'reproduce', 'Scenario',\n"
         "             'parse_scenario', 'run_scenario', 'SearchReport',\n"
         "             'search_counterexamples'):\n"

@@ -448,6 +448,27 @@ def test_equal_specs_built_apart_share_one_memo_entry():
     assert seeds[0] == seeds[1]
 
 
+def test_value_records_are_immutable_and_caps_reject_unknown_names():
+    x = parse_word("x1^2")
+    records = {
+        DEFAULT_CAPS: "order",
+        x: "letters",
+        Presentation.parse("x", "x^2"): "relators",
+        Variety((x,)): "words",
+        NilpotentQuotient(2): "nilpotency_class",
+        Nullification(cyclic(2).presentation): "target",
+        QuasiVarietyReflection(((x, x),)): "rules",
+        SpSubfunctor(2): "p",
+    }
+    for record, field in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert DEFAULT_CAPS.with_(order=7) == Caps(order=7) != DEFAULT_CAPS
+    assert hash(DEFAULT_CAPS.with_(order=7)) == hash(Caps(order=7))
+    with pytest.raises(TypeError):
+        DEFAULT_CAPS.with_(bogus=1)
+
+
 def test_induced_maps_make_the_naturality_square_commute(battery_pullbacks):
     # induce gives LG's generators, the eta-images of G's generators, the
     # images eta(f(g)); the square eta_cod f = induced eta_dom then holds on

@@ -230,3 +230,10 @@ def test_parse_scenario_applies_caps_and_lets_cap_errors_through():
     assert "pr" in parse_scenario(text).homs
     with pytest.raises(CapExceededError):
         parse_scenario(text, Caps(order=4))
+
+
+def test_an_unknown_functor_parameter_is_a_scenario_error():
+    text = "[functor W] kind=variety words=[x1^4] wrods=[x1^2]\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert "'wrods'" in str(exc.value) and "line 1" in str(exc.value)
