@@ -76,6 +76,7 @@ from .functors import (
     Abelianization,
     FunctorSpec,
     LocalityReport,
+    Localization,
     LocalizedResult,
     NilpotentQuotient,
     Nullification,

@@ -22,7 +22,6 @@ from .abelian import (
     enumerate_ab_homs,
     image_lattice_basis,
     kernel_lattice_basis,
-    n_torsion,
     perm_to_abelian,
     smith_normal_form,
     solve_columns,
@@ -39,7 +38,7 @@ from .functors import (
     FunctorSpec,
     LocalityReport,
     TestMap,
-    _cyclic_order_of_presentation,
+    abelian_hom_group,
     apply,
     functor_kind,
     induce,
@@ -540,11 +539,7 @@ class CertifyReport:
 def _hom_set_trivial(pres, E, caps: Caps) -> bool:
     if isinstance(E, PermGroup):
         return len(hom_image_codes(pres, E, caps)) == 1
-    n = _cyclic_order_of_presentation(pres)
-    if n is None or n == 0:
-        raise FlatlabError("triviality of the hom set needs a finite cyclic source")
-    T, _ = n_torsion(E, n)
-    return T.is_trivial()
+    return abelian_hom_group(pres, E)[0].is_trivial()
 
 
 def ab_canonical_iso(A: AbGroup, B: AbGroup) -> AbHom:

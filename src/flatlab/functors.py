@@ -1,24 +1,23 @@
 """The cast of group endofunctors: variety reflections, nilpotent quotients,
-abelianization, nullifications, quasi-variety reflections, and the
-order-p-generated subgroup subfunctor — with localization maps, induced maps,
-locality and acyclicity tests.
+abelianization, localizations L_f (nullifications and quasi-variety
+reflections among them), and the order-p-generated subgroup subfunctor —
+with localization maps, induced maps, locality and acyclicity tests.
 
 Epireflections return a surjective structure map eta with its kernel (the
 radical); the subfunctor returns an inclusion.  All functors apply to finite
-permutation groups; the abelian flavor supports every variety word (words
-collapse to exponent sums), quasi-variety rules, S_p as p-torsion, and
-nullification at a finite cyclic group.
+permutation groups and to finitely generated abelian groups.
 
-The nullification radical at a solvable target H is generated by the
-pi-elements of G, pi the primes dividing |H^ab| (Cauchy's theorem), and is
-all of G when H^ab has a Z summand.  H is solvable when its presentation is
-abelian or its Todd-Coxeter realization has a derived series reaching 1;
-any other target runs the preimage chain.
+L_f, f : A = <X | R> ->> <X | R u S>, has one rule per flavor: in G the
+radical is the preimage chain N_(i+1) = <<N_i, s(x) : x solves R in G/N_i,
+s in S>>; an abelian M is quotiented by the images s(h), h in
+Hom(A, M) = Hom(A^ab, M), until they vanish.  For f = A ->> 1 with A
+solvable the radical is generated by the pi-elements of G, pi the primes
+dividing |A^ab|.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from math import gcd, prod
 from typing import Union
 
@@ -104,7 +103,31 @@ class Abelianization(_Spec):
         return "abelianization"
 
 
-class Nullification(_Spec):
+class Localization(_Spec):
+    """L_f, localization at f : A = <X | R> ->> <X | R u S> (Farjoun, LNM
+    1622, 1996): G is f-local when every solution of R in G satisfies S.
+    ``conditions`` holds the (A, S) pairs: nullification P_A is f = A ->> 1,
+    S = X; each quasi-variety rule x^a => x^b is f = C_a ->> C_gcd(a,b)."""
+
+    __slots__ = ("conditions", "nullified")
+
+    def __init__(self, *conditions: tuple[Presentation, tuple[Word, ...]]):
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "_key", conditions)
+        # A when f is A ->> 1: one condition, its S holding every generator of A
+        kills = [{((i, 1),) for i in range(len(A.generators))} <= {w.letters for w in S}
+                 for A, S in conditions]
+        object.__setattr__(self, "nullified", conditions[0][0] if kills == [True] else None)
+
+    def describe(self) -> str:
+        return ";".join(
+            f"orthogonal(<{','.join(A.generators)}|{','.join(A.relator_texts())}>"
+            f"=>{','.join(w.text(A.generators) for w in S)})"
+            for A, S in self.conditions
+        )
+
+
+class Nullification(Localization):
     __slots__ = ("target",)
 
     def __init__(self, target: Presentation):
@@ -112,8 +135,9 @@ class Nullification(_Spec):
             raise UnsupportedFunctorError(
                 "nullification target limited to <= 3 generators"
             )
+        super().__init__((target, tuple(map(Word.generator, range(len(target.generators))))))
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_key", (target,))
+        object.__setattr__(self, "_key", (target,))  # cheaper to hash per memo lookup
 
     def describe(self) -> str:
         gens = ",".join(self.target.generators)
@@ -121,17 +145,15 @@ class Nullification(_Spec):
         return f"nullification(<{gens}|{rels}>)"
 
 
-class QuasiVarietyReflection(_Spec):
+class QuasiVarietyReflection(Localization):
     __slots__ = ("rules",)
 
     def __init__(self, rules: tuple[tuple[Word, Word], ...]):
-        for cond, imp in rules:
-            if cond.arity > 1 or imp.arity > 1:
-                raise UnsupportedFunctorError(
-                    "quasi-variety rules must be one-variable words"
-                )
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_key", (rules,))
+        super().__init__(*(
+            (Presentation(tuple(f"x{i + 1}" for i in range(max(c.arity, u.arity, 1))), (c,)), (u,))
+            for c, u in rules
+        ))
 
     def describe(self) -> str:
         return "quasivariety(" + ";".join(
@@ -156,8 +178,7 @@ FunctorSpec = Union[
     Variety,
     NilpotentQuotient,
     Abelianization,
-    Nullification,
-    QuasiVarietyReflection,
+    Localization,
     SpSubfunctor,
 ]
 
@@ -175,8 +196,14 @@ _PARAMETERS = {
     "variety": ("words",),
     "nullification": ("H",),
     "quasivariety": ("cond", "impose"),
+    "orthogonal": ("gens", "rels", "impose"),
     "sp": ("p",),
 }
+
+
+def _word_list(text: str, alphabet=None) -> tuple[Word, ...]:
+    """The words of a bracketed list such as [x1^2,[x1,x2]]."""
+    return tuple(parse_word(chunk, alphabet) for chunk in _split_top_level(text.strip()[1:-1]))
 
 
 def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> FunctorSpec:
@@ -196,11 +223,7 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
         if kind == "nilpotent":
             return NilpotentQuotient(int(params["class"]))
         if kind == "variety":
-            words = tuple(
-                parse_word(chunk)
-                for chunk in _split_top_level(params["words"].strip()[1:-1])
-            )
-            return Variety(words)
+            return Variety(_word_list(params["words"]))
         if kind == "nullification":
             H = parse_group_literal(params["H"])
             if H.presentation is None:
@@ -217,6 +240,9 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
             return QuasiVarietyReflection(
                 ((one_var(params["cond"]), one_var(params["impose"])),)
             )
+        if kind == "orthogonal":
+            A = Presentation.parse(params["gens"], params["rels"].strip()[1:-1])
+            return Localization((A, _word_list(params["impose"], A.generators)))
         return SpSubfunctor(int(params["p"]))  # the last kind left
     except KeyError as exc:
         raise ScenarioError(f"functor {kind} missing parameter {exc}", line) from None
@@ -240,41 +266,15 @@ class LocalizedResult:
 
 
 @cache
-def _abelian_product_form(pres: Presentation) -> tuple[int, ...] | None:
-    """Exponents n_i if pres is <x_1..x_k | x_i^{n_i}, all [x_i,x_j]>; the
-    one reader of abelian presentations (empty relators are skipped)."""
-    k = len(pres.generators)
-    powers = {}
-    pairs = set()
-    for rel in pres.relators:
-        if rel.is_empty():
-            continue
-        if len(rel.letters) == 1:
-            sym, exp = rel.letters[0]
-            powers[sym] = gcd(powers.get(sym, 0), abs(exp))
-        else:
-            found = None
-            for i in range(k):
-                for j in range(k):
-                    if i != j and rel == Word.commutator(
-                        Word.generator(i), Word.generator(j)
-                    ):
-                        found = frozenset((i, j))
-            if found is None:
-                return None
-            pairs.add(found)
-    if k > 1 and pairs != {
-        frozenset((i, j)) for i in range(k) for j in range(i + 1, k)
-    }:
-        return None
-    return tuple(powers.get(i, 0) for i in range(k))
-
-
-def _cyclic_order_of_presentation(pres: Presentation) -> int | None:
-    """n when pres presents C_n on one generator (0 for Z): the one-generator
-    case of ``_abelian_product_form``."""
-    form = _abelian_product_form(pres)
-    return form[0] if form is not None and len(form) == 1 else None
+def _exponent_sums(words: tuple[Word, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """The words' nonzero exponent-sum columns over k generators, each with
+    its first nonzero entry positive: <X | R>^ab is Z^|X| modulo R's."""
+    cols = []
+    for w in words:
+        col = [sum(e for s, e in w.letters if s == i) for i in range(k)]
+        if any(col):
+            cols.append(tuple(c if next(filter(None, col)) > 0 else -c for c in col))
+    return tuple(cols)
 
 
 def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
@@ -291,13 +291,40 @@ def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
     return N
 
 
-def _hom_components(pres: Presentation, G: PermGroup, N: PermGroup, caps: Caps) -> set:
-    """Every component of every hom from pres into G/N, lifted to coset
-    representatives (validity and the generated subgroup mod N depend only
-    on the cosets)."""
-    reps, _ = right_cosets(G, N.codes(caps), caps)
-    solutions = relator_solutions(pres, G, reps, N.code_set(caps), caps)
-    return {y for images in solutions for y in images}
+def _lifted_seeds(A: Presentation, S, G: PermGroup, caps: Caps):
+    """seeds(N) = { s(x) : x a solution of A's relators in G/N, s in S },
+    each solution lifted to coset representatives: whether x solves the
+    relators, and s(x) modulo N, depend only on the cosets."""
+    evaluate = G.ambient(caps).evaluate
+
+    def seeds(N: PermGroup) -> set:
+        reps, _ = right_cosets(G, N.codes(caps), caps)
+        solutions = relator_solutions(A, G, reps, N.code_set(caps), caps)
+        return {evaluate(w, x) for x in solutions for w in S}
+
+    return seeds
+
+
+def _evaluated_seeds(A: Presentation, S, G: PermGroup, caps: Caps):
+    """``_lifted_seeds`` for a one-generator A, evaluated once per element.
+
+    A one-generator word takes g to g^e, e its exponent sum, so g solves
+    A's relators modulo N exactly when t(g) = g^a lies in N, a the gcd of
+    their exponent sums.  The pairs (t(g), s(g)) do not change along the
+    chain, so they are computed once and each step only asks which t(g) lie
+    in N.  Every g = xn, x a coset representative and n in N, gives
+    t(g) in t(x)N and s(g) in s(x)N: g solves exactly when x does, and adds
+    a seed of the coset s(x)N, so both seed sets give the same
+    <<N, seeds(N)>> at every step and the same chain."""
+    power = G.ambient(caps).power
+    a, bs = gcd(*(r.exponent_sum() for r in A.relators)), [w.exponent_sum() for w in S]
+    pairs = {(power(g, a), power(g, b)) for b in bs for g in G.codes(caps)}
+
+    def seeds(N: PermGroup) -> set:
+        n_set = N.code_set(caps)
+        return {u for t, u in pairs if t in n_set}
+
+    return seeds
 
 
 @cache
@@ -308,77 +335,55 @@ def _pi_exponent(pres: Presentation, caps: Caps) -> int | None:
 
     H^ab is Z^k modulo the relators' exponent sums: one Smith normal form.
     A free rank needs no realization, as H then maps onto Z and so onto
-    every C_p.  An abelian H is solvable by ``_abelian_product_form``; any
-    other H is realized by Todd-Coxeter coset enumeration (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, §5.1) and is
-    solvable when its derived series reaches 1.  A perfect section (A5) or
-    a realization beyond the caps gives None."""
+    every C_p.  Otherwise H is realized by Todd-Coxeter coset enumeration
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+    §5.1) and is solvable when its derived series reaches 1; the answer is
+    memoised per (H, caps).  A perfect section (A5) or a realization beyond
+    the caps gives None."""
     k = len(pres.generators)
-    sums = [[0] * k for _ in pres.relators]
-    for col, rel in zip(sums, pres.relators):
-        for sym, exp in rel.letters:
-            col[sym] += exp
-    Hab = AbGroup(k, IntMatrix.from_columns(sums, k))
+    Hab = AbGroup(k, IntMatrix.from_columns(_exponent_sums(pres.relators, k), k))
     if Hab.rank:
         return 0
-    if _abelian_product_form(pres) is None:
-        try:
-            D = realize_presentation(pres, caps)
-            while not D.is_trivial():
-                D2 = derived_subgroup(D, caps)
-                if D2.order(caps) == D.order(caps):
-                    return None  # a perfect section
-                D = D2
-        except (RealizationError, CapExceededError):
-            return None
+    try:
+        D = realize_presentation(pres, caps)
+        while not D.is_trivial():
+            D2 = derived_subgroup(D, caps)
+            if D2.order(caps) == D.order(caps):
+                return None  # a perfect section
+            D = D2
+    except (RealizationError, CapExceededError):
+        return None
     return prod(Hab.invariants)
 
 
-def _nullification_radical(F: "Nullification", G: PermGroup, caps: Caps) -> PermGroup:
-    """Smallest normal N with no nontrivial map from the target H into G/N.
+def _localization_radical(F: Localization, G: PermGroup, caps: Caps) -> PermGroup:
+    """The least normal N with G/N f-local: the preimage chain on the
+    seeds of every condition (``_evaluated_seeds`` for a one-generator A,
+    ``_lifted_seeds`` otherwise).
 
-    Let pi be the primes dividing |H^ab|, every prime when H^ab has a Z
-    summand.  If H is solvable or H^ab has a Z summand, then Hom(H, Q) != 1
-    for a finite Q exactly when Q has an element of some order p in pi.
-    (<=) H maps onto C_p through H^ab, and C_p onto that element's subgroup.
-    (=>) A nontrivial image M of H is solvable, so M^ab != 1; M^ab is a
-    quotient of H^ab, so some p in pi divides |M|, and by Cauchy's theorem
-    M has an element of order p.  (With a Z summand every prime is in pi.)
-    By Cauchy again, N is the least normal subgroup with G/N a pi'-group:
-    O^pi'(G), generated by the pi-elements of G.  They are closed under
-    conjugation, so one closure gives N.
-
-    A target not certified solvable (``_pi_exponent`` is None) runs the
-    preimage chain on hom components.  Both routes give the same N, so no
-    radical depends on the caps the target was realized under."""
-    m = _pi_exponent(F.target, caps)
-    if m is None:
-        return _preimage_chain(G, lambda N: _hom_components(F.target, G, N, caps), caps)
-    codes = G.codes(caps)
-    # o divides m^o exactly when every prime factor of o divides m
-    pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
-    return G.generate(pi, "ncl" if len(pi) > 1 else "1", caps)
-
-
-def _quasivariety_radical(
-    F: "QuasiVarietyReflection", G: PermGroup, caps: Caps
-) -> PermGroup:
-    """Preimage chain: keep adjoining u(g) whenever t(g) already dies.
-
-    The pairs (t(g), u(g)) do not change along the chain, so they are
-    evaluated once; each step only asks which t(g) lie in N."""
-    evaluate = G.ambient(caps).evaluate
-    pairs = {
-        (evaluate(cond, (g,)), evaluate(imp, (g,)))
-        for cond, imp in F.rules
-        for g in G.codes(caps)
-    }
-
-    def imposed(N: PermGroup) -> set:
-        n_set = N.code_set(caps)
-        return {u for t, u in pairs if t in n_set}
-
-    return _preimage_chain(G, imposed, caps)
+    When f is A ->> 1 (``F.nullified``), L_f is the nullification P_A.  Let pi be the primes dividing |A^ab|, every
+    prime when A^ab has a Z summand.  If A is solvable or A^ab has a Z
+    summand, then Hom(A, Q) != 1 for a finite Q exactly when Q has an
+    element of some order p in pi.  (<=) A maps onto C_p through A^ab, and
+    C_p onto that element's subgroup.  (=>) A nontrivial image M of A is
+    solvable, so M^ab != 1; M^ab is a quotient of A^ab, so some p in pi
+    divides |M|, and by Cauchy's theorem M has an element of order p.
+    (With a Z summand every prime is in pi.)  By Cauchy again, N is the
+    least normal subgroup with G/N a pi'-group: O^pi'(G), generated by the
+    pi-elements of G.  They are closed under conjugation, so one closure
+    gives N.  An A not certified solvable (``_pi_exponent`` is None) runs
+    the chain.  Both routes give the same N, so no radical depends on the
+    caps A was realized under."""
+    if F.nullified is not None and (m := _pi_exponent(F.nullified, caps)) is not None:
+        codes = G.codes(caps)
+        # o divides m^o exactly when every prime factor of o divides m
+        pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
+        return G.generate(pi, "ncl" if len(pi) > 1 else "1", caps)
+    rules = [
+        (_evaluated_seeds if len(A.generators) == 1 else _lifted_seeds)(A, S, G, caps)
+        for A, S in F.conditions
+    ]
+    return _preimage_chain(G, lambda N: set().union(*(rule(N) for rule in rules)), caps)
 
 
 def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -399,10 +404,8 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
         if isinstance(F, NilpotentQuotient):
             c = F.nilpotency_class
             return lower_central_series(G, c, caps)[c]
-        if isinstance(F, Nullification):
-            return _nullification_radical(F, G, caps)
-        if isinstance(F, QuasiVarietyReflection):
-            return _quasivariety_radical(F, G, caps)
+        if isinstance(F, Localization):
+            return _localization_radical(F, G, caps)
         raise UnsupportedFunctorError(f"unknown functor {F!r}")
 
     return G.memo(("radical", F), compute, caps)
@@ -433,61 +436,64 @@ def _quotient_by_columns(A: AbGroup, extra: IntMatrix) -> AbHom:
     return AbHom(A, Q, IntMatrix.identity(A.ngens))
 
 
-def _iterated_quotient(F, A: AbGroup, relations_to_impose) -> LocalizedResult:
-    """Quotient A step by step by the columns relations_to_impose(current
-    group) returns, until it returns None."""
-    eta = AbHom.identity_hom(A)
-    while (extra := relations_to_impose(eta.codomain)) is not None:
-        eta = eta.then(_quotient_by_columns(eta.codomain, extra))
-    return _epireflection(F, A, eta)
+def abelian_hom_group(A: Presentation, M: AbGroup) -> tuple[AbGroup, AbHom]:
+    """Hom(A, M) for an abelian M, with its inclusion into M^k, k = |X|: a
+    hom is the tuple of its generator images, block i of a column of M^k.
+
+    Hom(A, M) = Hom(A^ab, M), and A^ab is Z^k modulo the relators'
+    exponent sums e_r, so the homs are the kernel of M^k -> M^|R|,
+    (m_i) -> (sum_i e_ri m_i)_r.  M^1 is M itself, so a one-generator A
+    builds no group beyond M."""
+    k, n = len(A.generators), M.ngens
+    sums = _exponent_sums(A.relators, k)
+
+    def power(j: int) -> AbGroup:
+        if j == 1:
+            return M
+        return AbGroup(j * n, reduce(IntMatrix.diag_blocks, [M.relations] * j, IntMatrix.zeros(0, 0)))
+
+    Mk = power(k)
+    if not sums:
+        return Mk, AbHom.identity_hom(Mk)
+    matrix = IntMatrix([
+        [e[i] if a == b else 0 for i in range(k) for b in range(n)] for e in sums for a in range(n)
+    ])
+    return ab_kernel(AbHom(Mk, power(len(sums)), matrix))
+
+
+def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
+    """w(h) in generator coordinates, for a hom h into an abelian group on n
+    generators given by its generator images in blocks of n: on an abelian
+    group w acts through its exponent sums."""
+    image = [0] * n
+    for sym, exp in w.letters:
+        for a in range(n):
+            image[a] += exp * h[sym * n + a]
+    return tuple(image)
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
     if isinstance(F, (Abelianization, NilpotentQuotient, Variety)):
         # on abelian groups a word acts through its exponent sums; iterated
         # commutators have zero exponent sums
-        g = 0
-        if isinstance(F, Variety):
-            for w in F.words:
-                sums = [0] * max(w.arity, 0)
-                for sym, exp in w.letters:
-                    sums[sym] += exp
-                for total in sums:
-                    g = gcd(g, abs(total))
+        words = F.words if isinstance(F, Variety) else ()
+        sums = _exponent_sums(words, max((w.arity for w in words), default=0))
+        g = gcd(*(e for col in sums for e in col))
         if g == 0:
             return _epireflection(F, A, AbHom.identity_hom(A))
         return _epireflection(F, A, _quotient_by_columns(A, IntMatrix.scalar(A.ngens, g)))
-    if isinstance(F, QuasiVarietyReflection):
-
-        def unmet_rule(cur: AbGroup) -> IntMatrix | None:
-            for cond, imp in F.rules:
-                a = abs(cond.exponent_sum())
-                b = imp.exponent_sum()
-                if a == 0:
-                    imposed = IntMatrix.scalar(cur.ngens, b)
-                else:
-                    _, incl = n_torsion(cur, a)
-                    imposed = IntMatrix(
-                        [[b * x for x in row] for row in incl.matrix.entries],
-                        cols=incl.matrix.cols,
-                    )
-                if any(solve_in_column_lattice(cur.snf, c) is None for c in imposed.columns()):
-                    return imposed
-            return None
-
-        return _iterated_quotient(F, A, unmet_rule)
-    if isinstance(F, Nullification):
-        n = _cyclic_order_of_presentation(F.target)
-        if n is None or n == 0:
-            raise UnsupportedFunctorError(
-                "abelian nullification needs a finite cyclic target"
-            )
-
-        def n_torsion_columns(cur: AbGroup) -> IntMatrix | None:
-            T, incl = n_torsion(cur, n)
-            return None if T.is_trivial() else incl.matrix
-
-        return _iterated_quotient(F, A, n_torsion_columns)
+    if isinstance(F, Localization):
+        # quotient by the images s(h) of the homs h : A -> L, s in S, until
+        # they all vanish in L
+        eta = AbHom.identity_hom(A)
+        while True:
+            L, cols = eta.codomain, []
+            for source, S in F.conditions:
+                homs = abelian_hom_group(source, L)[1].matrix.columns()
+                cols += [_word_image(w, h, L.ngens) for w in S for h in homs]
+            if all(solve_in_column_lattice(L.snf, c) is not None for c in cols):
+                return _epireflection(F, A, eta)
+            eta = eta.then(_quotient_by_columns(L, IntMatrix.from_columns(cols, L.ngens)))
     if isinstance(F, SpSubfunctor):
         T, incl = n_torsion(A, F.p)
         return LocalizedResult(F, A, T, incl, None, SUBFUNCTOR)
@@ -589,15 +595,6 @@ class TestMap:
         self.images = images
         self.name = name
 
-    def as_cyclic(self) -> tuple[int, int, int] | None:
-        """(m, n, k) when phi is C_m -> C_n, x -> y^k with m, n finite."""
-        m = _cyclic_order_of_presentation(self.domain_pres)
-        n = _cyclic_order_of_presentation(self.codomain_pres)
-        if m is None or n is None or m == 0 or n == 0:
-            return None
-        k = self.images[0].exponent_sum() % n if self.images else 0
-        return (m, n, k)
-
     def describe(self) -> str:
         dom = ",".join(self.domain_pres.generators)
         cod = ",".join(self.codomain_pres.generators)
@@ -655,22 +652,27 @@ def _is_local_perm(X: PermGroup, phi: TestMap, caps: Caps) -> LocalityReport:
 
 
 def _is_local_abelian(X: AbGroup, phi: TestMap, caps: Caps) -> LocalityReport:
-    cyc = phi.as_cyclic()
-    if cyc is None:
-        raise CapExceededError(
-            "abelian locality testing needs a finite cyclic test map"
-        )
-    m, n, k = cyc
-    Tn, incl_n = n_torsion(X, n)
-    Tm, incl_m = n_torsion(X, m)
+    n = X.ngens
+
+    def homs(pres: Presentation) -> list[tuple]:
+        # each hom as the tuple of its generator images in X
+        H, incl = abelian_hom_group(pres, X)
+        k = len(pres.generators)
+        raw = [incl.matrix.matvec(H.lift(t)) for t in H.elements(caps)]
+        return [tuple(X.from_raw(v[i * n:i * n + n]) for i in range(k)) for v in raw]
+
+    def restrict(hb: tuple) -> tuple:
+        h = [c for y in hb for c in X.lift(y)]
+        return tuple(X.from_raw(_word_image(w, h, n)) for w in phi.images)
+
     return _locality_report(
         X,
         phi,
-        [incl_n.apply(t) for t in Tn.elements(caps)],
-        sorted({incl_m.apply(t) for t in Tm.elements(caps)}),
-        lambda v: X.scale(k, v),
-        X.format_element,
-        ("", "generator -> "),
+        homs(phi.codomain_pres),
+        sorted(set(homs(phi.domain_pres))),
+        restrict,
+        lambda h: ",".join(map(X.format_element, h)),
+        ("", "generator -> " if len(phi.domain_pres.generators) == 1 else "generators -> "),
     )
 
 

@@ -12,8 +12,9 @@ values may contain spaces only inside (), [] brackets):
     [group V]  abelian relations=[[4]]
     [group K]  catalog spec=dihedral(8)
 
-    [hom pr]   from=D8 to=V4 images=x,y          # words in codomain gens
-    [hom red]  from=Z to=Z2 matrix=[[1]]         # abelian flavor
+    # words in the codomain generators, or an integer matrix
+    [hom pr]   from=D8 to=V4 images=x,y
+    [hom red]  from=Z to=Z2 matrix=[[1]]
 
     [extension E] surjection=pr
 

@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from flatlab import functors
-from flatlab.abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants
+from flatlab.abelian import (
+    AbGroup,
+    AbHom,
+    IntMatrix,
+    ab_from_invariants,
+    enumerate_ab_homs,
+    perm_to_abelian,
+)
 from flatlab.catalog import (
     alternating,
     cyclic,
@@ -27,6 +34,7 @@ from flatlab.errors import (
 from flatlab.extensions import extensions_from_group, pullback_extension
 from flatlab.functors import (
     Abelianization,
+    Localization,
     NilpotentQuotient,
     Nullification,
     QuasiVarietyReflection,
@@ -38,11 +46,13 @@ from flatlab.functors import (
     induce,
     is_acyclic,
     is_local_wrt,
-    _abelian_product_form,
-    _hom_components,
-    _nullification_radical,
+    parse_functor_literal,
+    _evaluated_seeds,
+    _lifted_seeds,
+    _localization_radical,
     _pi_exponent,
     _preimage_chain,
+    abelian_hom_group,
     radical_subgroup,
     standard_quasi_c4_c2,
 )
@@ -202,10 +212,19 @@ def test_abelian_functor_applications():
     assert NZ.result.canonical_invariants() == (1, ())
 
 
-def test_abelian_nullification_needs_cyclic_target():
-    A = ab_from_invariants(1, ())
-    with pytest.raises(UnsupportedFunctorError):
-        apply(Nullification(elementary_abelian(2, 2).presentation), A)
+def test_abelian_nullification_at_any_target():
+    # Hom(H, M) = Hom(H^ab, M) on an abelian M, so any target H works
+    def result(H, M):
+        return apply(Nullification(H), M).result.canonical_invariants()
+
+    V4 = elementary_abelian(2, 2).presentation
+    assert result(V4, ab_from_invariants(1, (2,))) == (1, ())
+    assert result(V4, ab_from_invariants(0, (6,))) == (0, (3,))
+    S3, C2 = symmetric(3).presentation, cyclic(2).presentation
+    for rank, torsion in [(0, (2,)), (0, (12,)), (1, (4, 6)), (2, (2, 8)), (1, ())]:
+        M = ab_from_invariants(rank, torsion)
+        assert result(S3, M) == result(C2, M)
+        assert result(Presentation(("x",), ()), M) == (0, ())
 
 
 def test_nullification_target_generator_cap():
@@ -273,10 +292,13 @@ def test_nullification_at_a_free_target_kills_everything():
         assert radical_subgroup(Nullification(Z), G).order() == G.order()
 
 
-def _chain_radical(pres, G, caps=DEFAULT_CAPS):
-    """The generic preimage chain, which lifts every hom into G/N to coset
-    representatives."""
-    return _preimage_chain(G, lambda N: _hom_components(pres, G, N, caps), caps)
+def _chain_radical(pres, G, caps=DEFAULT_CAPS, impose=None):
+    """The general L_f rule's preimage chain, which lifts every solution of
+    the relators in G/N to coset representatives; ``impose`` defaults to
+    every generator, the nullification at ``pres``."""
+    if impose is None:
+        impose = [Word.generator(i) for i in range(len(pres.generators))]
+    return _preimage_chain(G, _lifted_seeds(pres, impose, G, caps), caps)
 
 
 def test_abelian_target_radical_is_the_chain_radical(battery_groups):
@@ -296,12 +318,30 @@ def test_abelian_target_radical_is_the_chain_radical(battery_groups):
     ] + [Presentation(("x",), ())]
     caps = DEFAULT_CAPS
     for pres in targets:
-        assert _abelian_product_form(pres) is not None
+        assert _pi_exponent(pres, caps) is not None
         F = Nullification(pres)
         for G in battery_groups:
             chain = _chain_radical(pres, G, caps)
-            assert _nullification_radical(F, G, caps).code_set() == chain.code_set()
+            assert _localization_radical(F, G, caps).code_set() == chain.code_set()
     assert len(targets) * len(battery_groups) == 11_560
+
+
+def test_one_generator_seeds_are_the_lifted_seeds(battery_groups):
+    # a one-generator A evaluates (g^a, s(g)) once per element; the general
+    # rule lifts every solution in G/N to coset representatives instead
+    x = Word.generator(0)
+    rules = [(4, 2), (8, 4), (6, 3), (9, 3), (4, 1), (2, 1), (0, 2), (12, 4)]
+    caps = DEFAULT_CAPS
+    checked = 0
+    for a, b in rules:
+        F = QuasiVarietyReflection(((x**a, x**b),))
+        (A, S), = F.conditions
+        for G in battery_groups:
+            once = _preimage_chain(G, _evaluated_seeds(A, S, G, caps), caps)
+            assert once.code_set() == _chain_radical(A, G, caps, S).code_set()
+            assert _localization_radical(F, G, caps).code_set() == once.code_set()
+            checked += 1
+    assert checked == 11_560
 
 
 def _solvable_targets():
@@ -322,7 +362,7 @@ def test_solvable_target_radical_is_the_chain_radical(battery_groups):
         F = Nullification(H.presentation)
         for G in battery_groups:
             chain = _chain_radical(H.presentation, G, caps)
-            assert _nullification_radical(F, G, caps).code_set() == chain.code_set()
+            assert _localization_radical(F, G, caps).code_set() == chain.code_set()
             checked += 1
     assert checked == 10_115
 
@@ -342,7 +382,7 @@ def test_a_target_not_certified_solvable_takes_the_chain(monkeypatch):
     caps = DEFAULT_CAPS
     targets = [Nullification(H.presentation) for H in _solvable_targets()]
     groups = default_battery(64)
-    expected = [[_nullification_radical(F, G, caps).code_set() for G in groups] for F in targets]
+    expected = [[_localization_radical(F, G, caps).code_set() for G in groups] for F in targets]
     chains = []
     original = functors._preimage_chain
 
@@ -359,7 +399,7 @@ def test_a_target_not_certified_solvable_takes_the_chain(monkeypatch):
     try:
         for F, radicals in zip(targets, expected):
             assert _pi_exponent(F.target, caps) is None
-            assert [_nullification_radical(F, G, caps).code_set() for G in groups] == radicals
+            assert [_localization_radical(F, G, caps).code_set() for G in groups] == radicals
     finally:
         functors._pi_exponent.cache_clear()
     assert len(chains) == len(targets) * len(groups)
@@ -375,7 +415,7 @@ def test_a_z_summand_kills_everything_without_realization(monkeypatch):
     pres = Presentation.parse("a,b", "a^2")
     assert _pi_exponent(pres, DEFAULT_CAPS) == 0
     for G in default_battery(64):
-        R = _nullification_radical(Nullification(pres), G, DEFAULT_CAPS)
+        R = _localization_radical(Nullification(pres), G, DEFAULT_CAPS)
         assert R.code_set() == G.code_set() == _chain_radical(pres, G).code_set()
 
 
@@ -396,12 +436,12 @@ def test_radicals_do_no_confirming_closure(monkeypatch):
     monkeypatch.setattr(functors, "normal_closure_codes", counted)
     C3, S3 = Nullification(cyclic(3).presentation), Nullification(symmetric(3).presentation)
     for G in (cyclic(8), dihedral(8), quaternion(8), elementary_abelian(2, 3)):
-        assert _nullification_radical(C3, G, DEFAULT_CAPS).is_trivial()
-    assert _nullification_radical(S3, symmetric(4), DEFAULT_CAPS).order() == 24
+        assert _localization_radical(C3, G, DEFAULT_CAPS).is_trivial()
+    assert _localization_radical(S3, symmetric(4), DEFAULT_CAPS).order() == 24
     assert calls == []
     A5 = Nullification(alternating(5).presentation)
     G = direct_product(alternating(5), cyclic(2))
-    assert _nullification_radical(A5, G, DEFAULT_CAPS).order() == 60
+    assert _localization_radical(A5, G, DEFAULT_CAPS).order() == 60
     assert calls == [(1, 60)]
 
 
@@ -409,8 +449,11 @@ def test_an_empty_relator_leaves_the_abelian_form_alone(monkeypatch):
     # x^2*x^-2 reduces to the empty word, so the target is still C4 and its
     # nullification takes the pi-element radical, not the preimage chain
     odd, plain = Presentation.parse("x", "x^2*x^-2,x^4"), Presentation.parse("x", "x^4")
-    assert _abelian_product_form(odd) == (4,)
-    assert TestMap(odd, plain, (Word.generator(0),)).as_cyclic() == (4, 4, 1)
+    assert _pi_exponent(odd, DEFAULT_CAPS) == _pi_exponent(plain, DEFAULT_CAPS) == 4
+    C8 = ab_from_invariants(0, (8,))
+    assert abelian_hom_group(odd, C8)[0].canonical_invariants() == (0, (4,))
+    reports = [is_local_wrt(C8, TestMap(A, plain, (Word.generator(0),))) for A in (odd, plain)]
+    assert [(r.hom_count_b, r.hom_count_a, r.witness) for r in reports] == [(4, 4, None)] * 2
 
     def no_chain(*args):
         raise AssertionError("an abelian target runs no preimage chain")
@@ -492,3 +535,58 @@ def test_induced_maps_make_the_naturality_square_commute(battery_pullbacks):
                 assert all(eta_cod[fmap[x]] == ind[eta_dom[x]] for x in f.domain.codes())
                 squares += 1
     assert (len(exts), squares) == (1_521, 12_168)
+
+
+def test_abelian_hom_rule_counts_match_enumeration():
+    # |Hom(A, M)| from the kernel of M^k -> M^|R| against enumerate_ab_homs
+    # from A^ab, the exponent sums of A's relators
+    sources = [cyclic(n).presentation for n in (2, 3, 4, 6)] + [
+        elementary_abelian(2, 2).presentation,
+        symmetric(3).presentation,
+        Presentation(("x",), ()),
+        Presentation.parse("x,y", "x^2,y^2,(x*y)^2"),
+    ]
+    targets = [
+        ab_from_invariants(0, t) for t in [(), (2,), (4,), (6,), (2, 2), (2, 4), (3, 9), (2, 2, 2)]
+    ] + [AbGroup(2, IntMatrix([[2, 4], [0, 6]])), AbGroup(2, IntMatrix([[3, 1], [1, 3]]))]
+    for pres in sources:
+        k = len(pres.generators)
+        sums = [[sum(e for s, e in rel.letters if s == i) for i in range(k)] for rel in pres.relators]
+        Aab = AbGroup(k, IntMatrix.from_columns(sums, k))
+        for M in targets:
+            H, incl = abelian_hom_group(pres, M)
+            assert H.order() == len(enumerate_ab_homs(Aab, M)), (pres, M)
+            assert incl.codomain.ngens == k * M.ngens
+
+
+def test_localizations_agree_across_flavors():
+    # the result order of P_V4, P_S3, P_Z and x^4 => x^2 on each finite
+    # abelian battery group, as a permutation group and as an AbGroup
+    functors_ = [
+        Nullification(elementary_abelian(2, 2).presentation),
+        Nullification(symmetric(3).presentation),
+        Nullification(Presentation(("x",), ())),
+        QUASI,
+    ]
+    groups = [G for G in default_battery(64) if G.is_abelian()]
+    assert len(groups) == 15
+    for G in groups:
+        M = perm_to_abelian(G)
+        for F in functors_:
+            assert apply(F, G).result.order() == apply(F, M).result.order(), (F, G.name)
+
+
+def test_orthogonal_literal_is_its_own_localization():
+    # x^2 = y^2 = 1 => [x,y] = 1: two involutions must commute
+    F = parse_functor_literal("orthogonal", {"gens": "x,y", "rels": "[x^2,y^2]", "impose": "[[x,y]]"})
+    assert isinstance(F, Localization) and type(F) is Localization
+    assert F.describe() == "orthogonal(<x,y|x^2,y^2>=>x^-1*y^-1*x*y)"
+    assert F != Nullification(Presentation.parse("x,y", "x^2,y^2"))
+    assert radical_subgroup(F, dihedral(8)).order() == 2
+    assert radical_subgroup(F, symmetric(4)).order() == 12
+    assert apply(F, symmetric(3)).result.order() == 2
+    for G in default_battery(24):
+        R = apply(F, G).result
+        involutions = [g for g in R.elements() if (g * g).is_identity()]
+        assert all(a * b == b * a for a in involutions for b in involutions), G.name
+    assert apply(F, ab_from_invariants(1, (4,))).result.canonical_invariants() == (1, (4,))

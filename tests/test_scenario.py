@@ -237,3 +237,28 @@ def test_an_unknown_functor_parameter_is_a_scenario_error():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert "'wrods'" in str(exc.value) and "line 1" in str(exc.value)
+
+
+def test_orthogonal_functor_localizes_both_flavors():
+    # x^2 = y^2 = 1 => [x,y] = 1: D8 keeps V4; an abelian group is local
+    text = """
+[group D8]  catalog spec=dihedral(8)
+[group P]   catalog spec=product(cyclic(2),cyclic(4))
+[group M]   abelian torsion=[2,4]
+[functor O] kind=orthogonal gens=x,y rels=[x^2,y^2] impose=[[x,y]]
+[directive] localize functor=O group=D8 expect_invariants=(0;[2,2])
+[directive] localize functor=O group=P expect_invariants=(0;[2,4])
+[directive] localize functor=O group=M expect_invariants=(0;[2,4])
+"""
+    result = run_scenario(parse_scenario(text))
+    assert result.exit_code == 0
+    assert [r.verdict for r in result.results] == ["invariants-ok"] * 3
+    assert result.results[0].summary.startswith("orthogonal(<x,y|x^2,y^2>=>x^-1*y^-1*x*y)")
+
+
+def test_readme_scenario_example_parses():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    block = readme.split("## The scenario DSL", 1)[1].split("```\n")[1]
+    scn = parse_scenario(block)
+    headers = [line for line in block.splitlines() if line.startswith("[")]
+    assert len(scn.sections) == len(headers) == 22
