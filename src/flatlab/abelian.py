@@ -23,6 +23,8 @@ from .errors import (
     NotAbelianError,
 )
 
+_MISSING = object()  # a memo miss; a memoised value may be None
+
 
 class IntMatrix:
     """Immutable rectangular matrix of exact integers."""
@@ -471,9 +473,10 @@ class AbGroup:
         return f"({free or tors})"
 
     def memo(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
 
     def __repr__(self) -> str:
         return f"AbGroup({self.describe()})"

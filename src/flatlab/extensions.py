@@ -115,10 +115,15 @@ def extension_from_normal_subgroup(
 
 
 def extensions_from_group(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Extension]:
-    """One extension N -> G -> G/N per normal subgroup N."""
-    return [
+    """One extension N -> G -> G/N per normal subgroup N.
+
+    Built once per (G, caps) and kept on G, so every functor probed on G
+    shares the extensions, their bases and the homs into those bases; each
+    call returns a new list of the same extensions.  The caps are in the key
+    because each extension's maps keep the caps they were built with."""
+    return list(G.memo(("extensions", caps), lambda: tuple(
         extension_from_normal_subgroup(G, N, caps) for N in normal_subgroups(G, caps)
-    ]
+    ), caps))
 
 
 # -- pullback of an extension -------------------------------------------------

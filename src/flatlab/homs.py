@@ -85,13 +85,20 @@ def hom_count(pres: Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS) -> in
 def enumerate_homs(
     domain: PermGroup | Presentation, X: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[GroupHom]:
-    """Exactly the homomorphisms from the presented group into X.
+    """Exactly the homomorphisms from the presented group into X, as a new
+    list.
 
-    A PermGroup domain must carry a known-exact presentation; a bare
-    Presentation is realized first so the returned homs have a group domain.
+    A PermGroup domain must carry a known-exact presentation; its homs are
+    built once per (domain, caps) and kept on X, so they live as long as
+    their target.  A bare Presentation is realized first, anew on each
+    call, so the returned homs have a group domain.
     """
     if isinstance(domain, Presentation):
-        domain = realize_presentation(domain, caps)
+        return _build_homs(realize_presentation(domain, caps), X, caps)
+    return list(X.memo(("homs", domain, caps), lambda: _build_homs(domain, X, caps), caps))
+
+
+def _build_homs(domain: PermGroup, X: PermGroup, caps: Caps) -> list[GroupHom]:
     if domain.presentation is None or not domain.presentation_exact:
         raise ValueError(
             "hom enumeration needs a domain with a known-exact presentation"

@@ -38,6 +38,8 @@ from .errors import (
 from .perm import Permutation
 from .words import Presentation, Word
 
+_MISSING = object()  # a memo miss; a memoised value may be None
+
 # -- ambients ----------------------------------------------------------------
 
 
@@ -530,11 +532,12 @@ class PermGroup:
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
         against the caps, so no cap verdict depends on call history."""
-        if key in self._memo:
-            self.codes(caps)
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
         else:
-            self._memo[key] = compute()
-        return self._memo[key]
+            self.codes(caps)
+        return value
 
     def describe(self) -> str:
         return self.name or f"<perm group deg {self.degree}, order {self.order(None)}>"
@@ -605,7 +608,13 @@ class GroupHom:
     inclusion is the identity on codes, and every other hom is verified by
     the edge check of :func:`_extend_mapping`, which also builds its map.
     :meth:`apply` maps permutations.
+
+    Enumerated homs are kept for the life of their codomain, so a hom
+    stores codes only: its image permutations are decoded when asked.
     """
+
+    __slots__ = ("domain", "codomain", "image_codes", "name", "_caps", "_kernel",
+                 "_image", "_fibers", "_map")
 
     def __init__(
         self,
@@ -626,7 +635,6 @@ class GroupHom:
             caps,
         )
         self._init(domain, codomain, codes, caps, name)
-        self._images = images
 
     @classmethod
     def _from_codes(
@@ -635,7 +643,6 @@ class GroupHom:
         """The hom with these generator image codes, each the code of an
         element of ``codomain`` by the caller's construction."""
         hom = cls.__new__(cls)
-        hom._images = None
         hom._init(domain, codomain, tuple(codes), caps, None, mapping)
         return hom
 
@@ -661,9 +668,7 @@ class GroupHom:
 
     @property
     def images(self) -> tuple[Permutation, ...]:
-        if self._images is None:
-            self._images = tuple(map(self.codomain.ambient(None).decode, self.image_codes))
-        return self._images
+        return tuple(map(self.codomain.ambient(None).decode, self.image_codes))
 
     def code_map(self) -> dict[int, int]:
         return self._map

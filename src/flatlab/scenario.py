@@ -374,20 +374,29 @@ def _test_map_from_hom(
         return TestMap(
             dom.presentation, cod.presentation, words, name=name, caps=caps
         )
-    m = hom.domain.canonical_invariants()
-    n = hom.codomain.canonical_invariants()
-    if m[0] or len(m[1]) > 1 or n[0] or len(n[1]) > 1:
+    if hom.codomain.rank:
         raise ScenarioError(
-            "abelian test maps must be finite cyclic -> finite cyclic", line
+            "an abelian test map needs a finite codomain: the test map realizes "
+            "it by coset enumeration, which cannot list an infinite group", line
         )
-    m_ord = m[1][0] if m[1] else 1
-    n_ord = n[1][0] if n[1] else 1
-    img = hom.apply(hom.domain.from_raw(tuple(1 for _ in range(hom.domain.ngens))))
-    k = img[0] if img else 0
-    x = Word.generator(0)
-    dom_pres = Presentation(("x",), (x**m_ord,))
-    cod_pres = Presentation(("y",), (x**n_ord,))
-    return TestMap(dom_pres, cod_pres, (x**k,), name=name, caps=caps)
+    images = tuple(Word(enumerate(col)) for col in hom.matrix.columns())
+    return TestMap(
+        _abelian_presentation(hom.domain, "x"), _abelian_presentation(hom.codomain, "y"),
+        images, name=name, caps=caps,
+    )
+
+
+def _abelian_presentation(A: AbGroup, letter: str) -> Presentation:
+    """A on its generators: one relator per relation column, and the
+    pairwise commutators."""
+    n = A.ngens
+    names = tuple(f"{letter}{i + 1}" for i in range(n))
+    rels = [Word(enumerate(col)) for col in A.relations.columns()]
+    rels += [
+        Word.commutator(Word.generator(i), Word.generator(j))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    return Presentation(names, tuple(r for r in rels if not r.is_empty()))
 
 
 def _iso_verdict(G, expect_group, caps: Caps) -> bool:

@@ -69,6 +69,24 @@ def test_snf_random_battery():
             assert prod == abs(M.det())
 
 
+def test_snf_diagonal_matches_sympy():
+    """Differential oracle on criterion 8's matrices: sympy's Smith normal
+    form over ZZ has the same nonzero invariant factors, up to sign."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(1789)
+    for _ in range(500):
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 6)
+        rows = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
+        ours = [abs(d) for d in smith_normal_form(IntMatrix(rows)).diagonal if d]
+        D = sympy_snf(Matrix(rows), domain=ZZ)
+        theirs = [abs(int(D[i, i])) for i in range(min(r, c)) if D[i, i]]
+        assert ours == theirs, rows
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b

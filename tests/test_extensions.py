@@ -56,6 +56,7 @@ from flatlab.functors import (
 from flatlab.homs import enumerate_homs, realize_presentation
 from flatlab.permgroup import (
     GroupHom,
+    PermGroup,
     _extend_mapping,
     is_isomorphic,
     normal_subgroups,
@@ -308,6 +309,69 @@ def test_extensions_from_group_counts():
     assert len(extensions_from_group(quaternion(8))) == 6
 
 
+def _fresh(G):
+    """A copy of G that no earlier call has seen, so nothing is kept on it."""
+    return PermGroup(G.degree, G.generators, G.presentation, G.presentation_exact, G.name)
+
+
+def test_extensions_and_homs_are_built_once_and_handed_out_in_new_lists():
+    G = _fresh(dihedral(8))
+    first = extensions_from_group(G)
+    again = extensions_from_group(G)
+    assert again is not first
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    first.clear()
+    assert [e.base.order() for e in extensions_from_group(G)] == [8, 4, 2, 2, 2, 1]
+    V4, base = elementary_abelian(2, 2), again[1].base  # D8/Z = V4
+    homs = enumerate_homs(V4, base)
+    more = enumerate_homs(V4, base)
+    assert more is not homs and len(homs) == 16
+    assert all(f is g for f, g in zip(homs, more, strict=True))
+    homs.pop()
+    assert len(enumerate_homs(V4, base)) == 16
+    # other caps build their own, since a hom keeps the caps it was built with
+    assert enumerate_homs(V4, base, Caps(order=64))[0] is not more[0]
+
+
+@pytest.mark.parametrize("default_first", [False, True])
+def test_a_capped_build_fails_the_same_way_whatever_ran_before(default_first):
+    G, S4 = _fresh(symmetric(4)), _fresh(symmetric(4))  # G stays unlisted
+    base = Extension(quotient(S4, normal_subgroups(S4)[1])[1]).base  # S4/V4 = S3
+    X = elementary_abelian(2, 2)
+    capped = [
+        (lambda caps: extensions_from_group(G, caps), Caps(order=12),
+         "order cap 12 exceeded", 12),
+        (lambda caps: enumerate_homs(X, base, caps), Caps(hom_search=30),
+         "hom search space 6^2 exceeds cap 30", None),
+    ]
+    for build, small, message, partial in capped:
+        for caps in [Caps(), small, Caps(), small][not default_first:]:
+            if caps is small:
+                with pytest.raises(CapExceededError) as exc:
+                    build(caps)
+                assert (str(exc.value), exc.value.partial) == (message, partial)
+            else:
+                assert build(caps)
+
+
+def test_a_search_builds_each_extension_once_for_every_functor(monkeypatch):
+    from flatlab import extensions
+    from flatlab.search import search_counterexamples
+
+    battery = [_fresh(G) for G in default_battery(16)]
+    quotients = []
+    original = extensions.quotient
+
+    def counted(G, N, caps):
+        quotients.append(N)
+        return original(G, N, caps)
+
+    monkeypatch.setattr(extensions, "quotient", counted)
+    for F in (Abelianization(), NilpotentQuotient(2)):
+        search_counterexamples(F, 16, 4, battery=battery)
+    assert len(quotients) == sum(len(normal_subgroups(G)) for G in battery) == 99
+
+
 def test_pullback_along_localization_reproduces_counterexample():
     from flatlab.extensions import pullback_along_localization
 
@@ -522,7 +586,9 @@ def test_an_inclusion_runs_no_edge_check(monkeypatch):
     # an inclusion, of the trivial subgroup too, and the identity of a
     # presented group are the identity map on codes: no BFS verifies them.
     # A quotient projection and a pullback's maps are handed their maps, and
-    # an enumerated hom runs the BFS once, as it is built.
+    # an enumerated hom runs the BFS once, as it is built: the bases are
+    # fresh quotients, so no earlier enumeration has kept their homs, and a
+    # repeated enumeration builds none.
     calls = []
     original = permgroup._extend_mapping
 
@@ -540,10 +606,16 @@ def test_an_inclusion_runs_no_edge_check(monkeypatch):
     assert calls == []
     exts = [ext for G in default_battery(16) for ext in extensions_from_group(G)]
     assert calls == []
+    exts = [Extension(quotient(G, N)[1])
+            for G in default_battery(16) for N in normal_subgroups(G)]
+    assert calls == []
     pairs = [(ext, f) for ext in exts for X in default_battery(4)
              for f in enumerate_homs(X, ext.base)]
     assert len(calls) == len(pairs) == 1_422
     calls.clear()
+    assert [(ext, f) for ext in exts for X in default_battery(4)
+            for f in enumerate_homs(X, ext.base)] == pairs
+    assert calls == []
     for ext, f in pairs:
         pullback_extension(ext, f)
     assert calls == []

@@ -262,3 +262,55 @@ def test_readme_scenario_example_parses():
     scn = parse_scenario(block)
     headers = [line for line in block.splitlines() if line.startswith("[")]
     assert len(scn.sections) == len(headers) == 22
+
+
+def test_a_finite_abelian_test_map_is_its_word_map():
+    """C2 x C2 -> C2 x C4, (1,0) -> (1,0) and (0,1) -> (0,2), read from its
+    matrix, decides locality as the same map written with words does, down
+    to the witness."""
+    from flatlab.catalog import default_battery
+    from flatlab.functors import TestMap, is_local_wrt
+    from flatlab.scenario import _test_map_from_hom
+    from flatlab.words import Presentation, parse_word
+
+    text = """
+[group A] abelian torsion=[2,2]
+[group B] abelian torsion=[2,4]
+[hom phi] from=A to=B matrix=[[1,0],[0,2]]
+"""
+    phi = _test_map_from_hom("phi", parse_scenario(text), 4, DEFAULT_CAPS)
+    B = Presentation.parse("c,d", "c^2,d^4,[c,d]")
+    words = TestMap(
+        Presentation.parse("a,b", "a^2,b^2,[a,b]"), B,
+        (parse_word("c", B.generators), parse_word("d^2", B.generators)),
+    )
+    reports = [
+        [(r.hom_count_b, r.hom_count_a, r.is_local, r.witness) for r in
+         (is_local_wrt(G, phi), is_local_wrt(G, words))]
+        for G in default_battery(8)
+    ]
+    assert all(mine == theirs for mine, theirs in reports)
+    assert {verdict for (_, _, verdict, _), _ in reports} == {True, False}
+
+
+def test_an_abelian_test_map_refuses_only_an_infinite_codomain():
+    text = """
+[group Z]  abelian rank=1
+[group Z2] abelian torsion=[2]
+[group C4] abelian relations=[[4]]
+[hom up]   from=Z2 to=Z matrix=[[0]]
+[hom red]  from=Z to=Z2 matrix=[[1]]
+[functor L] kind=quasivariety cond=x^4 impose=x^2
+[directive] certify functor=L phi=up group=C4 local=Z surjection=red
+"""
+    with pytest.raises(ScenarioError, match="line 8: an abelian test map needs a "
+                       "finite codomain.*cannot list an infinite group"):
+        run_scenario(parse_scenario(text))
+    # the domain is never realized, so a free one is accepted
+    from flatlab.catalog import cyclic
+    from flatlab.functors import is_local_wrt
+    from flatlab.scenario import _test_map_from_hom
+
+    red = _test_map_from_hom("red", parse_scenario(text), 6, DEFAULT_CAPS)
+    report = is_local_wrt(cyclic(4), red)  # Hom(Z2, C4) = C2, Hom(Z, C4) = C4
+    assert (report.hom_count_b, report.hom_count_a, report.is_local) == (2, 4, False)
