@@ -21,7 +21,9 @@ from .errors import (
     FlatlabError,
     InvalidHomomorphismError,
     NotAbelianError,
+    ScenarioError,
 )
+from .words import _split_top_level
 
 _MISSING = object()  # a memo miss; a memoised value may be None
 
@@ -473,6 +475,10 @@ class AbGroup:
         return f"({free or tors})"
 
     def memo(self, key, compute):
+        """Compute-once derived data.  As for ``PermGroup.memo``, a value
+        never references this group, so the group dies by reference count;
+        the permutation flavor's two exceptions, ``"extensions"`` and
+        ``"homs"``, have no abelian memo."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -495,6 +501,47 @@ def ab_from_invariants(
         col[rank + i] = d
         cols.append(col)
     return AbGroup(n, IntMatrix.from_columns(cols, n), name=name)
+
+
+def _parse_int_list(text: str, line: int | None) -> list[int]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ScenarioError(f"expected [..] list, got {text!r}", line)
+    inner = text[1:-1].strip()
+    if not inner:
+        return []
+    try:
+        return [int(tok) for tok in inner.replace(",", " ").split()]
+    except ValueError:
+        raise ScenarioError(f"bad integer list {text!r}", line) from None
+
+
+def _parse_matrix(text: str, line: int | None) -> list[list[int]]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ScenarioError(f"expected [[..],..] matrix, got {text!r}", line)
+    inner = text[1:-1].strip()
+    if not inner:
+        return []
+    return [_parse_int_list(chunk, line) for chunk in _split_top_level(inner)]
+
+
+def abelian_from_fields(
+    fields: Sequence[tuple[str, str]], name: str | None = None, line: int | None = None
+) -> AbGroup:
+    """The group of an abelian literal (a scenario ``[group] abelian``
+    section, or the CLI's ``--group "abelian ..."``) from its key=value
+    fields: ``relations=[[..],..]``, one row per generator, or
+    ``rank=r torsion=[t1,..]``; the first of a repeated key counts.  A
+    malformed list is a ScenarioError at ``line``, a malformed number or
+    matrix a ValueError."""
+    get = dict(reversed(fields)).get
+    if get("relations") is not None:
+        rows = _parse_matrix(get("relations"), line)
+        return AbGroup(len(rows), IntMatrix(rows, cols=len(rows[0]) if rows else 0), name=name)
+    rank = int(get("rank", "0") or 0)
+    torsion = _parse_int_list(get("torsion", "[]") or "[]", line)
+    return ab_from_invariants(rank, torsion, name=name)
 
 
 class AbHom:

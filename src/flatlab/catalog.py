@@ -156,20 +156,26 @@ def elementary_abelian(p: int, k: int) -> PermGroup:
 
 
 def product(*groups: PermGroup, name: str | None = None) -> PermGroup:
+    """The direct product, cached per (factors, name) like every catalog
+    group, so it keeps its factors alive."""
     if not groups:
         return trivial_group()
-    G = groups[0]
-    for H in groups[1:]:
-        G = direct_product(G, H)
-    if name is not None or G.name is None:
-        G = PermGroup(
-            G.degree,
-            G.generators,
-            G.presentation,
-            presentation_exact=G.presentation_exact,
-            name=name or "x".join(g.name or "?" for g in groups),
-        )
-    return G
+
+    def build() -> PermGroup:
+        G = groups[0]
+        for H in groups[1:]:
+            G = direct_product(G, H)
+        if name is not None or G.name is None:
+            G = PermGroup(
+                G.degree,
+                G.generators,
+                G.presentation,
+                presentation_exact=G.presentation_exact,
+                name=name or "x".join(g.name or "?" for g in groups),
+            )
+        return G
+
+    return _cached(("product", groups, name), build)
 
 
 def catalog(name: str, *params: int) -> PermGroup:

@@ -18,12 +18,14 @@ import json
 import sys
 import time
 
+from .abelian import abelian_from_fields
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import parse_group_literal
 from .errors import CapExceededError, FlatlabError, ScenarioError
 from .extensions import check_flatness
 from .functors import apply, parse_functor_literal
 from .permgroup import PermGroup
+from .words import parse_fields
 
 _CAP_ALIASES = {
     "order": "order",
@@ -193,14 +195,12 @@ def _parse_group_option(text: str):
     the group is named by the literal text.  A malformed one is an error."""
     text = text.strip()
     if text.startswith("abelian"):
-        from .scenario import _build_group, _parse_sections
-
-        sec = _parse_sections(f"[group G] {text}")[0]
-        sec.name = text
-        try:
-            return _build_group(sec)
-        except ValueError as exc:
-            raise FlatlabError(f"bad group {text!r}: {exc}") from None
+        form, fields = parse_fields(text, 1)
+        if form == "abelian":
+            try:
+                return abelian_from_fields(fields, text, 1)
+            except ValueError as exc:
+                raise FlatlabError(f"bad group {text!r}: {exc}") from None
     return parse_group_literal(text)
 
 

@@ -44,6 +44,7 @@ from .functors import (
     induce,
     is_local_wrt,
     radical_subgroup,
+    subfunctor_subgroup,
 )
 from .homs import enumerate_homs, hom_image_codes
 from .permgroup import (
@@ -244,41 +245,42 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    # K = ker(proj) lives in E's ambient: iota is the identity on codes
-    rk = radical_subgroup(F, ext.kernel_group, caps).code_set(caps)
-    re = radical_subgroup(F, ext.total, caps).code_set(caps)
+    """The flags by set algebra on codes; elements are scanned only to name
+    the witness of a failing flag.  K = ker(proj) lives in E's ambient, so
+    iota is the identity on codes.
+
+    Left: K -> E induces K/R(K) -> E/R(E), injective iff K n R(E) lies in
+    R(K).  Middle: K and R(E) are normal, so K R(E) is the preimage of
+    proj(R(E)), and the sequence is exact in the middle iff every e with
+    proj(e) in R(G) has proj(e) in proj(R(E)), i.e. iff R(G) lies in
+    proj(R(E)), proj being onto (``Extension`` checks it).  Naturality gives
+    proj(R(E)) <= R(G), so that is |proj(R(E))| = |R(G)|.  Right: the
+    induced map of a surjection on quotients is surjective."""
+    K, total = ext.kernel_group, ext.total
+    rk = radical_subgroup(F, K, caps).code_set(caps)
+    re = radical_subgroup(F, total, caps).code_set(caps)
     rg = radical_subgroup(F, ext.base, caps).code_set(caps)
     proj = ext.proj.code_map()
+    proj_re = set(map(proj.__getitem__, re))
     if not rk <= re:
         raise FlatlabError("naturality failed: inclusion does not preserve radical")
-    if any(proj[x] not in rg for x in re):
+    if not proj_re <= rg:
         raise FlatlabError("naturality failed: projection does not preserve radical")
     witnesses: dict[str, str] = {}
-    left = True
-    for k in ext.kernel_group.codes(caps):
-        if k in re and k not in rk:
-            left = False
-            witnesses["left"] = (
-                f"kernel element {_cycles(ext.kernel_group, k)} maps into the radical "
-                "of the total group but lies outside the kernel's radical"
-            )
-            break
-    # K = ker(proj) and R(E) are normal, so K R(E) is the preimage of
-    # proj(R(E)): e lies in it iff proj(e) lies in proj(R(E))
-    total = ext.total
-    proj_re = {proj[x] for x in re}
-    middle = True
-    for e in total.codes(caps):
-        if proj[e] in rg and proj[e] not in proj_re:
-            middle = False
-            witnesses["middle"] = (
-                f"total element {_cycles(total, e)} maps into the base radical but "
-                "is not a product of a kernel element and a total-radical element"
-            )
-            break
-    # the induced map on quotients of a surjection is surjective
-    right = True
-    return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
+    left_out = re.intersection(K.codes(caps)) - rk
+    if left_out:
+        witnesses["left"] = (
+            f"kernel element {_cycles(K, min(left_out))} maps into the radical "
+            "of the total group but lies outside the kernel's radical"
+        )
+    middle = len(proj_re) == len(rg)
+    if not middle:
+        e = next(e for e in total.codes(caps) if proj[e] in rg and proj[e] not in proj_re)
+        witnesses["middle"] = (
+            f"total element {_cycles(total, e)} maps into the base radical but "
+            "is not a product of a kernel element and a total-radical element"
+        )
+    return FlatnessReport(F.describe(), ext.describe(), not left_out, middle, True, witnesses)
 
 
 def _cycles(G: PermGroup, code: int) -> str:
@@ -286,37 +288,35 @@ def _cycles(G: PermGroup, code: int) -> str:
 
 
 def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    # K = ker(proj) lives in E's ambient: iota is the identity on codes
-    sk = apply(F, ext.kernel_group, caps).result.code_set(caps)
-    se = apply(F, ext.total, caps).result.code_set(caps)
-    sg = apply(F, ext.base, caps).result.code_set(caps)
+    """The flags by set algebra on codes, each witness the least failing
+    code.  K = ker(proj) lives in E's ambient, so iota is the identity on
+    codes.  Left: a restriction of an injective map is injective.  Middle:
+    S(E) n K lies in S(K).  Right: proj(S(E)) is all of S(G); naturality
+    gives proj(S(E)) <= S(G), so that is |proj(S(E))| = |S(G)|."""
+    K = ext.kernel_group
+    sk = subfunctor_subgroup(F, K, caps).code_set(caps)
+    se = subfunctor_subgroup(F, ext.total, caps).code_set(caps)
+    sg = subfunctor_subgroup(F, ext.base, caps).code_set(caps)
     proj = ext.proj.code_map()
+    image_of_se = set(map(proj.__getitem__, se))
     if not sk <= se:
         raise FlatlabError("naturality failed: inclusion does not preserve the subfunctor")
-    if any(proj[x] not in sg for x in se):
+    if not image_of_se <= sg:
         raise FlatlabError("naturality failed: projection does not preserve the subfunctor")
     witnesses: dict[str, str] = {}
-    left = True  # restriction of an injective map is injective
-    middle = True
-    for e in sorted(se & ext.kernel_group.code_set(caps)):
-        if e not in sk:
-            middle = False
-            witnesses["middle"] = (
-                f"element {_cycles(ext.total, e)} is in the subfunctor of the total group "
-                "and in the kernel, but not in the image of the kernel's subfunctor"
-            )
-            break
-    image_of_se = {proj[x] for x in se}
-    right = True
-    for g in sorted(sg):
-        if g not in image_of_se:
-            right = False
-            witnesses["right"] = (
-                f"base element {_cycles(ext.base, g)} is in the subfunctor of the base "
-                "but not in the image of the subfunctor of the total group"
-            )
-            break
-    return FlatnessReport(F.describe(), ext.describe(), left, middle, right, witnesses)
+    middle_out = se.intersection(K.codes(caps)) - sk
+    if middle_out:
+        witnesses["middle"] = (
+            f"element {_cycles(ext.total, min(middle_out))} is in the subfunctor of the "
+            "total group and in the kernel, but not in the image of the kernel's subfunctor"
+        )
+    right = len(image_of_se) == len(sg)
+    if not right:
+        witnesses["right"] = (
+            f"base element {_cycles(ext.base, min(sg - image_of_se))} is in the subfunctor "
+            "of the base but not in the image of the subfunctor of the total group"
+        )
+    return FlatnessReport(F.describe(), ext.describe(), True, not middle_out, right, witnesses)
 
 
 def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:

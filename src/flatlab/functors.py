@@ -57,18 +57,28 @@ from .words import Presentation, Word, _split_top_level, parse_word
 
 class _Spec:
     """A functor specification: immutable, and equal and hashed by ``_key``,
-    the tuple of its parameters, since specs are the memo keys of radicals."""
+    the tuple of its parameters, since specs are the memo keys of radicals.
+    The hash and the ``describe()`` text are computed once, by ``_freeze``,
+    as every memo lookup hashes the spec and every verdict names it."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash", "_text")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _freeze(self, key: tuple, text: str) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_text", text)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+    def describe(self) -> str:
+        return self._text
 
 
 class Variety(_Spec):
@@ -76,10 +86,7 @@ class Variety(_Spec):
 
     def __init__(self, words: tuple[Word, ...]):
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_key", (words,))
-
-    def describe(self) -> str:
-        return f"variety({','.join(w.text() for w in self.words)})"
+        self._freeze((words,), f"variety({','.join(w.text() for w in words)})")
 
 
 class NilpotentQuotient(_Spec):
@@ -89,18 +96,14 @@ class NilpotentQuotient(_Spec):
         if nilpotency_class < 1:
             raise ValueError("nilpotency class must be >= 1")
         object.__setattr__(self, "nilpotency_class", nilpotency_class)
-        object.__setattr__(self, "_key", (nilpotency_class,))
-
-    def describe(self) -> str:
-        return f"nilpotent(class={self.nilpotency_class})"
+        self._freeze((nilpotency_class,), f"nilpotent(class={nilpotency_class})")
 
 
 class Abelianization(_Spec):
     __slots__ = ()
-    _key = ()  # no parameters
 
-    def describe(self) -> str:
-        return "abelianization"
+    def __init__(self):
+        self._freeze((), "abelianization")  # no parameters
 
 
 class Localization(_Spec):
@@ -113,18 +116,15 @@ class Localization(_Spec):
 
     def __init__(self, *conditions: tuple[Presentation, tuple[Word, ...]]):
         object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "_key", conditions)
         # A when f is A ->> 1: one condition, its S holding every generator of A
         kills = [{((i, 1),) for i in range(len(A.generators))} <= {w.letters for w in S}
                  for A, S in conditions]
         object.__setattr__(self, "nullified", conditions[0][0] if kills == [True] else None)
-
-    def describe(self) -> str:
-        return ";".join(
+        self._freeze(conditions, ";".join(
             f"orthogonal(<{','.join(A.generators)}|{','.join(A.relator_texts())}>"
             f"=>{','.join(w.text(A.generators) for w in S)})"
-            for A, S in self.conditions
-        )
+            for A, S in conditions
+        ))
 
 
 class Nullification(Localization):
@@ -137,12 +137,8 @@ class Nullification(Localization):
             )
         super().__init__((target, tuple(map(Word.generator, range(len(target.generators))))))
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_key", (target,))  # cheaper to hash per memo lookup
-
-    def describe(self) -> str:
-        gens = ",".join(self.target.generators)
-        rels = ",".join(self.target.relator_texts())
-        return f"nullification(<{gens}|{rels}>)"
+        gens, rels = ",".join(target.generators), ",".join(target.relator_texts())
+        self._freeze((target,), f"nullification(<{gens}|{rels}>)")
 
 
 class QuasiVarietyReflection(Localization):
@@ -154,11 +150,9 @@ class QuasiVarietyReflection(Localization):
             (Presentation(tuple(f"x{i + 1}" for i in range(max(c.arity, u.arity, 1))), (c,)), (u,))
             for c, u in rules
         ))
-
-    def describe(self) -> str:
-        return "quasivariety(" + ";".join(
-            f"{c.text()}=>{u.text()}" for c, u in self.rules
-        ) + ")"
+        self._freeze(self._key, "quasivariety(" + ";".join(
+            f"{c.text()}=>{u.text()}" for c, u in rules
+        ) + ")")
 
 
 class SpSubfunctor(_Spec):
@@ -168,10 +162,7 @@ class SpSubfunctor(_Spec):
         if not is_prime(p):
             raise FlatlabError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_key", (p,))
-
-    def describe(self) -> str:
-        return f"sp(p={self.p})"
+        self._freeze((p,), f"sp(p={p})")
 
 
 FunctorSpec = Union[
@@ -411,23 +402,29 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     return G.memo(("radical", F), compute, caps)
 
 
-def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> LocalizedResult:
-    if isinstance(F, SpSubfunctor):
-        S = s_p_subgroup(G, F.p, caps)
-        incl = GroupHom.inclusion(S, G, caps)
-        return LocalizedResult(F, G, S, incl, None, SUBFUNCTOR)
-    # every epireflection is the quotient by its radical
+def subfunctor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """The subgroup the subfunctor picks in G, without building its inclusion."""
+    if functor_kind(F) != SUBFUNCTOR:
+        raise UnsupportedFunctorError("only the subfunctor picks a subgroup")
+    return s_p_subgroup(G, F.p, caps)
+
+
+def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> tuple:
+    """``apply``'s memo value on G for an epireflection, the quotient by its
+    radical W: (G/W, W, the projection's code map)."""
     W = radical_subgroup(F, G, caps)
     Q, proj = quotient(G, W, caps)
-    return LocalizedResult(F, G, Q, proj, W, EPIREFLECTION)
+    return Q, W, proj.code_map()
 
 
 # -- application: abelian flavor ----------------------------------------------
 
 
-def _epireflection(F, A: AbGroup, eta: AbHom) -> LocalizedResult:
+def _epireflection(A: AbGroup, eta: AbHom) -> tuple:
+    """``apply``'s memo value on A for an epireflection: (LA, the radical,
+    eta's matrix), with None for LA when eta is the identity of A."""
     radical, _ = ab_kernel(eta)
-    return LocalizedResult(F, A, eta.codomain, eta, radical, EPIREFLECTION)
+    return None if eta.codomain is A else eta.codomain, radical, eta.matrix
 
 
 def _quotient_by_columns(A: AbGroup, extra: IntMatrix) -> AbHom:
@@ -472,7 +469,7 @@ def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
+def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> tuple:
     if isinstance(F, (Abelianization, NilpotentQuotient, Variety)):
         # on abelian groups a word acts through its exponent sums; iterated
         # commutators have zero exponent sums
@@ -480,8 +477,8 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
         sums = _exponent_sums(words, max((w.arity for w in words), default=0))
         g = gcd(*(e for col in sums for e in col))
         if g == 0:
-            return _epireflection(F, A, AbHom.identity_hom(A))
-        return _epireflection(F, A, _quotient_by_columns(A, IntMatrix.scalar(A.ngens, g)))
+            return _epireflection(A, AbHom.identity_hom(A))
+        return _epireflection(A, _quotient_by_columns(A, IntMatrix.scalar(A.ngens, g)))
     if isinstance(F, Localization):
         # quotient by the images s(h) of the homs h : A -> L, s in S, until
         # they all vanish in L
@@ -492,21 +489,36 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> LocalizedResult:
                 homs = abelian_hom_group(source, L)[1].matrix.columns()
                 cols += [_word_image(w, h, L.ngens) for w in S for h in homs]
             if all(solve_in_column_lattice(L.snf, c) is not None for c in cols):
-                return _epireflection(F, A, eta)
+                return _epireflection(A, eta)
             eta = eta.then(_quotient_by_columns(L, IntMatrix.from_columns(cols, L.ngens)))
     if isinstance(F, SpSubfunctor):
         T, incl = n_torsion(A, F.p)
-        return LocalizedResult(F, A, T, incl, None, SUBFUNCTOR)
+        return T, None, incl.matrix
     raise UnsupportedFunctorError(f"unknown functor {F!r}")
 
 
 def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
     """Apply the functor; epireflections yield eta: G ->> LG with its radical,
-    the subfunctor yields an inclusion."""
+    the subfunctor yields an inclusion.
+
+    The memo on G keeps the result, the radical and eta's code map or
+    matrix, none of which references G (the permutation subfunctor's
+    subgroup is memoised by ``s_p_subgroup``), and eta is built around G on
+    each call: so a group that holds its own result dies by reference
+    count."""
     if isinstance(G, PermGroup):
-        return G.memo(("apply", F), lambda: _apply_perm(F, G, caps), caps)
+        if functor_kind(F) == SUBFUNCTOR:
+            S = subfunctor_subgroup(F, G, caps)
+            return LocalizedResult(F, G, S, GroupHom.inclusion(S, G, caps), None, SUBFUNCTOR)
+        L, W, mapping = G.memo(("apply", F), lambda: _apply_perm(F, G, caps), caps)
+        proj = GroupHom._from_codes(G, L, L.gen_codes(caps), caps, mapping=mapping, kernel=W)
+        return LocalizedResult(F, G, L, proj, W, EPIREFLECTION)
     if isinstance(G, AbGroup):
-        return G.memo(("apply", F), lambda: _apply_abelian(F, G, caps))
+        L, W, matrix = G.memo(("apply", F), lambda: _apply_abelian(F, G, caps))
+        if W is None:
+            return LocalizedResult(F, G, L, AbHom(L, G, matrix), None, SUBFUNCTOR)
+        L = G if L is None else L
+        return LocalizedResult(F, G, L, AbHom(G, L, matrix), W, EPIREFLECTION)
     raise UnsupportedFunctorError(f"cannot apply a functor to {type(G).__name__}")
 
 

@@ -54,19 +54,26 @@ def relator_solutions(
         ]
         for i in range(k)
     ]
+    if not k:
+        return [()]
+    # depth-first over the positions, candidates in order: tried[i] counts
+    # the candidates taken at position i since position i - 1 last moved
     results: list[tuple[int, ...]] = []
     assignment: list[int] = [0] * k
-
-    def backtrack(i: int):
-        if i == k:
-            results.append(tuple(assignment))
-            return
-        for y in allowed[i]:
-            assignment[i] = y
-            if all(evaluate(r, assignment) in trivial for r in multi[i]):
-                backtrack(i + 1)
-
-    backtrack(0)
+    tried = [0] * k
+    i = 0
+    while i >= 0:
+        if tried[i] == len(allowed[i]):
+            tried[i] = 0
+            i -= 1
+            continue
+        assignment[i] = allowed[i][tried[i]]
+        tried[i] += 1
+        if all(evaluate(r, assignment) in trivial for r in multi[i]):
+            if i + 1 < k:
+                i += 1
+            else:
+                results.append(tuple(assignment))
     return results
 
 

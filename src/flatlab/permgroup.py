@@ -531,7 +531,14 @@ class PermGroup:
 
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
-        against the caps, so no cap verdict depends on call history."""
+        against the caps, so no cap verdict depends on call history.
+
+        A memo value never references this group, so a group dies by
+        reference count when its last user drops it, and the verdict loops
+        leave no cycles for the garbage collector.  The two exceptions hold
+        their group by nature and live on long-lived catalog groups and
+        bases: ``"extensions"`` (each extension's projection starts at the
+        group) and ``"homs"`` (each hom ends at it)."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -601,12 +608,13 @@ def _extend_mapping(domain, codomain, images, caps: Caps):
 
 class GroupHom:
     """A verified homomorphism, stored as generator image codes and its full
-    code map, which it holds from construction.
+    code map.
 
     A hom that is one by construction (a projection, a composite, a found
     isomorphism) is handed its map.  Any other is checked by one rule: an
-    inclusion is the identity on codes, and every other hom is verified by
-    the edge check of :func:`_extend_mapping`, which also builds its map.
+    inclusion is the identity on codes, a map built on its first use, and
+    every other hom is verified by the edge check of :func:`_extend_mapping`,
+    which also builds its map.
     :meth:`apply` maps permutations.
 
     Enumerated homs are kept for the life of their codomain, so a hom
@@ -638,12 +646,14 @@ class GroupHom:
 
     @classmethod
     def _from_codes(
-        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None
+        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None, kernel=None
     ) -> "GroupHom":
         """The hom with these generator image codes, each the code of an
-        element of ``codomain`` by the caller's construction."""
+        element of ``codomain`` by the caller's construction, as is
+        ``kernel``, when given."""
         hom = cls.__new__(cls)
         hom._init(domain, codomain, tuple(codes), caps, None, mapping)
+        hom._kernel = kernel
         return hom
 
     def _init(self, domain, codomain, codes, caps, name, mapping=None):
@@ -656,8 +666,9 @@ class GroupHom:
         if mapping is None:
             if domain._amb is codomain.ambient(caps) and codes == domain.gen_codes(caps):
                 # an inclusion: the domain is generated by these codes of the
-                # codomain (``_amb``, so a domain that is not listed stays unlisted)
-                mapping = {x: x for x in domain.codes(caps)}
+                # codomain (``_amb``, so a domain that is not listed stays
+                # unlisted); listing it checks it against the caps now
+                domain.codes(caps)
             else:
                 mapping = _extend_mapping(domain, codomain, codes, caps)
                 if mapping is None:
@@ -671,6 +682,9 @@ class GroupHom:
         return tuple(map(self.codomain.ambient(None).decode, self.image_codes))
 
     def code_map(self) -> dict[int, int]:
+        if self._map is None:  # an inclusion
+            codes = self.domain.codes(None)
+            self._map = dict(zip(codes, codes))
         return self._map
 
     def apply(self, x: Permutation) -> Permutation:
@@ -679,7 +693,7 @@ class GroupHom:
             lambda p: NotASubgroupError(f"{p.cycle_string()} is not an element of the domain"),
             self._caps,
         )
-        return self.codomain.ambient(None).decode(self._map[c])
+        return self.codomain.ambient(None).decode(self.code_map()[c])
 
     def __call__(self, x: Permutation) -> Permutation:
         return self.apply(x)
@@ -716,11 +730,11 @@ class GroupHom:
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite (apply self first, then other); self's image must lie
         in other's domain, in whatever ambient that lives."""
-        caps, cmap = self._caps, other.code_map()
+        caps, cmap, smap = self._caps, other.code_map(), self.code_map()
         error = InvalidHomomorphismError("image of the first map is not in the second's domain")
-        recode = _recode(self.codomain, set(self._map.values()), other.domain, caps, error)
+        recode = _recode(self.codomain, set(smap.values()), other.domain, caps, error)
         cmap = {y: cmap[z] for y, z in recode.items()}
-        mapping = {x: cmap[y] for x, y in self._map.items()}
+        mapping = {x: cmap[y] for x, y in smap.items()}
         return GroupHom._from_codes(
             self.domain, other.codomain, [cmap[y] for y in self.image_codes], caps,
             mapping=mapping,
@@ -847,9 +861,8 @@ def quotient(
     decode = Q.ambient(caps).decode
     by_point = {decode(q).images[0]: q for q in Q.codes(caps)}
     mapping = {x: by_point[i] for x, i in coset_index.items()}
-    proj = GroupHom._from_codes(G, Q, Q.gen_codes(caps), caps, mapping=mapping)
-    proj._kernel = N  # the x whose coset is N itself, mapped to Q's identity
-    return Q, proj
+    # the kernel is N: the x whose coset is N itself, mapped to Q's identity
+    return Q, GroupHom._from_codes(G, Q, Q.gen_codes(caps), caps, mapping=mapping, kernel=N)
 
 
 def direct_product(
@@ -1014,26 +1027,29 @@ def find_isomorphism(
     for y in H.codes(caps):
         by_order.setdefault(hamb.order_of(y), []).append(y)
 
-    chosen: list[int] = []
-
-    def backtrack(i: int) -> GroupHom | None:
-        for y in by_order.get(amb.order_of(gens[i]), ()):
-            chosen.append(y)
-            sub = partials[i]
-            mapping = _extend_mapping(sub, H, chosen, caps)
-            if mapping is not None and len(set(mapping.values())) == sub.order(caps):
-                if i + 1 == len(gens):
-                    # the chosen generators span G: the mapping is the whole map
-                    return GroupHom._from_codes(
-                        G, H, [mapping[g] for g in G.gen_codes(caps)], caps, mapping=mapping
-                    )
-                result = backtrack(i + 1)
-                if result is not None:
-                    return result
-            chosen.pop()
-        return None
-
-    return backtrack(0)
+    # depth-first over the generators, images in order: tried[i] counts the
+    # images taken for gens[i] since gens[i - 1] last moved
+    choices = [by_order.get(amb.order_of(g), []) for g in gens]
+    chosen = [0] * len(gens)
+    tried = [0] * len(gens)
+    i = 0
+    while i >= 0:
+        if tried[i] == len(choices[i]):
+            tried[i] = 0
+            i -= 1
+            continue
+        chosen[i] = choices[i][tried[i]]
+        tried[i] += 1
+        sub = partials[i]
+        mapping = _extend_mapping(sub, H, chosen[: i + 1], caps)
+        if mapping is not None and len(set(mapping.values())) == sub.order(caps):
+            if i + 1 == len(gens):
+                # the chosen generators span G: the mapping is the whole map
+                return GroupHom._from_codes(
+                    G, H, [mapping[g] for g in G.gen_codes(caps)], caps, mapping=mapping
+                )
+            i += 1
+    return None
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:

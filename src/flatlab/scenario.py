@@ -36,7 +36,15 @@ from __future__ import annotations
 
 import re
 
-from .abelian import AbGroup, AbHom, IntMatrix, ab_from_invariants, perm_to_abelian
+from .abelian import (
+    AbGroup,
+    AbHom,
+    IntMatrix,
+    _parse_int_list,
+    _parse_matrix,
+    abelian_from_fields,
+    perm_to_abelian,
+)
 from .caps import DEFAULT_CAPS, Caps
 from .catalog import default_battery, parse_group_literal
 from .errors import CapExceededError, FlatlabError, ScenarioError
@@ -51,7 +59,7 @@ from .functors import FunctorSpec, TestMap, apply, parse_functor_literal
 from .homs import realize_presentation
 from .perm import parse_cycle_string
 from .permgroup import GroupHom, PermGroup, is_isomorphic
-from .words import Presentation, Word, parse_word, _split_top_level
+from .words import Presentation, Word, _split_top_level, parse_fields, parse_word
 
 _HEADER = re.compile(r"^\[\s*(group|hom|extension|functor|directive)\s*([A-Za-z_0-9.'-]*)\s*\]\s*(.*)$")
 
@@ -107,29 +115,6 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
-def _split_fields(text: str, line: int) -> list[str]:
-    """Split on whitespace at bracket depth zero."""
-    parts, cur, depth = [], [], 0
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ScenarioError("unbalanced brackets", line)
-        if ch.isspace() and depth == 0:
-            if cur:
-                parts.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ScenarioError("unbalanced brackets", line)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 def _parse_sections(text: str) -> list[Section]:
     sections: list[Section] = []
     current: dict | None = None
@@ -174,45 +159,8 @@ def _parse_sections(text: str) -> list[Section]:
 
 
 def _feed_body(current: dict, text: str, lineno: int) -> None:
-    for tok in _split_fields(text, lineno):
-        if "=" in tok:
-            key, _, value = tok.partition("=")
-            if not key:
-                raise ScenarioError(f"bad field {tok!r}", lineno)
-            current["fields"].append((key, value))
-        else:
-            if current["form"] is not None:
-                raise ScenarioError(
-                    f"unexpected bare word {tok!r} (form already {current['form']!r})",
-                    lineno,
-                )
-            current["form"] = tok
-
-
-def _parse_int_list(text: str, line: int) -> list[int]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ScenarioError(f"expected [..] list, got {text!r}", line)
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    try:
-        return [int(tok) for tok in inner.replace(",", " ").split()]
-    except ValueError:
-        raise ScenarioError(f"bad integer list {text!r}", line) from None
-
-
-def _parse_matrix(text: str, line: int) -> list[list[int]]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ScenarioError(f"expected [[..],..] matrix, got {text!r}", line)
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    rows = []
-    for chunk in _split_top_level(inner):
-        rows.append(_parse_int_list(chunk, line))
-    return rows
+    current["form"], fields = parse_fields(text, lineno, current["form"])
+    current["fields"] += fields
 
 
 def _build_group(sec: Section, caps: Caps = DEFAULT_CAPS):
@@ -229,14 +177,7 @@ def _build_group(sec: Section, caps: Caps = DEFAULT_CAPS):
         pres = Presentation.parse(sec.require("gens"), sec.get("rels", "") or "")
         return realize_presentation(pres, caps, name=sec.name)
     if form == "abelian":
-        if sec.get("relations") is not None:
-            rows = _parse_matrix(sec.require("relations"), sec.line)
-            ngens = len(rows)
-            cols = len(rows[0]) if rows else 0
-            return AbGroup(ngens, IntMatrix(rows, cols=cols), name=sec.name)
-        rank = int(sec.get("rank", "0") or 0)
-        torsion = _parse_int_list(sec.get("torsion", "[]") or "[]", sec.line)
-        return ab_from_invariants(rank, torsion, name=sec.name)
+        return abelian_from_fields(sec.fields, sec.name, sec.line)
     if form == "catalog":
         return parse_group_literal(sec.require("spec"))
     raise ScenarioError(

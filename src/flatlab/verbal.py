@@ -88,14 +88,16 @@ def lower_central_series(
     G: PermGroup, depth: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
     """lcs(0) = G, lcs(k+1) = [lcs(k), G]; stabilized tail is repeated up to
-    ``depth``.  Memoized per group.  lcs(k+1) is the normal closure of the
-    [t, s], t in the generators that lcs(k)'s closure kept and s in G's:
-    modulo it every t, so all of lcs(k), is central."""
+    ``depth``.  Memoized per group: the memo grows lcs(1), lcs(2), ... and
+    holds no G, so every depth shares the same lcs(k).  lcs(k+1) is the
+    normal closure of the [t, s], t in the generators that lcs(k)'s closure
+    kept and s in G's: modulo it every t, so all of lcs(k), is central."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    chain: list[PermGroup] = G.memo("lcs_chain", lambda: [G], caps)
+    tail: list[PermGroup] = G.memo("lcs", list, caps)
     amb = G.ambient(caps)
     conjugators = [amb.conjugator(s) for s in G.gen_codes(caps)]
+    chain = [G, *tail]
 
     def stabilized() -> bool:
         return len(chain) >= 2 and (
@@ -110,10 +112,11 @@ def lower_central_series(
         ]
         nxt = normal_closure_codes(G, seeds, caps)
         chain.append(nxt)
+        tail.append(nxt)
         if depth is None and nxt.is_trivial():
             break
     if depth is None:
-        return list(chain)
+        return chain
     out = list(chain[: depth + 1])
     while len(out) <= depth:
         out.append(chain[-1])

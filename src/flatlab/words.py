@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
+from .errors import ScenarioError
+
 
 _LCS_WORDS: dict[int, "Word"] = {}
 
@@ -271,3 +273,48 @@ def _split_top_level(text: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur).strip())
     return [p for p in parts if p]
+
+
+def _split_fields(text: str, line: int | None) -> list[str]:
+    """Split on whitespace at bracket depth zero."""
+    parts, cur, depth = [], [], 0
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise ScenarioError("unbalanced brackets", line)
+        if ch.isspace() and depth == 0:
+            if cur:
+                parts.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise ScenarioError("unbalanced brackets", line)
+    if cur:
+        parts.append("".join(cur))
+    return parts
+
+
+def parse_fields(
+    text: str, line: int | None, form: str | None = None
+) -> tuple[str | None, list[tuple[str, str]]]:
+    """The bare word (the form) and the key=value fields of a line of a
+    scenario section body, such as ``abelian rank=1 torsion=[4]``; ``form``
+    is the one an earlier line of the body gave, if any."""
+    fields = []
+    for tok in _split_fields(text, line):
+        if "=" in tok:
+            key, _, value = tok.partition("=")
+            if not key:
+                raise ScenarioError(f"bad field {tok!r}", line)
+            fields.append((key, value))
+        else:
+            if form is not None:
+                raise ScenarioError(
+                    f"unexpected bare word {tok!r} (form already {form!r})", line
+                )
+            form = tok
+    return form, fields

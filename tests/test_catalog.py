@@ -146,3 +146,13 @@ def test_battery_is_deterministic_and_bounded():
         assert expected in names
     b16 = default_battery(16)
     assert all(g.order() <= 16 for g in b16)
+
+
+def test_every_battery_call_hands_out_the_same_groups():
+    # the memos of a battery group (its extensions, the homs into it, its
+    # radicals) are built once per process, C2xC4's too
+    first, again = default_battery(64), default_battery(64)
+    assert len(first) == 23
+    assert all(g is h for g, h in zip(first, again))
+    assert product(cyclic(2), cyclic(4)) is product(cyclic(2), cyclic(4))
+    assert product(cyclic(2), cyclic(4)) is not product(cyclic(2), cyclic(4), name="C2xC4")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from flatlab import permgroup
@@ -370,6 +372,41 @@ def test_a_search_builds_each_extension_once_for_every_functor(monkeypatch):
     for F in (Abelianization(), NilpotentQuotient(2)):
         search_counterexamples(F, 16, 4, battery=battery)
     assert len(quotients) == sum(len(normal_subgroups(G)) for G in battery) == 99
+
+
+CYCLE_FAMILIES = (
+    Abelianization(),
+    NilpotentQuotient(3),
+    Variety((parse_word("x1^2"),)),
+    Nullification(cyclic(2).presentation),
+    Nullification(symmetric(3).presentation),
+    QUASI,
+    SpSubfunctor(2),
+)
+
+
+@pytest.mark.parametrize("F", CYCLE_FAMILIES, ids=lambda F: F.describe())
+def test_a_pullback_verdict_leaves_no_cyclic_garbage(F):
+    # no memo value references its group, so every pullback, its groups and
+    # its verdict die by reference count: with the collector off, a sweep's
+    # inner loop leaves nothing for it to find
+    pairs = [
+        (ext, f)
+        for G in default_battery(16)
+        for ext in extensions_from_group(G)
+        if check_flatness(F, ext).is_flat
+        for X in default_battery(4)
+        for f in enumerate_homs(X, ext.base)
+    ]
+    assert len(pairs) > 200
+    gc.collect()
+    gc.disable()
+    try:
+        for ext, f in pairs:
+            check_flatness(F, pullback_extension(ext, f).extension)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pullback_along_localization_reproduces_counterexample():

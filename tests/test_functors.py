@@ -590,3 +590,32 @@ def test_orthogonal_literal_is_its_own_localization():
         involutions = [g for g in R.elements() if (g * g).is_identity()]
         assert all(a * b == b * a for a in involutions for b in involutions), G.name
     assert apply(F, ab_from_invariants(1, (4,))).result.canonical_invariants() == (1, (4,))
+
+
+@pytest.mark.parametrize("default_first", [False, True])
+def test_repeated_apply_is_equal_and_checks_the_caps_every_time(default_first):
+    # apply keeps the result, the radical and eta's map on the group, and
+    # builds eta around the group on each call; a call under smaller caps
+    # fails the same way whether or not the memo holds a result
+    small = Caps(order=12)
+    for F in (Abelianization(), NilpotentQuotient(2), SpSubfunctor(2)):
+        S4 = symmetric(4)
+        G = PermGroup(S4.degree, S4.generators, name="S4")  # G stays unlisted
+        for caps in [Caps(), small, Caps(), small][not default_first:]:
+            if caps is small:
+                with pytest.raises(CapExceededError) as exc:
+                    apply(F, G, caps)
+                assert (str(exc.value), exc.value.partial) == ("order cap 12 exceeded", 12)
+                continue
+            first, again = apply(F, G, caps), apply(F, G, caps)
+            assert first.source is again.source is G
+            assert first.result is again.result and first.radical is again.radical
+            assert first.eta is not again.eta
+            assert first.eta.code_map() == again.eta.code_map()
+            assert first.eta.kernel().codes() == again.eta.kernel().codes()
+    for F in (Abelianization(), SpSubfunctor(2), Nullification(cyclic(2).presentation)):
+        A = ab_from_invariants(1, (4, 6))
+        first, again = apply(F, A), apply(F, A)
+        assert first.result is again.result and first.radical is again.radical
+        assert (first.eta.domain, first.eta.codomain) == (again.eta.domain, again.eta.codomain)
+        assert first.eta.matrix == again.eta.matrix

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from flatlab.caps import Caps
@@ -164,3 +167,22 @@ def test_verbal_and_order_p_subgroups_are_normal_by_construction(battery_groups)
             assert is_normal(W, G), G.describe()
             checked += 1
     assert checked == 5 * 1_445
+
+
+def test_lcs_terms_are_shared_across_depths_and_hold_no_group():
+    D16 = dihedral(16)
+    G = PermGroup(D16.degree, D16.generators, name="D16")
+    shallow = lower_central_series(G, 1)
+    deep = lower_central_series(G, 5)
+    assert shallow[1] is deep[1]
+    assert all(a is b for a, b in zip(lower_central_series(G), deep))
+    assert [H.order() for H in deep] == [16, 4, 2, 1, 1, 1]
+    # the memo keeps lcs(1), lcs(2), ... and not G, so G dies with its last
+    # reference, with the collector off
+    ref = weakref.ref(G)
+    gc.disable()
+    try:
+        del G, shallow, deep
+        assert ref() is None
+    finally:
+        gc.enable()
