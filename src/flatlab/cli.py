@@ -23,7 +23,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .catalog import parse_group_literal
 from .errors import CapExceededError, FlatlabError, ScenarioError
 from .extensions import check_flatness
-from .functors import apply, parse_functor_literal
+from .functors import apply, functor_from_fields
 from .permgroup import PermGroup
 from .words import parse_fields
 
@@ -62,17 +62,6 @@ def parse_caps(text: str | None) -> Caps:
             raise FlatlabError(f"cap {key!r} needs a positive integer, got {value!r}")
         overrides[_CAP_ALIASES[key]] = n
     return DEFAULT_CAPS.with_(**overrides)
-
-
-def _parse_functor_option(text: str):
-    parts = text.split(None, 1)
-    kind = parts[0]
-    params = {}
-    if len(parts) > 1:
-        for chunk in parts[1].split():
-            key, _, value = chunk.partition("=")
-            params[key] = value
-    return parse_functor_literal(kind, params)
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str], started: float) -> None:
@@ -140,7 +129,7 @@ def cmd_search(args) -> int:
 
     caps = parse_caps(args.caps)
     started = time.monotonic()
-    F = _parse_functor_option(args.functor)
+    F = functor_from_fields(*parse_fields(args.functor, None))
     rep = search_counterexamples(
         F, args.max_order, args.probe_max_order, caps
     )
@@ -167,7 +156,7 @@ def cmd_search(args) -> int:
 def cmd_localize(args) -> int:
     caps = parse_caps(args.caps)
     started = time.monotonic()
-    F = _parse_functor_option(args.functor)
+    F = functor_from_fields(*parse_fields(args.functor, None))
     G = _parse_group_option(args.group)
     L = apply(F, G, caps)
     if isinstance(L.result, PermGroup):
@@ -209,7 +198,7 @@ def cmd_check(args) -> int:
 
     caps = parse_caps(args.caps)
     started = time.monotonic()
-    F = _parse_functor_option(args.functor)
+    F = functor_from_fields(*parse_fields(args.functor, None))
     scn = parse_scenario(_read_text(args.extension), caps)
     if not scn.extensions:
         print("no [extension] defined in the file", file=sys.stderr)

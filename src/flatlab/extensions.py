@@ -41,10 +41,9 @@ from .functors import (
     abelian_hom_group,
     apply,
     functor_kind,
+    functor_subgroup,
     induce,
     is_local_wrt,
-    radical_subgroup,
-    subfunctor_subgroup,
 )
 from .homs import enumerate_homs, hom_image_codes
 from .permgroup import (
@@ -78,7 +77,8 @@ class Extension:
         if isinstance(proj, GroupHom):
             self.flavor = PERM
             K = proj.kernel()
-            K.name = K.name or "ker"
+            if K.name is None:
+                K = K.named("ker", caps)
             iota = GroupHom.inclusion(K, proj.domain, caps)
         elif isinstance(proj, AbHom):
             self.flavor = ABELIAN
@@ -109,9 +109,10 @@ class Extension:
 def extension_from_normal_subgroup(
     G: PermGroup, N: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> Extension:
-    """N -> G -> G/N; an unnamed N is named by its order."""
+    """N -> G -> G/N; an unnamed N is named by its order, on a copy, so the
+    caller's N keeps its name."""
     if N.name in (None, "ncl"):
-        N.name = f"N{N.order(caps)}"
+        N = N.named(f"N{N.order(caps)}", caps)
     return Extension(quotient(G, N, caps)[1], caps=caps)
 
 
@@ -238,85 +239,72 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
     """Decide whether F(K) -> F(E) -> F(G) is again an extension, with
     witnesses at the failing flag."""
     if ext.flavor == PERM:
-        if functor_kind(F) == EPIREFLECTION:
-            return _flatness_perm_epi(F, ext, caps)
-        return _flatness_perm_sub(F, ext, caps)
+        return _flatness_perm(F, ext, caps)
     return _flatness_abelian(F, ext, caps)
 
 
-def _flatness_perm_epi(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    """The flags by set algebra on codes; elements are scanned only to name
-    the witness of a failing flag.  K = ker(proj) lives in E's ambient, so
-    iota is the identity on codes.
+def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
+    """The flags by set algebra on the codes of the subgroups W that F picks
+    (``functor_subgroup``); elements are scanned only to name the witness of
+    a failing flag.  K = ker(proj) lives in E's ambient, so iota is the
+    identity on codes.  Naturality gives W(K) <= W(E) and
+    proj(W(E)) <= W(G), both checked.  Two facts decide every flag:
+    inner = (K n W(E)) - W(K), and onto, |proj(W(E))| = |W(G)|, which by
+    naturality is proj(W(E)) = W(G).
 
-    Left: K -> E induces K/R(K) -> E/R(E), injective iff K n R(E) lies in
-    R(K).  Middle: K and R(E) are normal, so K R(E) is the preimage of
-    proj(R(E)), and the sequence is exact in the middle iff every e with
-    proj(e) in R(G) has proj(e) in proj(R(E)), i.e. iff R(G) lies in
-    proj(R(E)), proj being onto (``Extension`` checks it).  Naturality gives
-    proj(R(E)) <= R(G), so that is |proj(R(E))| = |R(G)|.  Right: the
-    induced map of a surjection on quotients is surjective."""
+    Epireflection, F = G/W.  Left: K/W(K) -> E/W(E) is injective iff
+    K n W(E) lies in W(K), i.e. iff inner is empty.  Middle: K and W(E) are
+    normal, so K W(E) is the preimage of proj(W(E)), and the sequence is
+    exact in the middle iff every e with proj(e) in W(G) has proj(e) in
+    proj(W(E)), i.e. iff W(G) lies in proj(W(E)), proj being onto
+    (``Extension`` checks it): that is onto.  Right: the induced map of a
+    surjection on quotients is surjective.
+
+    Subfunctor, F = W.  Left: a restriction of an injective map is
+    injective.  Middle: the kernel of W(E) -> W(G) is W(E) n K, and the
+    image of W(K) is W(K) itself, so exactness is inner being empty.
+    Right: W(E) -> W(G) is onto iff onto holds."""
     K, total = ext.kernel_group, ext.total
-    rk = radical_subgroup(F, K, caps).code_set(caps)
-    re = radical_subgroup(F, total, caps).code_set(caps)
-    rg = radical_subgroup(F, ext.base, caps).code_set(caps)
+    wk = functor_subgroup(F, K, caps).code_set(caps)
+    we = functor_subgroup(F, total, caps).code_set(caps)
+    wg = functor_subgroup(F, ext.base, caps).code_set(caps)
     proj = ext.proj.code_map()
-    proj_re = set(map(proj.__getitem__, re))
-    if not rk <= re:
-        raise FlatlabError("naturality failed: inclusion does not preserve radical")
-    if not proj_re <= rg:
-        raise FlatlabError("naturality failed: projection does not preserve radical")
+    proj_we = set(map(proj.__getitem__, we))
+    epi = functor_kind(F) == EPIREFLECTION
+    if not (wk <= we and proj_we <= wg):
+        leg = "projection" if wk <= we else "inclusion"
+        raise FlatlabError(f"naturality failed: {leg} does not preserve "
+                           f"{'radical' if epi else 'the subfunctor'}")
+    inner = we.intersection(K.codes(caps)) - wk
+    onto = len(proj_we) == len(wg)
     witnesses: dict[str, str] = {}
-    left_out = re.intersection(K.codes(caps)) - rk
-    if left_out:
+    if inner and epi:
         witnesses["left"] = (
-            f"kernel element {_cycles(K, min(left_out))} maps into the radical "
+            f"kernel element {_cycles(total, min(inner))} maps into the radical "
             "of the total group but lies outside the kernel's radical"
         )
-    middle = len(proj_re) == len(rg)
-    if not middle:
-        e = next(e for e in total.codes(caps) if proj[e] in rg and proj[e] not in proj_re)
+    elif inner:
+        witnesses["middle"] = (
+            f"element {_cycles(total, min(inner))} is in the subfunctor of the "
+            "total group and in the kernel, but not in the image of the kernel's subfunctor"
+        )
+    if not onto and epi:
+        e = next(e for e in total.codes(caps) if proj[e] in wg and proj[e] not in proj_we)
         witnesses["middle"] = (
             f"total element {_cycles(total, e)} maps into the base radical but "
             "is not a product of a kernel element and a total-radical element"
         )
-    return FlatnessReport(F.describe(), ext.describe(), not left_out, middle, True, witnesses)
+    elif not onto:
+        witnesses["right"] = (
+            f"base element {_cycles(ext.base, min(wg - proj_we))} is in the subfunctor "
+            "of the base but not in the image of the subfunctor of the total group"
+        )
+    flags = (not inner, onto, True) if epi else (True, not inner, onto)
+    return FlatnessReport(F.describe(), ext.describe(), *flags, witnesses)
 
 
 def _cycles(G: PermGroup, code: int) -> str:
     return G.ambient(None).decode(code).cycle_string()
-
-
-def _flatness_perm_sub(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    """The flags by set algebra on codes, each witness the least failing
-    code.  K = ker(proj) lives in E's ambient, so iota is the identity on
-    codes.  Left: a restriction of an injective map is injective.  Middle:
-    S(E) n K lies in S(K).  Right: proj(S(E)) is all of S(G); naturality
-    gives proj(S(E)) <= S(G), so that is |proj(S(E))| = |S(G)|."""
-    K = ext.kernel_group
-    sk = subfunctor_subgroup(F, K, caps).code_set(caps)
-    se = subfunctor_subgroup(F, ext.total, caps).code_set(caps)
-    sg = subfunctor_subgroup(F, ext.base, caps).code_set(caps)
-    proj = ext.proj.code_map()
-    image_of_se = set(map(proj.__getitem__, se))
-    if not sk <= se:
-        raise FlatlabError("naturality failed: inclusion does not preserve the subfunctor")
-    if not image_of_se <= sg:
-        raise FlatlabError("naturality failed: projection does not preserve the subfunctor")
-    witnesses: dict[str, str] = {}
-    middle_out = se.intersection(K.codes(caps)) - sk
-    if middle_out:
-        witnesses["middle"] = (
-            f"element {_cycles(ext.total, min(middle_out))} is in the subfunctor of the "
-            "total group and in the kernel, but not in the image of the kernel's subfunctor"
-        )
-    right = len(image_of_se) == len(sg)
-    if not right:
-        witnesses["right"] = (
-            f"base element {_cycles(ext.base, min(sg - image_of_se))} is in the subfunctor "
-            "of the base but not in the image of the subfunctor of the total group"
-        )
-    return FlatnessReport(F.describe(), ext.describe(), True, not middle_out, right, witnesses)
 
 
 def _flatness_abelian(F, ext: Extension, caps: Caps) -> FlatnessReport:

@@ -241,6 +241,17 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
         raise ScenarioError(f"functor {kind}: {exc}", line) from None
 
 
+def functor_from_fields(form: str | None, fields, line: int | None = None) -> FunctorSpec:
+    """The functor of a literal split by ``words.parse_fields``, such as
+    ``variety words=[x1^2, [x1,x2]]``, for the CLI --functor option and for
+    scenario [functor] sections: the kind is the first ``kind=`` field or
+    else the bare word, and the other fields are its parameters."""
+    kind = next((v for k, v in fields if k == "kind"), None) or form
+    if kind is None:
+        raise ScenarioError("functor needs kind=...", line)
+    return parse_functor_literal(kind, {k: v for k, v in fields if k != "kind"}, line)
+
+
 class LocalizedResult:
     __slots__ = ("functor", "source", "result", "eta", "radical", "kind")
 
@@ -381,32 +392,34 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     """Kernel of the localization map, computed without building quotients."""
     if functor_kind(F) != EPIREFLECTION:
         raise UnsupportedFunctorError("only epireflections have a radical")
-
-    def compute():
-        if G.transport is not None:
-            # a functor commutes with isomorphisms: carry the source's radical
-            m = G.transport.code_map()
-            R = radical_subgroup(F, G.transport.domain, caps)
-            return G._sub([m[c] for c in R.codes(caps)], name=R.name)
-        if isinstance(F, Variety):
-            return verbal_subgroup(G, F.words, caps)
-        if isinstance(F, Abelianization):
-            return lower_central_series(G, 1, caps)[1]
-        if isinstance(F, NilpotentQuotient):
-            c = F.nilpotency_class
-            return lower_central_series(G, c, caps)[c]
-        if isinstance(F, Localization):
-            return _localization_radical(F, G, caps)
-        raise UnsupportedFunctorError(f"unknown functor {F!r}")
-
-    return G.memo(("radical", F), compute, caps)
+    return functor_subgroup(F, G, caps)
 
 
-def subfunctor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """The subgroup the subfunctor picks in G, without building its inclusion."""
-    if functor_kind(F) != SUBFUNCTOR:
-        raise UnsupportedFunctorError("only the subfunctor picks a subgroup")
-    return s_p_subgroup(G, F.p, caps)
+def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """The subgroup W that F picks in G: S_p for the subfunctor, the radical
+    of an epireflection, both memoised on G.  Flatness and induced maps of
+    permutation groups read F through W alone."""
+    if isinstance(F, SpSubfunctor):
+        return s_p_subgroup(G, F.p, caps)
+    return G.memo(("radical", F), lambda: _radical(F, G, caps), caps)
+
+
+def _radical(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
+    if G.transport is not None:
+        # a functor commutes with isomorphisms: carry the source's radical
+        m = G.transport.code_map()
+        R = functor_subgroup(F, G.transport.domain, caps)
+        return G._sub([m[c] for c in R.codes(caps)], name=R.name)
+    if isinstance(F, Variety):
+        return verbal_subgroup(G, F.words, caps)
+    if isinstance(F, Abelianization):
+        return lower_central_series(G, 1, caps)[1]
+    if isinstance(F, NilpotentQuotient):
+        c = F.nilpotency_class
+        return lower_central_series(G, c, caps)[c]
+    if isinstance(F, Localization):
+        return _localization_radical(F, G, caps)
+    raise UnsupportedFunctorError(f"unknown functor {F!r}")
 
 
 def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> tuple:
@@ -508,7 +521,7 @@ def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
     count."""
     if isinstance(G, PermGroup):
         if functor_kind(F) == SUBFUNCTOR:
-            S = subfunctor_subgroup(F, G, caps)
+            S = functor_subgroup(F, G, caps)
             return LocalizedResult(F, G, S, GroupHom.inclusion(S, G, caps), None, SUBFUNCTOR)
         L, W, mapping = G.memo(("apply", F), lambda: _apply_perm(F, G, caps), caps)
         proj = GroupHom._from_codes(G, L, L.gen_codes(caps), caps, mapping=mapping, kernel=W)
@@ -532,20 +545,20 @@ def induce(F: FunctorSpec, f, caps: Caps = DEFAULT_CAPS):
     Lcod = apply(F, f.codomain, caps)
     if isinstance(f, GroupHom):
         fmap = f.code_map()
-        if functor_kind(F) == EPIREFLECTION:
-            rad_cod = Lcod.radical.code_set(caps)
-            if any(fmap[x] not in rad_cod for x in Ldom.radical.codes(caps)):
-                raise FlatlabError("induced map undefined: radical not preserved")
-            eta = Lcod.eta.code_map()
-            images = [eta[fmap[g]] for g in f.domain.gen_codes(caps)]
-            # LG's generators are the eta-images of G's, so the square
-            # eta_cod f = induced eta_dom holds on G's generators by
-            # definition; both sides are homs, so it holds on all of G
+        epi = functor_kind(F) == EPIREFLECTION
+        w_cod = functor_subgroup(F, f.codomain, caps).code_set(caps)
+        if any(fmap[x] not in w_cod for x in functor_subgroup(F, f.domain, caps).codes(caps)):
+            raise FlatlabError(
+                f"induced map undefined: {'radical' if epi else 'subfunctor'} not preserved"
+            )
+        if not epi:  # the restriction of f to the subgroups
+            images = [fmap[g] for g in Ldom.result.gen_codes(caps)]
             return GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
-        sub_cod = Lcod.result.code_set(caps)
-        if any(fmap[x] not in sub_cod for x in Ldom.result.codes(caps)):
-            raise FlatlabError("induced map undefined: subfunctor not preserved")
-        images = [fmap[g] for g in Ldom.result.gen_codes(caps)]
+        eta = Lcod.eta.code_map()
+        images = [eta[fmap[g]] for g in f.domain.gen_codes(caps)]
+        # LG's generators are the eta-images of G's, so the square
+        # eta_cod f = induced eta_dom holds on G's generators by
+        # definition; both sides are homs, so it holds on all of G
         return GroupHom._from_codes(Ldom.result, Lcod.result, images, caps)
     if isinstance(f, AbHom):
         if functor_kind(F) == EPIREFLECTION:
@@ -738,18 +751,13 @@ class IdempotencyReport:
 
 
 def idempotency_check(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> IdempotencyReport:
-    """For varieties: compare WG with W applied to WG as a standalone group.
-    For other functors: apply twice and compare."""
-    if isinstance(F, (Variety, Abelianization, NilpotentQuotient)):
-        if isinstance(F, Variety):
-            words = F.words
-        elif isinstance(F, Abelianization):
-            words = (Word.lcs_word(1),)
-        else:
-            words = (Word.lcs_word(F.nilpotency_class),)
-        WG = verbal_subgroup(G, words, caps)
+    """For a variety (abelianization and nilpotent quotients among them) on
+    a permutation group: compare its radical WG with the radical of WG as a
+    standalone group.  Otherwise: apply twice and compare."""
+    if isinstance(F, (Variety, Abelianization, NilpotentQuotient)) and isinstance(G, PermGroup):
+        WG = radical_subgroup(F, G, caps)
         standalone = PermGroup(WG.degree, WG.generators, name="WG")
-        WWG = verbal_subgroup(standalone, words, caps)
+        WWG = radical_subgroup(F, standalone, caps)
         same = WG.element_set(caps) == WWG.element_set(caps)
         return IdempotencyReport(
             F.describe(),

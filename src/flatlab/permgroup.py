@@ -435,6 +435,11 @@ class PermGroup:
         (built) ambient."""
         return PermGroup._coded(self._amb, None, name=name, codes=sorted(set(codes)))
 
+    def named(self, name: str, caps: Caps | None = DEFAULT_CAPS) -> "PermGroup":
+        """This group under ``name``: a copy on the same ambient, generator
+        codes and element codes, so this group keeps its own name."""
+        return PermGroup._coded(self.ambient(caps), self.gen_codes(caps), name, self.codes(caps))
+
     def _rehome(self, H: "PermGroup", caps: Caps | None = DEFAULT_CAPS) -> "PermGroup":
         """H itself when it shares this group's ambient, else H's elements
         as a subgroup of this group (NotASubgroupError if they are not)."""

@@ -55,7 +55,7 @@ from .extensions import (
     probe_conditional_flatness,
     pullback_extension,
 )
-from .functors import FunctorSpec, TestMap, apply, parse_functor_literal
+from .functors import FunctorSpec, TestMap, apply, functor_from_fields
 from .homs import realize_presentation
 from .perm import parse_cycle_string
 from .permgroup import GroupHom, PermGroup, is_isomorphic
@@ -211,17 +211,6 @@ def _build_hom(sec: Section, scn: Scenario, caps: Caps):
     raise ScenarioError("hom endpoints mix permutation and abelian flavors", sec.line)
 
 
-def _build_functor(sec: Section) -> FunctorSpec:
-    kind = sec.get("kind") or sec.form
-    if kind is None:
-        raise ScenarioError("functor needs kind=...", sec.line)
-    return parse_functor_literal(
-        kind,
-        {k: v for k, v in sec.fields if k != "kind"},
-        sec.line,
-    )
-
-
 def _lookup(table: dict, name: str, line: int, what: str):
     if name not in table:
         raise ScenarioError(f"undefined {what} {name!r}", line)
@@ -250,7 +239,7 @@ def parse_scenario(text: str, caps: Caps = DEFAULT_CAPS) -> Scenario:
             elif sec.kind == "functor":
                 if not sec.name:
                     raise ScenarioError("functor needs a name", sec.line)
-                scn.functors[sec.name] = _build_functor(sec)
+                scn.functors[sec.name] = functor_from_fields(sec.form, sec.fields, sec.line)
             elif sec.kind == "directive":
                 scn.directives.append(sec)
         except (ScenarioError, CapExceededError):

@@ -285,3 +285,20 @@ def test_an_unknown_functor_parameter_is_named(capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'foo'" in err
+
+
+def test_a_spaced_functor_literal_reads_as_in_a_scenario(capsys):
+    # a bracketed word list may hold spaces, as in a [functor] section
+    runs = [
+        run_cli(capsys, "localize", "--functor", literal, "--group", "dihedral(8)",
+                "--format", "json")
+        for literal in ("variety words=[x1^2, [x1,x2]]", "variety words=[x1^2,[x1,x2]]")
+    ]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("literal", ["", "   "])
+def test_a_blank_functor_literal_is_an_error_not_a_traceback(literal, capsys):
+    assert main(["localize", "--functor", literal, "--group", "cyclic(4)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -335,6 +335,25 @@ def test_extensions_and_homs_are_built_once_and_handed_out_in_new_lists():
     assert enumerate_homs(V4, base, Caps(order=64))[0] is not more[0]
 
 
+def test_building_an_extension_renames_no_group_of_the_caller():
+    G = _fresh(dihedral(8))
+    names = [N.describe() for N in normal_subgroups(G)]
+    assert names == ["1", "ncl", "ncl", "ncl", "ncl", "<perm group deg 4, order 8>"]
+    exts = [e.describe() for e in extensions_from_group(G)]
+    assert [N.describe() for N in normal_subgroups(G)] == names
+    assert exts == [
+        "1 -> D8 -> D8/1", "N2 -> D8 -> D8/N2", "N4 -> D8 -> D8/N4",
+        "N4 -> D8 -> D8/N4", "N4 -> D8 -> D8/N4", "N8 -> D8 -> D8/N8",
+    ]
+    D = derived_subgroup(G)
+    assert extension_from_normal_subgroup(G, D).describe() == "N2 -> D8 -> D8/N2"
+    assert D.name == "ncl"
+    # a kernel handed over without a name is named on the extension only
+    N = G._sub(D.codes())
+    assert Extension(quotient(G, N)[1]).describe() == "ker -> D8 -> D8/N"
+    assert N.name is None
+
+
 @pytest.mark.parametrize("default_first", [False, True])
 def test_a_capped_build_fails_the_same_way_whatever_ran_before(default_first):
     G, S4 = _fresh(symmetric(4)), _fresh(symmetric(4))  # G stays unlisted

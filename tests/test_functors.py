@@ -188,6 +188,16 @@ def test_idempotency_variety_vs_nullification():
     assert nul.idempotent
 
 
+@pytest.mark.parametrize(
+    "F", [Abelianization(), NilpotentQuotient(2), Variety((parse_word("x1^2"),))],
+    ids=lambda F: F.describe(),
+)
+def test_variety_idempotency_on_abelian_groups(F):
+    # an abelian group takes the apply-twice route: LA is already local
+    for A in (ab_from_invariants(1, (4, 6)), ab_from_invariants(0, (2, 4))):
+        assert idempotency_check(F, A).idempotent
+
+
 def test_abelian_functor_applications():
     C4 = AbGroup(1, IntMatrix([[4]]), name="C4")
     Z = ab_from_invariants(1, ())

@@ -51,16 +51,30 @@ def test_json_output_matches_golden(name, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    ))
+
+
+@pytest.mark.parametrize("name", ["reproduce-thm-4.1", "reproduce-prop-4.6", "search-sp-p2"])
+def test_json_output_is_the_same_under_python_O(name):
+    # -O strips every assert statement: no answer may rest on one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "flatlab.cli", *CASES[name], "--format", "json"],
+        cwd=ROOT, env=_env(), capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name[:2] for d in DEMOS])
 def test_demo_output_matches_golden(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
-    ))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (GOLDEN / f"demo-{demo.name[:2]}.txt").read_bytes()

@@ -4,6 +4,7 @@ where the domain is small enough to sweep."""
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from flatlab.functors import (
     radical_subgroup,
 )
 from flatlab.homs import enumerate_homs, hom_image_codes
-from flatlab.perm import Permutation
+from flatlab.perm import Permutation, parse_cycle_string
 from flatlab.permgroup import (
     GroupHom,
     normal_subgroups,
@@ -301,19 +302,47 @@ def _honest_flags(F, ext):
     return left, middle, right
 
 
+_WITNESS = re.compile(r"element ((?:\([^)]*\))+)")
+
+
+def _check_witnesses(F, ext, rep):
+    """Each witness names an element that fails its flag: the element read
+    back from its cycles is tested against the subgroups W that F picks."""
+    from flatlab.functors import EPIREFLECTION, functor_kind, functor_subgroup
+
+    K, E, G = ext.kernel_group, ext.total, ext.base
+    wk, we, wg = (functor_subgroup(F, H).code_set() for H in (K, E, G))
+    proj = ext.proj.code_map()
+    proj_we = {proj[e] for e in we}
+    epi = functor_kind(F) == EPIREFLECTION
+    failing = {"left": not rep.left_injective, "middle": not rep.middle_exact,
+               "right": not rep.right_surjective}
+    assert set(rep.witnesses) == {flag for flag, bad in failing.items() if bad}
+    for flag, text in rep.witnesses.items():
+        at = G if flag == "right" else E  # only the subfunctor fails right
+        x = at.encode(parse_cycle_string(_WITNESS.search(text).group(1), at.degree))
+        if flag == "right":  # g in S(G) - proj S(E)
+            assert x in wg and x not in proj_we, text
+        elif flag == "left" or not epi:  # k in K n W(E) - W(K)
+            assert x in K.code_set() and x in we and x not in wk, text
+        else:  # the epireflection's middle: proj(e) in W(G) - proj W(E)
+            assert proj[x] in wg and proj[x] not in proj_we, text
+
+
 def test_flatness_flags_match_honest_induced_sequence():
     from flatlab.extensions import check_flatness
-    from flatlab.functors import QuasiVarietyReflection, SpSubfunctor, standard_quasi_c4_c2
+    from flatlab.functors import SpSubfunctor, Variety, standard_quasi_c4_c2
 
     _, quasi = standard_quasi_c4_c2()
     functors = [
         Abelianization(),
         NilpotentQuotient(2),
+        NilpotentQuotient(3),
+        Variety((parse_word("x1^2"),)),
         quasi,
         Nullification(cyclic(2).presentation),
         SpSubfunctor(2),
     ]
-    from flatlab.functors import functor_kind
 
     for G in (dihedral(8), quaternion(8), symmetric(3), cyclic(8), alternating(4)):
         for ext in extensions_from_group(G):
@@ -325,3 +354,4 @@ def test_flatness_flags_match_honest_induced_sequence():
                     rep.middle_exact,
                     rep.right_surjective,
                 ) == honest, (G.name, F.describe(), ext.describe())
+                _check_witnesses(F, ext, rep)
