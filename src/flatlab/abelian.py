@@ -3,14 +3,15 @@
 All arithmetic is exact: entries are Python ints, so nothing can overflow
 or wrap.  A group is Z^n modulo the column lattice of its relation matrix;
 maps are integer matrices checked to carry relation lattice into relation
-lattice.  Smith normal form is recomputed-and-reverified on every call:
-U*M*V = D with unimodular U, V and a divisibility chain is asserted before
-the result is returned.
+lattice.  Smith normal form is computed and verified once per distinct
+matrix: U*M*V = D, U by its inverse, V by its determinant, and the
+diagonal's divisibility chain are asserted before the result is cached.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache, reduce
 from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Sequence
@@ -23,7 +24,7 @@ from .errors import (
     NotAbelianError,
     ScenarioError,
 )
-from .words import _split_top_level
+from .words import Presentation, Word, _split_top_level
 
 _MISSING = object()  # a memo miss; a memoised value may be None
 
@@ -171,12 +172,12 @@ class IntMatrix:
 
 
 class SmithNormalForm:
-    """U*M*V = D, with the inverses Uinv and Vinv; immutable."""
+    """U*M*V = D, with U's inverse Uinv; immutable, so equal matrices share one."""
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv")
+    __slots__ = ("U", "D", "V", "Uinv")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, Uinv: IntMatrix, Vinv: IntMatrix):
-        for name, value in zip(self.__slots__, (U, D, V, Uinv, Vinv)):
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, Uinv: IntMatrix):
+        for name, value in zip(self.__slots__, (U, D, V, Uinv)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -193,18 +194,19 @@ class SmithNormalForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+@cache
 def smith_normal_form(M: IntMatrix) -> SmithNormalForm:
     """U*M*V = D, diagonal with d_i | d_{i+1}, U and V unimodular.
 
     Pivot rule: smallest nonzero absolute value, ties broken row-major.
-    The factorization is re-verified by multiplication before returning.
+    Factored and verified once per distinct matrix, cached by M: U*M*V = D,
+    U by its inverse, V by its determinant, D diagonal with its chain.
     """
     r, c = M.rows, M.cols
     A = [list(row) for row in M.entries]
     U = [list(row) for row in IntMatrix.identity(r).entries]
     Uinv = [list(row) for row in IntMatrix.identity(r).entries]
     V = [list(row) for row in IntMatrix.identity(c).entries]
-    Vinv = [list(row) for row in IntMatrix.identity(c).entries]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -229,14 +231,12 @@ def smith_normal_form(M: IntMatrix) -> SmithNormalForm:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def addmul_col(i, j, q):  # col_i += q * col_j
         for row in A:
             row[i] += q * row[j]
         for row in V:
             row[i] += q * row[j]
-        Vinv[j] = [x - q * y for x, y in zip(Vinv[j], Vinv[i])]
 
     t = 0
     while t < min(r, c):
@@ -289,14 +289,10 @@ def smith_normal_form(M: IntMatrix) -> SmithNormalForm:
     Dm = IntMatrix(A, cols=c)
     Vm = IntMatrix(V, cols=c)
     Uinvm = IntMatrix(Uinv, cols=r)
-    Vinvm = IntMatrix(Vinv, cols=c)
-    # re-verify on every call
     if Um * M * Vm != Dm:
         raise FlatlabError("SNF verification failed: U*M*V != D")
-    if not (Um.is_unimodular() and Vm.is_unimodular()):
+    if Um * Uinvm != IntMatrix.identity(r) or not Vm.is_unimodular():
         raise FlatlabError("SNF verification failed: transform not unimodular")
-    if (Um * Uinvm != IntMatrix.identity(r)) or (Vm * Vinvm != IntMatrix.identity(c)):
-        raise FlatlabError("SNF verification failed: inverse tracking broken")
     diag = [Dm.entries[i][i] for i in range(min(r, c))]
     for i in range(r):
         for j in range(c):
@@ -305,7 +301,7 @@ def smith_normal_form(M: IntMatrix) -> SmithNormalForm:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise FlatlabError("SNF verification failed: divisibility chain broken")
-    return SmithNormalForm(Um, Dm, Vm, Uinvm, Vinvm)
+    return SmithNormalForm(Um, Dm, Vm, Uinvm)
 
 
 def solve_in_column_lattice(snf: SmithNormalForm, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -492,6 +488,8 @@ def ab_from_invariants(
     rank: int, torsion: Sequence[int] = (), name: str | None = None
 ) -> AbGroup:
     """Z^rank x Z/t1 x ... directly from its isomorphism type."""
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
     n = rank + len(torsion)
     cols = []
     for i, d in enumerate(torsion):
@@ -653,11 +651,15 @@ def ab_image(f: AbHom) -> tuple[AbGroup, AbHom]:
     return _spanned_subgroup(image_lattice_basis(f), f.codomain)
 
 
+def ab_quotient(A: AbGroup, extra: IntMatrix) -> tuple[AbGroup, AbHom]:
+    """A modulo extra's columns, with the projection from A."""
+    Q = AbGroup(A.ngens, A.relations.hstack(extra))
+    return Q, AbHom(A, Q, IntMatrix.identity(A.ngens))
+
+
 def ab_cokernel(f: AbHom) -> tuple[AbGroup, AbHom]:
     """Cokernel with the projection from the codomain."""
-    C = AbGroup(f.codomain.ngens, f.matrix.hstack(f.codomain.relations))
-    proj = AbHom(f.codomain, C, IntMatrix.identity(f.codomain.ngens))
-    return C, proj
+    return ab_quotient(f.codomain, f.matrix)
 
 
 def ab_pullback(f: AbHom, g: AbHom) -> tuple[AbGroup, AbHom, AbHom]:
@@ -682,12 +684,48 @@ def ab_pullback(f: AbHom, g: AbHom) -> tuple[AbGroup, AbHom, AbHom]:
     return P, pr_e, pr_x
 
 
+@cache
+def _exponent_sums(words: tuple[Word, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """The words' nonzero exponent-sum columns over k generators, each with
+    its first nonzero entry positive: <X | R>^ab is Z^|X| modulo R's."""
+    cols = []
+    for w in words:
+        col = [sum(e for s, e in w.letters if s == i) for i in range(k)]
+        if any(col):
+            cols.append(tuple(c if next(filter(None, col)) > 0 else -c for c in col))
+    return tuple(cols)
+
+
+def abelian_hom_group(A: Presentation, M: AbGroup) -> tuple[AbGroup, AbHom]:
+    """Hom(A, M) for an abelian M, with its inclusion into M^k, k = |X|: a
+    hom is the tuple of its generator images, block i of a column of M^k.
+
+    Hom(A, M) = Hom(A^ab, M), and A^ab is Z^k modulo the relators'
+    exponent sums e_r, so the homs are the kernel of M^k -> M^|R|,
+    (m_i) -> (sum_i e_ri m_i)_r.  M^1 is M itself, so a one-generator A
+    builds no group beyond M."""
+    k, n = len(A.generators), M.ngens
+    sums = _exponent_sums(A.relators, k)
+
+    def power(j: int) -> AbGroup:
+        if j == 1:
+            return M
+        return AbGroup(j * n, reduce(IntMatrix.diag_blocks, [M.relations] * j, IntMatrix.zeros(0, 0)))
+
+    Mk = power(k)
+    if not sums:
+        return Mk, AbHom.identity_hom(Mk)
+    matrix = IntMatrix([
+        [e[i] if a == b else 0 for i in range(k) for b in range(n)] for e in sums for a in range(n)
+    ])
+    return ab_kernel(AbHom(Mk, power(len(sums)), matrix))
+
+
 def n_torsion(A: AbGroup, n: int) -> tuple[AbGroup, AbHom]:
-    """A[n] = {a : n*a = 0} with its inclusion; |Hom(Z/n, A)| = |A[n]|."""
+    """A[n] = {a : n*a = 0} = Hom(<x | x^n>, A), with its inclusion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    mult_n = AbHom(A, A, IntMatrix.scalar(A.ngens, n))
-    return ab_kernel(mult_n)
+    return abelian_hom_group(Presentation(("x",), (Word.generator(0, n),)), A)
 
 
 def perm_to_abelian(G, caps: Caps = DEFAULT_CAPS):

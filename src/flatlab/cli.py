@@ -184,10 +184,10 @@ def _parse_group_option(text: str):
     the group is named by the literal text.  A malformed one is an error."""
     text = text.strip()
     if text.startswith("abelian"):
-        form, fields = parse_fields(text, 1)
+        form, fields = parse_fields(text, None)
         if form == "abelian":
             try:
-                return abelian_from_fields(fields, text, 1)
+                return abelian_from_fields(fields, text)
             except ValueError as exc:
                 raise FlatlabError(f"bad group {text!r}: {exc}") from None
     return parse_group_literal(text)

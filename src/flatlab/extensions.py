@@ -19,6 +19,7 @@ from .abelian import (
     ab_cokernel,
     ab_kernel,
     ab_pullback,
+    abelian_hom_group,
     enumerate_ab_homs,
     image_lattice_basis,
     kernel_lattice_basis,
@@ -38,7 +39,6 @@ from .functors import (
     FunctorSpec,
     LocalityReport,
     TestMap,
-    abelian_hom_group,
     apply,
     functor_kind,
     functor_subgroup,

@@ -17,7 +17,7 @@ dividing |A^ab|.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from math import gcd, prod
 from typing import Union
 
@@ -25,7 +25,10 @@ from .abelian import (
     AbGroup,
     AbHom,
     IntMatrix,
+    _exponent_sums,
     ab_kernel,
+    ab_quotient,
+    abelian_hom_group,
     n_torsion,
     solve_columns,
     solve_in_column_lattice,
@@ -267,18 +270,6 @@ class LocalizedResult:
 # -- application: permutation flavor -----------------------------------------
 
 
-@cache
-def _exponent_sums(words: tuple[Word, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """The words' nonzero exponent-sum columns over k generators, each with
-    its first nonzero entry positive: <X | R>^ab is Z^|X| modulo R's."""
-    cols = []
-    for w in words:
-        col = [sum(e for s, e in w.letters if s == i) for i in range(k)]
-        if any(col):
-            cols.append(tuple(c if next(filter(None, col)) > 0 else -c for c in col))
-    return tuple(cols)
-
-
 def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
     """Limit of N_0 = 1, N_(i+1) = <<N_i, seeds_mod(N_i)>>, computed inside G
     on codes without constructing any quotient group.
@@ -440,37 +431,6 @@ def _epireflection(A: AbGroup, eta: AbHom) -> tuple:
     return None if eta.codomain is A else eta.codomain, radical, eta.matrix
 
 
-def _quotient_by_columns(A: AbGroup, extra: IntMatrix) -> AbHom:
-    """The projection of A onto its quotient by extra's columns."""
-    Q = AbGroup(A.ngens, A.relations.hstack(extra), name=None)
-    return AbHom(A, Q, IntMatrix.identity(A.ngens))
-
-
-def abelian_hom_group(A: Presentation, M: AbGroup) -> tuple[AbGroup, AbHom]:
-    """Hom(A, M) for an abelian M, with its inclusion into M^k, k = |X|: a
-    hom is the tuple of its generator images, block i of a column of M^k.
-
-    Hom(A, M) = Hom(A^ab, M), and A^ab is Z^k modulo the relators'
-    exponent sums e_r, so the homs are the kernel of M^k -> M^|R|,
-    (m_i) -> (sum_i e_ri m_i)_r.  M^1 is M itself, so a one-generator A
-    builds no group beyond M."""
-    k, n = len(A.generators), M.ngens
-    sums = _exponent_sums(A.relators, k)
-
-    def power(j: int) -> AbGroup:
-        if j == 1:
-            return M
-        return AbGroup(j * n, reduce(IntMatrix.diag_blocks, [M.relations] * j, IntMatrix.zeros(0, 0)))
-
-    Mk = power(k)
-    if not sums:
-        return Mk, AbHom.identity_hom(Mk)
-    matrix = IntMatrix([
-        [e[i] if a == b else 0 for i in range(k) for b in range(n)] for e in sums for a in range(n)
-    ])
-    return ab_kernel(AbHom(Mk, power(len(sums)), matrix))
-
-
 def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
     """w(h) in generator coordinates, for a hom h into an abelian group on n
     generators given by its generator images in blocks of n: on an abelian
@@ -491,7 +451,7 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> tuple:
         g = gcd(*(e for col in sums for e in col))
         if g == 0:
             return _epireflection(A, AbHom.identity_hom(A))
-        return _epireflection(A, _quotient_by_columns(A, IntMatrix.scalar(A.ngens, g)))
+        return _epireflection(A, ab_quotient(A, IntMatrix.scalar(A.ngens, g))[1])
     if isinstance(F, Localization):
         # quotient by the images s(h) of the homs h : A -> L, s in S, until
         # they all vanish in L
@@ -503,7 +463,7 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> tuple:
                 cols += [_word_image(w, h, L.ngens) for w in S for h in homs]
             if all(solve_in_column_lattice(L.snf, c) is not None for c in cols):
                 return _epireflection(A, eta)
-            eta = eta.then(_quotient_by_columns(L, IntMatrix.from_columns(cols, L.ngens)))
+            eta = eta.then(ab_quotient(L, IntMatrix.from_columns(cols, L.ngens))[1])
     if isinstance(F, SpSubfunctor):
         T, incl = n_torsion(A, F.p)
         return T, None, incl.matrix

@@ -33,6 +33,9 @@ def test_snf_identity():
 def test_snf_zero():
     s = smith_normal_form(IntMatrix.zeros(2, 3))
     assert s.diagonal == (0, 0)
+    # no rows: equal entries, but the width tells the cached forms apart
+    a, b = smith_normal_form(IntMatrix.zeros(0, 2)), smith_normal_form(IntMatrix.zeros(0, 3))
+    assert (a.V.shape, b.V.shape) == ((2, 2), (3, 3))
 
 
 def test_snf_frozen_example():
@@ -41,6 +44,8 @@ def test_snf_frozen_example():
     s = smith_normal_form(M)
     assert s.diagonal == (2, 4)
     assert abs(M.det()) == 2 * 4
+    # an equal matrix built separately shares the one cached factorization
+    assert smith_normal_form(IntMatrix([[2, 4], [6, 8]])) is s
 
 
 def test_snf_random_battery():
@@ -71,7 +76,9 @@ def test_snf_random_battery():
 
 def test_snf_diagonal_matches_sympy():
     """Differential oracle on criterion 8's matrices: sympy's Smith normal
-    form over ZZ has the same nonzero invariant factors, up to sign."""
+    form over ZZ has the same nonzero invariant factors, up to sign.  The
+    transforms hold what the normal form verifies: U by its inverse, V by
+    its determinant, with no inverse of V kept."""
     pytest.importorskip("sympy")
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -81,7 +88,10 @@ def test_snf_diagonal_matches_sympy():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         rows = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
-        ours = [abs(d) for d in smith_normal_form(IntMatrix(rows)).diagonal if d]
+        s = smith_normal_form(IntMatrix(rows))
+        assert s.U * s.Uinv == IntMatrix.identity(r) and s.V.det() in (1, -1)
+        assert not hasattr(s, "Vinv")
+        ours = [abs(d) for d in s.diagonal if d]
         D = sympy_snf(Matrix(rows), domain=ZZ)
         theirs = [abs(int(D[i, i])) for i in range(min(r, c)) if D[i, i]]
         assert ours == theirs, rows

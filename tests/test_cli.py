@@ -262,6 +262,8 @@ def test_non_positive_cap_is_bad_input_not_cap_exhaustion(value, capsys):
         ("--functor", "variety words=[x1^]"),
         ("--functor", "sp p=x"),
         ("--group", "abelian torsion=[1]"),
+        ("--group", "abelian rank=-1 torsion=[2]"),
+        ("--group", "abelian torsion=[4"),
     ],
 )
 def test_a_malformed_literal_is_an_error_not_a_traceback(option, literal, capsys):
@@ -278,6 +280,8 @@ def test_a_malformed_literal_is_an_error_not_a_traceback(option, literal, capsys
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        # an option has no line number to name
+        assert not captured.err.startswith("error: line")
 
 
 def test_an_unknown_functor_parameter_is_named(capsys):

@@ -314,3 +314,10 @@ def test_an_abelian_test_map_refuses_only_an_infinite_codomain():
     red = _test_map_from_hom("red", parse_scenario(text), 6, DEFAULT_CAPS)
     report = is_local_wrt(cyclic(4), red)  # Hom(Z2, C4) = C2, Hom(Z, C4) = C4
     assert (report.hom_count_b, report.hom_count_a, report.is_local) == (2, 4, False)
+
+
+def test_a_negative_abelian_rank_is_a_scenario_error():
+    text = "[group A] abelian rank=1\n[group G] abelian rank=-1 torsion=[2]\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert exc.value.line == 2 and "rank must be >= 0" in str(exc.value)
