@@ -567,6 +567,15 @@ class AbHom:
         self.matrix = matrix
         self.name = name
 
+    @classmethod
+    def _from_matrix(cls, domain: AbGroup, codomain: AbGroup, matrix: IntMatrix) -> "AbHom":
+        """The hom of ``matrix``, already verified between these two groups
+        by the caller's construction: no relation is solved again (the
+        counterpart of ``GroupHom._from_codes``)."""
+        hom = cls.__new__(cls)
+        hom.domain, hom.codomain, hom.matrix, hom.name = domain, codomain, matrix, None
+        return hom
+
     def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
         return self.codomain.from_raw(self.matrix.matvec(self.domain.lift(coords)))
 

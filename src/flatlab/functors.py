@@ -388,19 +388,53 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
 
 def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """The subgroup W that F picks in G: S_p for the subfunctor, the radical
-    of an epireflection, both memoised on G.  Flatness and induced maps of
-    permutation groups read F through W alone."""
-    if isinstance(F, SpSubfunctor):
-        return s_p_subgroup(G, F.p, caps)
-    return G.memo(("radical", F), lambda: _radical(F, G, caps), caps)
+    of an epireflection.  Flatness and induced maps of permutation groups
+    read F through W alone.  W is memoised on G per (F, caps), as the rules
+    below run cap-guarded steps.  Every rule first lists G under the caps,
+    as a memo hit does, so no verdict depends on which rule or call came
+    first.  Two structure rules come first, for both functor kinds; the
+    family rule (``_radical``) serves every other G.
+
+    Transport.  A functor commutes with isomorphisms: W of a group with a
+    ``transport`` isomorphism onto it is the image of W of its source.
+
+    Product.  For G = A x B (``_factors``), W(G) = W(A) x W(B), read off
+    the factors' memoised W; a pair of codes is a * |B's ambient| + b.
+
+    - Every epireflection in the cast gives the least normal N with G/N in
+      a class C closed under subgroups and finite products: a variety
+      (abelianization, nilpotent quotients) or the f-local groups of an
+      epimorphism f (a localization of several conditions is L_f for their
+      free product; Casacuberta, Rodríguez & Scevenels, 1999).  Then
+      (A x B)/(W(A) x W(B)) = A/W(A) x B/W(B) lies in C, so
+      W(A x B) <= W(A) x W(B).  A/(A n W(A x B)) embeds in
+      (A x B)/W(A x B), so it lies in C and W(A) <= W(A x B); likewise
+      W(B) <= W(A x B), so W(A) x W(B) <= W(A x B).
+    - For S_p, (a, b) has order p exactly when a^p = b^p = 1 and
+      (a, b) != 1, i.e. when each of a, b is 1 or of order p: these
+      generate S_p(A) x S_p(B), which holds them all."""
+    return G.memo(("radical", F, caps), lambda: _structure_rule(F, G, caps), caps)
+
+
+def _structure_rule(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
+    G.codes(caps)  # the order cap holds on G, not only on its factors
+    if G.transport is not None:
+        m = G.transport.code_map()
+        W = functor_subgroup(F, G.transport.domain, caps)
+        return G._sub([m[c] for c in W.codes(caps)], name=W.name)
+    if G._factors is not None:
+        WA, WB = (functor_subgroup(F, H, caps) for H in G._factors)
+        amb = G.ambient(caps)
+        nb = amb.nb  # a product ambient; both code lists are sorted, so is this
+        codes = [a * nb + b for a in WA.codes(caps) for b in WB.codes(caps)]
+        return PermGroup._coded(amb, None, f"{WA.name}x{WB.name}", codes)
+    return _radical(F, G, caps)
 
 
 def _radical(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
-    if G.transport is not None:
-        # a functor commutes with isomorphisms: carry the source's radical
-        m = G.transport.code_map()
-        R = functor_subgroup(F, G.transport.domain, caps)
-        return G._sub([m[c] for c in R.codes(caps)], name=R.name)
+    """W by the rule of F's family."""
+    if isinstance(F, SpSubfunctor):
+        return s_p_subgroup(G, F.p, caps)
     if isinstance(F, Variety):
         return verbal_subgroup(G, F.words, caps)
     if isinstance(F, Abelianization):
@@ -476,22 +510,24 @@ def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
 
     The memo on G keeps the result, the radical and eta's code map or
     matrix, none of which references G (the permutation subfunctor's
-    subgroup is memoised by ``s_p_subgroup``), and eta is built around G on
-    each call: so a group that holds its own result dies by reference
-    count."""
+    subgroup is memoised by ``functor_subgroup``), and eta is built around
+    G on each call, unchecked, as the memo holds a hom verified between the
+    same two groups: so a group that holds its own result dies by reference
+    count.  A permutation group's memo is kept per caps, as the radical's
+    rule runs cap-guarded steps."""
     if isinstance(G, PermGroup):
         if functor_kind(F) == SUBFUNCTOR:
             S = functor_subgroup(F, G, caps)
             return LocalizedResult(F, G, S, GroupHom.inclusion(S, G, caps), None, SUBFUNCTOR)
-        L, W, mapping = G.memo(("apply", F), lambda: _apply_perm(F, G, caps), caps)
+        L, W, mapping = G.memo(("apply", F, caps), lambda: _apply_perm(F, G, caps), caps)
         proj = GroupHom._from_codes(G, L, L.gen_codes(caps), caps, mapping=mapping, kernel=W)
         return LocalizedResult(F, G, L, proj, W, EPIREFLECTION)
     if isinstance(G, AbGroup):
         L, W, matrix = G.memo(("apply", F), lambda: _apply_abelian(F, G, caps))
         if W is None:
-            return LocalizedResult(F, G, L, AbHom(L, G, matrix), None, SUBFUNCTOR)
+            return LocalizedResult(F, G, L, AbHom._from_matrix(L, G, matrix), None, SUBFUNCTOR)
         L = G if L is None else L
-        return LocalizedResult(F, G, L, AbHom(G, L, matrix), W, EPIREFLECTION)
+        return LocalizedResult(F, G, L, AbHom._from_matrix(G, L, matrix), W, EPIREFLECTION)
     raise UnsupportedFunctorError(f"cannot apply a functor to {type(G).__name__}")
 
 

@@ -314,7 +314,7 @@ class PermGroup:
         self._gen_codes = None
         self._amb = None
         self._owns_ambient = True  # every code of the ambient is an element
-        self._factors = None  # (A, B) for a direct product
+        self._factors = None  # (A, B) for a direct product A x B
         self.transport = None
         self.presentation = presentation
         self.presentation_exact = presentation_exact
@@ -536,7 +536,10 @@ class PermGroup:
 
     def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
-        against the caps, so no cap verdict depends on call history.
+        against the caps.  A memo whose value needs another cap-guarded step
+        holds the caps in its key (``"radical"``, ``"apply"``, ``"verbal"``,
+        ``"lcs"``, ``"homs"``, ``"extensions"``), so a hit never hands out a
+        value that a fresh process would refuse under the caps of the call.
 
         A memo value never references this group, so a group dies by
         reference count when its last user drops it, and the verdict loops
@@ -924,7 +927,8 @@ def pullback_group(
     in P by construction and generate it: the first generate ker(pr_x)
     (ker f's are certified by its closure) and the rest map onto X', pr_x's
     image.  pr_x is given both; |P| = |ker f| * |X'|, as each fiber of f is
-    a coset of ker f."""
+    a coset of ker f.  When g is trivial, P = ker f x X with the product's
+    pair codes, and ``_factors`` records it, as ``direct_product`` does."""
     gmap = g.code_map()
     G, H = f.codomain, g.codomain
     if G is not H:
@@ -945,6 +949,8 @@ def pullback_group(
     P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})", codes)
     K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in f.kernel().codes(caps)])
     P.order(caps)  # checks the listed codes against the caps, as a closure would
+    if not any(gmap.values()):  # g is trivial: P is ker(f) x X, pair for pair
+        P._factors = (f.kernel(), X)
     pr_x = GroupHom._from_codes(
         P, X, [p % nx for p in gens], caps, mapping={p: p % nx for p in codes}
     )

@@ -66,8 +66,10 @@ def verbal_subgroup(
     The seeds are closed under conjugation: the values of a word are (see
     above), and so are the powers g^n and the normal subgroup gamma_c.  A
     subgroup generated by a conjugation-closed set S is normal, as
-    (s_1...s_r)^h = s_1^h...s_r^h, so no normality check is run."""
-    key = ("verbal", tuple(words))
+    (s_1...s_r)^h = s_1^h...s_r^h, so no normality check is run.  Memoised
+    per (words, caps), as a word census is capped by more than the group's
+    order."""
+    key = ("verbal", tuple(words), caps)
 
     def compute():
         amb = G.ambient(caps)
@@ -88,13 +90,14 @@ def lower_central_series(
     G: PermGroup, depth: int | None = None, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
     """lcs(0) = G, lcs(k+1) = [lcs(k), G]; stabilized tail is repeated up to
-    ``depth``.  Memoized per group: the memo grows lcs(1), lcs(2), ... and
-    holds no G, so every depth shares the same lcs(k).  lcs(k+1) is the
-    normal closure of the [t, s], t in the generators that lcs(k)'s closure
-    kept and s in G's: modulo it every t, so all of lcs(k), is central."""
+    ``depth``.  Memoized per (group, caps): the memo grows lcs(1), lcs(2),
+    ... and holds no G, so every depth shares the same lcs(k).  lcs(k+1) is
+    the normal closure of the [t, s], t in the generators that lcs(k)'s
+    closure kept and s in G's: modulo it every t, so all of lcs(k), is
+    central."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    tail: list[PermGroup] = G.memo("lcs", list, caps)
+    tail: list[PermGroup] = G.memo(("lcs", caps), list, caps)
     amb = G.ambient(caps)
     conjugators = [amb.conjugator(s) for s in G.gen_codes(caps)]
     chain = [G, *tail]
@@ -140,13 +143,10 @@ def is_prime(p: int) -> bool:
 
 def s_p_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Subgroup generated by the elements of order exactly p; normal, as
-    conjugation keeps the order of an element (see ``verbal_subgroup``)."""
+    conjugation keeps the order of an element (see ``verbal_subgroup``).
+    ``functors.functor_subgroup`` memoises it."""
     if not is_prime(p):
         raise FlatlabError(f"{p} is not prime")
-
-    def compute():
-        order_of = G.ambient(caps).order_of
-        seeds = [g for g in G.codes(caps) if order_of(g) == p]
-        return G.generate(seeds, f"S_{p}(G)", caps)
-
-    return G.memo(("s_p", p), compute, caps)
+    order_of = G.ambient(caps).order_of
+    seeds = [g for g in G.codes(caps) if order_of(g) == p]
+    return G.generate(seeds, f"S_{p}(G)", caps)

@@ -31,7 +31,7 @@ from flatlab.errors import (
     RealizationError,
     UnsupportedFunctorError,
 )
-from flatlab.extensions import extensions_from_group, pullback_extension
+from flatlab.extensions import check_flatness, extensions_from_group, pullback_extension
 from flatlab.functors import (
     Abelianization,
     Localization,
@@ -53,6 +53,7 @@ from flatlab.functors import (
     _pi_exponent,
     _preimage_chain,
     abelian_hom_group,
+    functor_subgroup,
     radical_subgroup,
     standard_quasi_c4_c2,
 )
@@ -629,3 +630,84 @@ def test_repeated_apply_is_equal_and_checks_the_caps_every_time(default_first):
         assert first.result is again.result and first.radical is again.radical
         assert (first.eta.domain, first.eta.codomain) == (again.eta.domain, again.eta.codomain)
         assert first.eta.matrix == again.eta.matrix
+
+
+# every functor of the two benchmark sweeps; the criterion-4 functors are the
+# first four
+SWEEP_FUNCTORS = (
+    Abelianization(),
+    NilpotentQuotient(2),
+    NilpotentQuotient(3),
+    Variety((parse_word("x1^2"),)),
+    SpSubfunctor(2),
+    *(Nullification(H.presentation) for H in (
+        cyclic(2), cyclic(3), elementary_abelian(2, 2), symmetric(3))),
+    standard_quasi_c4_c2()[1],
+)
+
+
+def test_a_product_reads_its_functor_subgroup_off_its_factors():
+    # W(A x B) = W(A) x W(B) (the product rule of functor_subgroup) against
+    # the family rule on an unfactored copy, on every direct product of two
+    # battery groups of order <= 8 and every criterion-4 pullback total along
+    # a trivial hom (P = K x X); each such pullback is flat
+    small = default_battery(8)
+    products = [direct_product(A, B) for A in small for B in small]
+    pulled = [
+        pullback_extension(ext, f).extension
+        for G in default_battery(64)
+        for ext in extensions_from_group(G)
+        for X in default_battery(16)
+        for f in enumerate_homs(X, ext.base)
+        if not any(f.image_codes)
+    ]
+    assert (len(products), len(pulled)) == (169, 2240)
+    for P in [*products, *(ext.total for ext in pulled)]:
+        assert P._factors is not None
+        copy = P.named("copy")  # a copy has no factors: the family rule
+        for F in SWEEP_FUNCTORS:
+            assert functor_subgroup(F, P).code_set() == functor_subgroup(F, copy).code_set()
+    for ext in pulled:
+        for F in SWEEP_FUNCTORS:
+            assert check_flatness(F, ext).is_flat
+
+
+def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
+    # a radical or quotient filled under the default caps is not handed out
+    # under caps that its computation exceeds
+    A = Presentation.parse("x,y", "x^2,y^2")
+    cases = [
+        (Variety((parse_word("[x1,x2]*x1^2"),)), Caps(tuple_scan=100),
+         "tuple scan 24^2 exceeds cap 100"),
+        (Localization((A, (parse_word("[x,y]", A.generators),))), Caps(hom_search=10),
+         "hom search space 24^2 exceeds cap 10"),
+    ]
+    for F, small, message in cases:
+        for run in (radical_subgroup, apply):
+            S4 = symmetric(4)
+            G = PermGroup(S4.degree, S4.generators, name="S4")  # a memo of its own
+            for caps in (small, Caps(), small):
+                if caps is small:
+                    with pytest.raises(CapExceededError) as exc:
+                        run(F, G, caps)
+                    assert str(exc.value) == message
+                else:
+                    run(F, G, caps)
+                    assert radical_subgroup(F, G, caps).order() == 12
+
+
+def test_a_product_over_the_order_cap_fails_though_its_factors_fit():
+    # the product rule reads W off the factors, yet the order cap holds on
+    # the product itself, on the first call and on a memo hit alike
+    caps = Caps(order=1000)
+    for F, order in ((Abelianization(), 3600), (SpSubfunctor(2), 14400)):
+        G = direct_product(symmetric(5), symmetric(5))  # 120 * 120 > 1000
+        for _ in range(2):
+            with pytest.raises(CapExceededError) as exc:
+                functor_subgroup(F, G, caps)
+            assert str(exc.value) == "order cap 1000 exceeded"
+        assert functor_subgroup(F, G).order() == order
+        with pytest.raises(CapExceededError, match="order cap 1000 exceeded"):
+            functor_subgroup(F, G, caps)
+        with pytest.raises(CapExceededError, match="order cap 1000 exceeded"):
+            apply(F, direct_product(symmetric(5), symmetric(5)), caps)
