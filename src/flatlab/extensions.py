@@ -94,6 +94,20 @@ class Extension:
         self.proj = proj
         self.name = name
 
+    @classmethod
+    def _pulled_back(cls, proj: GroupHom, caps: Caps) -> "Extension":
+        """The extension of a pullback's projection pr_x : P ->> X, trusted
+        for the two checks ``__init__`` runs: pr_x is onto because the
+        pulled-back projection is, and its kernel K', named "ker", is listed
+        in P's ambient from pairs of P, so iota is an inclusion with no
+        membership to check."""
+        ext = cls.__new__(cls)
+        K = proj.kernel()
+        ext.flavor, ext.kernel_group, ext.total, ext.base = PERM, K, proj.domain, proj.codomain
+        ext.iota = GroupHom._from_codes(K, proj.domain, K.gen_codes(caps), caps, image=K)
+        ext.proj, ext.name = proj, None
+        return ext
+
     def describe(self) -> str:
         if self.name:
             return self.name
@@ -132,11 +146,28 @@ def extensions_from_group(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Exten
 
 
 class PulledBackExtension:
-    __slots__ = ("extension", "canonical_kernel_map")
+    """A pulled-back extension with the canonical map from the source
+    extension's kernel K; in the permutation flavor the map is built on
+    first read."""
 
-    def __init__(self, extension: Extension, canonical_kernel_map):
+    __slots__ = ("extension", "_canonical", "_source")
+
+    def __init__(self, extension: Extension, canonical_kernel_map=None, source=None):
         self.extension = extension
-        self.canonical_kernel_map = canonical_kernel_map  # K -> ker(P -> X), an isomorphism
+        self._canonical = canonical_kernel_map  # K -> P, an isomorphism onto ker(P -> X)
+        self._source = source  # (the source extension, caps), to build it
+
+    @property
+    def canonical_kernel_map(self):
+        if self._canonical is None:
+            ext, caps = self._source
+            K, P = ext.kernel_group, self.extension.total
+            nx = P.ambient(caps).nb
+            self._canonical = GroupHom._from_codes(
+                K, P, [k * nx for k in K.gen_codes(caps)], caps,
+                mapping={k: k * nx for k in K.codes(caps)},
+            )
+        return self._canonical
 
 
 def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBackExtension:
@@ -150,22 +181,16 @@ def pullback_extension(ext: Extension, f, caps: Caps = DEFAULT_CAPS) -> PulledBa
     of ker(E -> G) (see :class:`Extension`).
 
     For permutation groups K lives in E's ambient, so the map is
-    k -> (k, 1), pair code k * |X's ambient|, and K' is the kernel
-    ``pullback_group`` lists.  For abelian groups it is solved in P's
-    basis; a (iota k, 0) outside P would be a bug, and raises."""
+    k -> (k, 1), pair code k * |X's ambient|, built when it is first read,
+    and K' is the kernel ``pullback_group`` lists and records as K x 1.
+    The new extension is built by ``Extension._pulled_back``.  For abelian
+    groups the map is solved in P's basis; a (iota k, 0) outside P would be
+    a bug, and raises."""
     if ext.flavor == PERM:
         if not isinstance(f, GroupHom):
             raise FlavorMismatchError("permutation extension needs a GroupHom leg")
-        P, pr_x = pullback_group(ext.proj, f, caps)
-        nx = f.domain.ambient(caps).size
-        K = ext.kernel_group
-        canonical = GroupHom._from_codes(
-            K, P, [k * nx for k in K.gen_codes(caps)], caps,
-            mapping={k: k * nx for k in K.codes(caps)},
-        )
-        # the isomorphism carries every radical of K to one of K'
-        pr_x.kernel().transport = canonical
-        return PulledBackExtension(Extension(pr_x, caps=caps), canonical)
+        _, pr_x = pullback_group(ext.proj, f, caps)
+        return PulledBackExtension(Extension._pulled_back(pr_x, caps), source=(ext, caps))
     if not isinstance(f, AbHom):
         raise FlavorMismatchError("abelian extension needs an AbHom leg")
     P, pr_e, pr_x = ab_pullback(ext.proj, f)

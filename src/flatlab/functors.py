@@ -176,6 +176,9 @@ FunctorSpec = Union[
     SpSubfunctor,
 ]
 
+# the specs whose W is a verbal subgroup
+_VERBAL = (Variety, Abelianization, NilpotentQuotient)
+
 EPIREFLECTION = "epireflection"
 SUBFUNCTOR = "subfunctor"
 
@@ -392,14 +395,13 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     read F through W alone.  W is memoised on G per (F, caps), as the rules
     below run cap-guarded steps.  Every rule first lists G under the caps,
     as a memo hit does, so no verdict depends on which rule or call came
-    first.  Two structure rules come first, for both functor kinds; the
-    family rule (``_radical``) serves every other G.
+    first.  Three structure rules read W of a subdirect product
+    P <= A x B (``_factors``, a ``permgroup._Subdirect``) off its factors,
+    in this order; the family rule (``_radical``) serves every other G.
+    Pair codes are a * |B's ambient| + b.
 
-    Transport.  A functor commutes with isomorphisms: W of a group with a
-    ``transport`` isomorphism onto it is the image of W of its source.
-
-    Product.  For G = A x B (``_factors``), W(G) = W(A) x W(B), read off
-    the factors' memoised W; a pair of codes is a * |B's ambient| + b.
+    Product.  For P = A x B, W(P) = W(A) x W(B), read off the factors'
+    memoised W (a trivial factor is its own W).
 
     - Every epireflection in the cast gives the least normal N with G/N in
       a class C closed under subgroups and finite products: a variety
@@ -412,22 +414,56 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
       W(B) <= W(A x B), so W(A) x W(B) <= W(A x B).
     - For S_p, (a, b) has order p exactly when a^p = b^p = 1 and
       (a, b) != 1, i.e. when each of a, b is 1 or of order p: these
-      generate S_p(A) x S_p(B), which holds them all."""
-    return G.memo(("radical", F, caps), lambda: _structure_rule(F, G, caps), caps)
+      generate S_p(A) x S_p(B), which holds them all.
+
+    Verbal.  For F a variety, abelianization (the verbal subgroup of
+    [x1, x2]) or a nilpotent quotient of class c (gamma_(c+1), the verbal
+    subgroup of [x1, ..., x_(c+1)]), W = V is a verbal subgroup, and if
+    V(B) = 1 then V(P) = V(A) x 1.  A surjection h carries V onto V:
+    h(w(p_1, ..., p_k)) = w(h p_1, ..., h p_k), and every tuple of the
+    target lifts (H. Neumann, Varieties of Groups, 1967).  So
+    pr_A(V(P)) = V(pr_A P) = V(A) and pr_B(V(P)) = V(B) = 1: V(P) lies in
+    P n (A x 1), where pr_A is injective, and is {(a, 1) : a in V(A)}.
+
+    Restriction.  For every functor, when P is a fiber product along a leg
+    g that is injective on B: pr_A : P -> A = E_H is then a bijection, as
+    (e, x) in P has g(x) = f(e), so x = g^-1(f(e)); it is an isomorphism,
+    and a functor commutes with isomorphisms, so
+    W(P) = {(e, g^-1(f(e))) : e in W(E_H)}.  The verbal rule is tried
+    first, as it costs less per code.
+
+    The verbal and restriction rules check the caps other than the order on
+    E_H, whose order is at most |P|, not on P."""
+    key = ("radical", F, caps)  # G.memo, inlined, as a pullback runs this about 7 times
+    W = G._memo.get(key)
+    if W is None:
+        W = G._memo[key] = _structure_rule(F, G, caps)
+    else:
+        G.codes(caps)
+    return W
 
 
 def _structure_rule(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
     G.codes(caps)  # the order cap holds on G, not only on its factors
-    if G.transport is not None:
-        m = G.transport.code_map()
-        W = functor_subgroup(F, G.transport.domain, caps)
-        return G._sub([m[c] for c in W.codes(caps)], name=W.name)
-    if G._factors is not None:
-        WA, WB = (functor_subgroup(F, H, caps) for H in G._factors)
-        amb = G.ambient(caps)
-        nb = amb.nb  # a product ambient; both code lists are sorted, so is this
+    rec = G._factors
+    if rec is None:
+        return _radical(F, G, caps)
+    amb, B = G.ambient(caps), rec.B
+    nb = amb.nb  # a product ambient; every code list below is sorted
+    if rec.over is None:  # a trivial factor is its own W
+        A = rec.first()
+        WA = A if len(A.codes(caps)) == 1 else functor_subgroup(F, A, caps)
+        WB = B if len(B.codes(caps)) == 1 else functor_subgroup(F, B, caps)
         codes = [a * nb + b for a in WA.codes(caps) for b in WB.codes(caps)]
         return PermGroup._coded(amb, None, f"{WA.name}x{WB.name}", codes)
+    if isinstance(F, _VERBAL) and functor_subgroup(F, B, caps).is_trivial():
+        WA = functor_subgroup(F, rec.first(), caps)
+        return PermGroup._coded(amb, None, WA.name, [a * nb for a in WA.codes(caps)])
+    if len(rec.over) == B.order(caps):  # g is injective on B
+        WA = functor_subgroup(F, rec.first(), caps)
+        fmap, over = rec.f.code_map(), rec.over
+        codes = [a * nb + over[fmap[a]][0] for a in WA.codes(caps)]
+        return PermGroup._coded(amb, None, WA.name, codes)
     return _radical(F, G, caps)
 
 
@@ -477,7 +513,7 @@ def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> tuple:
-    if isinstance(F, (Abelianization, NilpotentQuotient, Variety)):
+    if isinstance(F, _VERBAL):
         # on abelian groups a word acts through its exponent sums; iterated
         # commutators have zero exponent sums
         words = F.words if isinstance(F, Variety) else ()
@@ -750,7 +786,7 @@ def idempotency_check(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> Idempoten
     """For a variety (abelianization and nilpotent quotients among them) on
     a permutation group: compare its radical WG with the radical of WG as a
     standalone group.  Otherwise: apply twice and compare."""
-    if isinstance(F, (Variety, Abelianization, NilpotentQuotient)) and isinstance(G, PermGroup):
+    if isinstance(F, _VERBAL) and isinstance(G, PermGroup):
         WG = radical_subgroup(F, G, caps)
         standalone = PermGroup(WG.degree, WG.generators, name="WG")
         WWG = radical_subgroup(F, standalone, caps)

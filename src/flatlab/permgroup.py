@@ -25,6 +25,7 @@ equal, so concurrent first access is safe.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -290,9 +291,9 @@ class PermGroup:
 
     A group built from permutations gets its own table ambient when its
     elements are first needed; subgroups, kernels, images and fiber products
-    are built on codes inside an existing ambient.  ``transport``, when set,
-    is a verified isomorphism from another group onto this one, along which
-    memoised radicals are carried instead of recomputed.
+    are built on codes inside an existing ambient.  ``_factors``, when set,
+    records the group as a subdirect product (:class:`_Subdirect`): a direct
+    product, a fiber product or its kernel.
     """
 
     def __init__(
@@ -314,8 +315,7 @@ class PermGroup:
         self._gen_codes = None
         self._amb = None
         self._owns_ambient = True  # every code of the ambient is an element
-        self._factors = None  # (A, B) for a direct product A x B
-        self.transport = None
+        self._factors = None  # a _Subdirect record
         self.presentation = presentation
         self.presentation_exact = presentation_exact
         self.name = name
@@ -345,7 +345,6 @@ class PermGroup:
         G._amb = amb
         G._owns_ambient = False
         G._factors = None
-        G.transport = None
         G.presentation = None
         G.presentation_exact = False
         G.name = name
@@ -359,8 +358,8 @@ class PermGroup:
     def ambient(self, caps: Caps | None = DEFAULT_CAPS) -> _Ambient:
         if self._amb is None:
             caps = caps or DEFAULT_CAPS
-            if self._factors is not None:
-                A, B = self._factors
+            if self._factors is not None:  # a direct product
+                A, B = self._factors.first(), self._factors.B
                 self._amb = _ProductAmbient(A.ambient(caps), B.ambient(caps))
             else:
                 self._amb = _TableAmbient(self._gens, self.degree, caps.order)
@@ -534,12 +533,15 @@ class PermGroup:
             return other.code_set(caps).issuperset(self.gen_codes(caps))
         return self.element_set(caps) <= other.element_set(caps)
 
-    def memo(self, key, compute, caps: Caps = DEFAULT_CAPS):
+    def memo(self, key, compute, caps: Caps | None = DEFAULT_CAPS):
         """Compute-once derived data; a hit re-checks the group's order
         against the caps.  A memo whose value needs another cap-guarded step
         holds the caps in its key (``"radical"``, ``"apply"``, ``"verbal"``,
         ``"lcs"``, ``"homs"``, ``"extensions"``), so a hit never hands out a
         value that a fresh process would refuse under the caps of the call.
+        ``("preimage", codes)`` holds the subgroup with those codes, listed
+        by the caller, and is read with caps None, as a pullback smaller than
+        this group reads it (:class:`_Subdirect`).
 
         A memo value never references this group, so a group dies by
         reference count when its last user drops it, and the verdict loops
@@ -560,6 +562,33 @@ class PermGroup:
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
         return f"PermGroup(deg={self.degree}, gens={len(self.generators)}{nm})"
+
+
+class _Subdirect:
+    """The record of a group P <= A x B that projects onto A and onto B, a
+    subdirect product, with pair codes a * |B's ambient| + b.  ``over`` is
+    None when P is all of A x B: a direct product, a pullback along the
+    trivial hom, a pullback's kernel K' = K x 1.  Otherwise P is the fiber
+    product {(e, x) : f(e) = g(x)} along a leg g that is not trivial,
+    ``over`` maps each y in g(B) to the sorted x with g(x) = y, and A is
+    E_H = f^-1(g(B)), listed as ``a_codes``.  Unless it is E itself, E_H
+    is built on its first read and memoised on E under its codes, so the
+    pullbacks over one g(B) share it, and share its memoised radicals."""
+
+    __slots__ = ("_a", "B", "f", "a_codes", "over")
+
+    def __init__(self, A, B, f=None, a_codes=None, over=None):
+        self._a, self.B, self.f, self.a_codes, self.over = A, B, f, a_codes, over
+
+    def first(self) -> PermGroup:
+        """A, built in E's ambient for a fiber product; the memo value
+        holds that ambient, not E."""
+        if self._a is None:
+            E, codes = self.f.domain, tuple(self.a_codes)
+            self._a = E.memo(
+                ("preimage", codes), lambda: PermGroup._coded(E._amb, None, "E_H", codes), None
+            )
+        return self._a
 
 
 def _recode(
@@ -654,14 +683,15 @@ class GroupHom:
 
     @classmethod
     def _from_codes(
-        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None, kernel=None
+        cls, domain, codomain, codes, caps: Caps = DEFAULT_CAPS, mapping=None, kernel=None,
+        image=None,
     ) -> "GroupHom":
         """The hom with these generator image codes, each the code of an
-        element of ``codomain`` by the caller's construction, as is
-        ``kernel``, when given."""
+        element of ``codomain`` by the caller's construction, as are
+        ``kernel`` and ``image``, when given."""
         hom = cls.__new__(cls)
         hom._init(domain, codomain, tuple(codes), caps, None, mapping)
-        hom._kernel = kernel
+        hom._kernel, hom._image = kernel, image
         return hom
 
     def _init(self, domain, codomain, codes, caps, name, mapping=None):
@@ -762,9 +792,7 @@ class GroupHom:
             return cls._from_codes(sub, G, codes, caps)
         if not G.code_set(caps).issuperset(sub.gen_codes(caps)):
             raise error
-        hom = cls._from_codes(sub, G, sub.gen_codes(caps), caps)
-        hom._image = sub
-        return hom
+        return cls._from_codes(sub, G, sub.gen_codes(caps), caps, image=sub)
 
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
@@ -910,7 +938,7 @@ def direct_product(
     G = PermGroup(
         dA + dB, gens, presentation=pres, presentation_exact=exact, name=prod_name
     )
-    G._factors = (A, B)
+    G._factors = _Subdirect(A, B)
     G._owns_ambient = A._owns_ambient and B._owns_ambient  # all of A x B
     return G
 
@@ -922,13 +950,17 @@ def pullback_group(
     ambients, with its projection to X.  The E component of a pair code p
     is p // |X's ambient|, the first E.degree points of its permutation.
 
-    P is listed from the fibers of f over g(X').  Its generators, ker(f) x 1
-    and (least e over g(x), x) for each generator x of X' = g^-1(im f), lie
-    in P by construction and generate it: the first generate ker(pr_x)
-    (ker f's are certified by its closure) and the rest map onto X', pr_x's
-    image.  pr_x is given both; |P| = |ker f| * |X'|, as each fiber of f is
-    a coset of ker f.  When g is trivial, P = ker f x X with the product's
-    pair codes, and ``_factors`` records it, as ``direct_product`` does."""
+    P is a subdirect product of E_H = f^-1(g(X')) and X' = g^-1(im f), and
+    ``_factors`` records it (:class:`_Subdirect`).  It is listed in code
+    order, with no sort: each e of E_H in order, then each x over f(e) in
+    order, from g's fibers, built per call.  Its generators, ker(f) x 1 and
+    (least e over g(x), x) for each generator x of X', lie in P by
+    construction and generate it: the first generate ker(pr_x) (ker f's are
+    certified by its closure) and the rest map onto X', pr_x's image.  pr_x
+    is given both; |P| = |ker f| * |X'|, as each fiber of f is a coset of
+    ker f.  The kernel K' = ker(f) x 1 is recorded as the product of ker f
+    and X's trivial subgroup, and when g is trivial, P = ker f x X' pair for
+    pair is recorded as a product too."""
     gmap = g.code_map()
     G, H = f.codomain, g.codomain
     if G is not H:
@@ -940,21 +972,32 @@ def pullback_group(
     E, X = f.domain, g.domain
     amb = _ProductAmbient(E.ambient(caps), X.ambient(caps))
     nx = amb.nb
-    fibers = f.fibers()
-    lifted = [x for x in X.codes(caps) if gmap[x] in fibers]
-    Xf = X if len(lifted) == X.order(caps) else X._sub(lifted)
-    kgens = [k * nx for k in f.kernel().gen_codes(caps)]
+    fibers, fmap, K = f.fibers(), f.code_map(), f.kernel()
+    over: dict[int, list[int]] = {}  # y in g(X') -> the x over it, in order
+    for x in X.codes(caps):
+        if (y := gmap[x]) in fibers:
+            over.setdefault(y, []).append(x)
+    if sum(map(len, over.values())) == X.order(caps):
+        Xf = X
+    else:
+        Xf = X._sub(chain.from_iterable(over.values()))
+    # E_H in order; when g(X') = 1 it is ker f, the fiber over 1
+    eh = fibers[0] if len(over) == 1 else sorted(chain.from_iterable(map(fibers.get, over)))
+    kgens = [k * nx for k in K.gen_codes(caps)]
     gens = kgens + [fibers[gmap[x]][0] * nx + x for x in Xf.gen_codes(caps)]
-    codes = sorted(e * nx + x for x in lifted for e in fibers[gmap[x]])
+    codes = [e * nx + x for e in eh for x in over[fmap[e]]]
     P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})", codes)
-    K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in f.kernel().codes(caps)])
     P.order(caps)  # checks the listed codes against the caps, as a closure would
-    if not any(gmap.values()):  # g is trivial: P is ker(f) x X, pair for pair
-        P._factors = (f.kernel(), X)
+    K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in K.codes(caps)])
+    K2._factors = _Subdirect(K, PermGroup._coded(amb.B, (), "1", (0,)))
+    if len(over) == 1:
+        P._factors = _Subdirect(K, Xf)
+    else:  # E_H is E itself when g(X') is all of im f
+        P._factors = _Subdirect(E if len(eh) == len(fmap) else None, Xf, f, eh, over)
     pr_x = GroupHom._from_codes(
-        P, X, [p % nx for p in gens], caps, mapping={p: p % nx for p in codes}
+        P, X, [p % nx for p in gens], caps, mapping={p: p % nx for p in codes},
+        kernel=K2, image=Xf,
     )
-    pr_x._image, pr_x._kernel = Xf, K2
     return P, pr_x
 
 

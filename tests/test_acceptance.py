@@ -210,8 +210,9 @@ def _exact_at_the_kernel(ext) -> bool:
 def test_checks_known_by_construction_would_pass(battery_extensions, pullback_table):
     # an extension tests neither that iota is injective, nor that iota(K) is
     # the kernel, nor that it is normal, a pullback does not test its
-    # canonical map, and a quotient hands its projection N as the kernel:
-    # each of these checks, run here, passes
+    # canonical map, nor that P -> X is onto, nor that iota's generators lie
+    # in P, and a quotient hands its projection N as the kernel: each of
+    # these checks, run here, passes
     for ext in battery_extensions:
         assert _exact_at_the_kernel(ext)
         assert is_normal(ext.iota.image(), ext.total)
@@ -221,6 +222,9 @@ def test_checks_known_by_construction_would_pass(battery_extensions, pullback_ta
             new, canonical = pulled.extension, pulled.canonical_kernel_map
             assert _exact_at_the_kernel(new)
             assert is_normal(new.iota.image(), new.total)
+            assert new.proj.is_surjective()
+            assert new.iota.domain.ambient() is new.total.ambient()
+            assert new.total.code_set().issuperset(new.iota.domain.gen_codes())
             assert canonical.image().code_set() == new.kernel_group.code_set()
             assert canonical.is_injective()
             pulled_count += 1

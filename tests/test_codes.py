@@ -150,7 +150,10 @@ def test_fresh_import_builds_no_table_and_loads_no_application_layer():
     assert out.stdout == "ok\n"
 
 
-def test_transported_kernel_radical_equals_the_radical_from_scratch():
+def test_a_pullback_kernel_radical_equals_the_radical_from_scratch():
+    # K' = ker(P -> X) is recorded as the product K x 1, so its radicals are
+    # read off K's memoised ones; each equals the radical of a copy with no
+    # record, computed from scratch
     functors = [
         Nullification(cyclic(2).presentation),
         Nullification(symmetric(3).presentation),
@@ -165,7 +168,9 @@ def test_transported_kernel_radical_equals_the_radical_from_scratch():
             for X in default_battery(4):
                 for f in enumerate_homs(X, ext.base):
                     K2 = pullback_extension(ext, f).extension.kernel_group
-                    assert K2.transport is not None
+                    record = K2._factors
+                    assert record.over is None and record.first() is ext.proj.kernel()
+                    assert record.B.codes() == (0,)
                     fresh = PermGroup._coded(K2.ambient(), K2.gen_codes())
                     for F in functors:
                         carried = radical_subgroup(F, K2).code_set()

@@ -57,9 +57,16 @@ from flatlab.functors import (
     radical_subgroup,
     standard_quasi_c4_c2,
 )
-from flatlab.homs import enumerate_homs
-from flatlab.permgroup import GroupHom, PermGroup, direct_product, is_isomorphic, quotient
-from flatlab.verbal import derived_subgroup, lower_central_series
+from flatlab.homs import enumerate_homs, hom_count
+from flatlab.permgroup import (
+    GroupHom,
+    PermGroup,
+    direct_product,
+    is_isomorphic,
+    normal_subgroups,
+    quotient,
+)
+from flatlab.verbal import derived_subgroup, lower_central_series, word_value_codes
 from flatlab.words import Presentation, Word, parse_word
 
 PHI, QUASI = standard_quasi_c4_c2()
@@ -672,6 +679,36 @@ def test_a_product_reads_its_functor_subgroup_off_its_factors():
             assert check_flatness(F, ext).is_flat
 
 
+def test_a_pullback_reads_its_functor_subgroup_off_its_fiber():
+    # the verbal rule (W(X) = 1 for a verbal functor) and the restriction
+    # rule (an injective leg) of functor_subgroup against the family rule on
+    # an unrecorded copy, for the 10 sweep functors on every criterion-4
+    # pullback total along a hom that is not trivial; the pairs neither rule
+    # serves are compared too, so a rule that serves one of them is caught
+    verbal_functors = (Abelianization, NilpotentQuotient, Variety)
+    totals = (
+        pullback_extension(ext, f).extension.total
+        for G in default_battery(64)
+        for ext in extensions_from_group(G)
+        for X in default_battery(16)
+        for f in enumerate_homs(X, ext.base)
+        if any(f.image_codes)
+    )
+    pullbacks, served = 0, {"verbal": 0, "restriction": 0}
+    for P in totals:
+        pullbacks += 1
+        record, copy = P._factors, P.named("copy")  # a copy has no record
+        injective = len(record.over) == record.B.order()
+        for F in SWEEP_FUNCTORS:
+            if isinstance(F, verbal_functors) and functor_subgroup(F, record.B).is_trivial():
+                served["verbal"] += 1
+            elif injective:
+                served["restriction"] += 1
+            assert functor_subgroup(F, P).code_set() == functor_subgroup(F, copy).code_set()
+    assert pullbacks == 10_456
+    assert served == {"verbal": 27_955, "restriction": 9_438}
+
+
 def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
     # a radical or quotient filled under the default caps is not handed out
     # under caps that its computation exceeds
@@ -694,6 +731,39 @@ def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
                 else:
                     run(F, G, caps)
                     assert radical_subgroup(F, G, caps).order() == 12
+
+
+def test_every_entry_point_fails_warm_as_it_fails_fresh():
+    # each cap-guarded entry point, under a cap just below what it needs,
+    # fails on a fresh group and, with the same message, on a group whose
+    # memos a call under the default caps has filled
+    def outcome(run, G, caps):
+        try:
+            return repr(run(G, caps))
+        except CapExceededError as exc:
+            return f"cap: {exc}"
+
+    commutator = parse_word("[x1,x2]")
+    cases = [
+        (lambda G, caps: len(enumerate_homs(symmetric(3), G, caps)),
+         (Caps(hom_search=24**2 - 1), Caps(hom_domain=5))),
+        (lambda G, caps: hom_count(cyclic(2).presentation, G, caps),
+         (Caps(hom_search=23), Caps(order=23))),
+        (lambda G, caps: sorted(word_value_codes(G, commutator, caps)),
+         (Caps(tuple_scan=24**2 - 1), Caps(word_arity=1))),
+        (lambda G, caps: is_isomorphic(G, symmetric(4), caps),
+         (Caps(iso_order=23), Caps(order=23))),
+        (lambda G, caps: [N.codes() for N in normal_subgroups(G, caps)], (Caps(order=23),)),
+    ]
+    for run, tight in cases:
+        for caps in tight:
+            S4 = symmetric(4)
+            fresh = outcome(run, PermGroup(S4.degree, S4.generators, name="S4"), caps)
+            G = PermGroup(S4.degree, S4.generators, name="S4")  # a memo of its own
+            full = outcome(run, G, Caps())
+            assert fresh.startswith("cap: ") and not full.startswith("cap: ")
+            assert outcome(run, G, caps) == fresh
+            assert outcome(run, G, Caps()) == full
 
 
 def test_a_product_over_the_order_cap_fails_though_its_factors_fit():
