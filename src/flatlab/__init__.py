@@ -6,9 +6,9 @@ Highlights
 ----------
 - finite permutation groups and finitely generated abelian groups, all
   arithmetic exact;
-- the functor cast: variety reflections, nilpotent quotients,
-  abelianization, nullifications, quasi-variety reflections, and the
-  order-p-generated subgroup;
+- the functor cast: localizations L_f (variety reflections, nilpotent
+  quotients and abelianization on a free source, nullifications,
+  quasi-variety reflections) and the order-p-generated subgroup;
 - extensions, their pullbacks, three-flag flatness verdicts with element
   witnesses, exhaustive conditional-flatness probes, and a counterexample
   registry runnable from the command line (``flatlab reproduce``).

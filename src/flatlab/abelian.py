@@ -194,7 +194,7 @@ class SmithNormalForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-@cache
+@cache  # keyed by M alone: the factorization reads no cap
 def smith_normal_form(M: IntMatrix) -> SmithNormalForm:
     """U*M*V = D, diagonal with d_i | d_{i+1}, U and V unimodular.
 
@@ -474,7 +474,9 @@ class AbGroup:
         """Compute-once derived data.  As for ``PermGroup.memo``, a value
         never references this group, so the group dies by reference count;
         the permutation flavor's two exceptions, ``"extensions"`` and
-        ``"homs"``, have no abelian memo."""
+        ``"homs"``, have no abelian memo.  The one key, ``("apply", F)``,
+        holds no caps, as its computation (``abelian_hom_group``,
+        ``ab_quotient``, ``n_torsion``) reads none."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()

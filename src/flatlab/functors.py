@@ -1,7 +1,8 @@
-"""The cast of group endofunctors: variety reflections, nilpotent quotients,
-abelianization, localizations L_f (nullifications and quasi-variety
-reflections among them), and the order-p-generated subgroup subfunctor —
-with localization maps, induced maps, locality and acyclicity tests.
+"""The cast of group endofunctors: the localizations L_f and one
+subfunctor, the order-p-generated subgroup S_p, with localization maps,
+induced maps, locality and acyclicity tests.  Every epireflection in the
+cast is an L_f: nullifications, quasi-variety reflections, and, on a free
+source, variety reflections, nilpotent quotients and abelianization.
 
 Epireflections return a surjective structure map eta with its kernel (the
 radical); the subfunctor returns an inclusion.  All functors apply to finite
@@ -10,9 +11,10 @@ permutation groups and to finitely generated abelian groups.
 L_f, f : A = <X | R> ->> <X | R u S>, has one rule per flavor: in G the
 radical is the preimage chain N_(i+1) = <<N_i, s(x) : x solves R in G/N_i,
 s in S>>; an abelian M is quotiented by the images s(h), h in
-Hom(A, M) = Hom(A^ab, M), until they vanish.  For f = A ->> 1 with A
-solvable the radical is generated by the pi-elements of G, pi the primes
-dividing |A^ab|.
+Hom(A, M) = Hom(A^ab, M), until they vanish.  Two rules give the radical
+at once: on a free source it is the verbal subgroup of S, and for
+f = A ->> 1 with A solvable it is generated by the pi-elements of G, pi
+the primes dividing |A^ab|.
 """
 
 from __future__ import annotations
@@ -45,13 +47,7 @@ from .errors import (
 )
 from .homs import hom_image_codes, realize_presentation, relator_solutions
 from .permgroup import GroupHom, PermGroup, normal_closure_codes, quotient, right_cosets
-from .verbal import (
-    derived_subgroup,
-    is_prime,
-    lower_central_series,
-    s_p_subgroup,
-    verbal_subgroup,
-)
+from .verbal import derived_subgroup, is_prime, s_p_subgroup, verbal_subgroup
 from .words import Presentation, Word, _split_top_level, parse_word
 
 
@@ -59,7 +55,7 @@ from .words import Presentation, Word, _split_top_level, parse_word
 
 
 class _Spec:
-    """A functor specification: immutable, and equal and hashed by ``_key``,
+    """A functor specification: immutable, and equal and hashed by its key,
     the tuple of its parameters, since specs are the memo keys of radicals.
     The hash and the ``describe()`` text are computed once, by ``_freeze``,
     as every memo lookup hashes the spec and every verdict names it."""
@@ -84,50 +80,87 @@ class _Spec:
         return self._text
 
 
-class Variety(_Spec):
-    __slots__ = ("words",)
-
-    def __init__(self, words: tuple[Word, ...]):
-        object.__setattr__(self, "words", words)
-        self._freeze((words,), f"variety({','.join(w.text() for w in words)})")
-
-
-class NilpotentQuotient(_Spec):
-    __slots__ = ("nilpotency_class",)
-
-    def __init__(self, nilpotency_class: int):
-        if nilpotency_class < 1:
-            raise ValueError("nilpotency class must be >= 1")
-        object.__setattr__(self, "nilpotency_class", nilpotency_class)
-        self._freeze((nilpotency_class,), f"nilpotent(class={nilpotency_class})")
-
-
-class Abelianization(_Spec):
-    __slots__ = ()
-
-    def __init__(self):
-        self._freeze((), "abelianization")  # no parameters
+def _free(k: int) -> Presentation:
+    """F_k on x1, ..., xk, the source of a variety's f."""
+    return Presentation(tuple(f"x{i + 1}" for i in range(k)), ())
 
 
 class Localization(_Spec):
     """L_f, localization at f : A = <X | R> ->> <X | R u S> (Farjoun, LNM
     1622, 1996): G is f-local when every solution of R in G satisfies S.
     ``conditions`` holds the (A, S) pairs: nullification P_A is f = A ->> 1,
-    S = X; each quasi-variety rule x^a => x^b is f = C_a ->> C_gcd(a,b)."""
+    S = X; each quasi-variety rule x^a => x^b is f = C_a ->> C_gcd(a,b); the
+    variety with laws S is f = F_k ->> <X | S>, A free (Casacuberta,
+    Rodriguez & Scevenels, 1999).
 
-    __slots__ = ("conditions", "nullified")
+    Two rules are read off the conditions once, here.  ``laws`` is S when
+    there is one condition and A is free (the free-source rule of
+    ``_localization_radical``).  Otherwise ``nullified`` is A when f is
+    A ->> 1.  A law is a word or a class c, standing for [x1, ..., x_(c+1)]
+    (``verbal.verbal_subgroup``).  Subclasses spell their key and
+    ``describe()`` text by ``_spelling``."""
 
-    def __init__(self, *conditions: tuple[Presentation, tuple[Word, ...]]):
+    __slots__ = ("conditions", "nullified", "laws")
+
+    def __init__(self, *conditions: tuple[Presentation, tuple[Word | int, ...]]):
         object.__setattr__(self, "conditions", conditions)
-        # A when f is A ->> 1: one condition, its S holding every generator of A
-        kills = [{((i, 1),) for i in range(len(A.generators))} <= {w.letters for w in S}
-                 for A, S in conditions]
-        object.__setattr__(self, "nullified", conditions[0][0] if kills == [True] else None)
-        self._freeze(conditions, ";".join(
+        free = kills = False
+        if len(conditions) == 1:
+            (A, S), = conditions
+            free = not A.relators
+            generators = {((i, 1),) for i in range(len(A.generators))}
+            kills = not free and generators <= {w.letters for w in S}  # S holds them all
+        object.__setattr__(self, "laws", S if free else None)
+        object.__setattr__(self, "nullified", A if kills else None)
+        self._freeze(*self._spelling())
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return self.conditions, ";".join(
             f"orthogonal(<{','.join(A.generators)}|{','.join(A.relator_texts())}>"
             f"=>{','.join(w.text(A.generators) for w in S)})"
-            for A, S in conditions
-        ))
+            for A, S in self.conditions
+        )
+
+
+class Variety(Localization):
+    """The reflection onto the variety with laws ``words``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]):
+        object.__setattr__(self, "words", words)
+        super().__init__((_free(max((w.arity for w in words), default=0)), words))
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return (self.words,), f"variety({','.join(w.text() for w in self.words)})"
+
+
+class NilpotentQuotient(Localization):
+    """G/gamma_(c+1)(G): the variety of the law [x1, ..., x_(c+1)], given by
+    its class c, as the word has 3 * 2^c - 2 letters."""
+
+    __slots__ = ("nilpotency_class",)
+
+    def __init__(self, nilpotency_class: int):
+        if nilpotency_class < 1:
+            raise ValueError("nilpotency class must be >= 1")
+        object.__setattr__(self, "nilpotency_class", nilpotency_class)
+        super().__init__((_free(nilpotency_class + 1), (nilpotency_class,)))
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return (self.nilpotency_class,), f"nilpotent(class={self.nilpotency_class})"
+
+
+class Abelianization(NilpotentQuotient):
+    """The nilpotent quotient of class 1."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(1)
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return (), "abelianization"  # no parameters
 
 
 class Nullification(Localization):
@@ -135,13 +168,13 @@ class Nullification(Localization):
 
     def __init__(self, target: Presentation):
         if len(target.generators) > 3:
-            raise UnsupportedFunctorError(
-                "nullification target limited to <= 3 generators"
-            )
-        super().__init__((target, tuple(map(Word.generator, range(len(target.generators))))))
+            raise UnsupportedFunctorError("nullification target limited to <= 3 generators")
         object.__setattr__(self, "target", target)
-        gens, rels = ",".join(target.generators), ",".join(target.relator_texts())
-        self._freeze((target,), f"nullification(<{gens}|{rels}>)")
+        super().__init__((target, tuple(map(Word.generator, range(len(target.generators))))))
+
+    def _spelling(self) -> tuple[tuple, str]:
+        gens, rels = ",".join(self.target.generators), ",".join(self.target.relator_texts())
+        return (self.target,), f"nullification(<{gens}|{rels}>)"
 
 
 class QuasiVarietyReflection(Localization):
@@ -150,16 +183,19 @@ class QuasiVarietyReflection(Localization):
     def __init__(self, rules: tuple[tuple[Word, Word], ...]):
         object.__setattr__(self, "rules", rules)
         super().__init__(*(
-            (Presentation(tuple(f"x{i + 1}" for i in range(max(c.arity, u.arity, 1))), (c,)), (u,))
+            (Presentation(_free(max(c.arity, u.arity, 1)).generators, (c,)), (u,))
             for c, u in rules
         ))
-        self._freeze(self._key, "quasivariety(" + ";".join(
-            f"{c.text()}=>{u.text()}" for c, u in rules
-        ) + ")")
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return self.conditions, "quasivariety(" + ";".join(
+            f"{c.text()}=>{u.text()}" for c, u in self.rules
+        ) + ")"
 
 
 class SpSubfunctor(_Spec):
     __slots__ = ("p",)
+    laws = None  # not an L_f: no free-source rule
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -168,16 +204,7 @@ class SpSubfunctor(_Spec):
         self._freeze((p,), f"sp(p={p})")
 
 
-FunctorSpec = Union[
-    Variety,
-    NilpotentQuotient,
-    Abelianization,
-    Localization,
-    SpSubfunctor,
-]
-
-# the specs whose W is a verbal subgroup
-_VERBAL = (Variety, Abelianization, NilpotentQuotient)
+FunctorSpec = Union[Localization, SpSubfunctor]
 
 EPIREFLECTION = "epireflection"
 SUBFUNCTOR = "subfunctor"
@@ -234,9 +261,7 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
                 except ValueError:
                     return parse_word(text)
 
-            return QuasiVarietyReflection(
-                ((one_var(params["cond"]), one_var(params["impose"])),)
-            )
+            return QuasiVarietyReflection(((one_var(params["cond"]), one_var(params["impose"])),))
         if kind == "orthogonal":
             A = Presentation.parse(params["gens"], params["rels"].strip()[1:-1])
             return Localization((A, _word_list(params["impose"], A.generators)))
@@ -262,12 +287,9 @@ class LocalizedResult:
     __slots__ = ("functor", "source", "result", "eta", "radical", "kind")
 
     def __init__(self, functor: FunctorSpec, source, result, eta, radical, kind: str):
-        self.functor = functor
-        self.source = source
-        self.result = result
+        self.functor, self.source, self.result, self.kind = functor, source, result, kind
         self.eta = eta  # projection (epireflection) or inclusion (subfunctor)
         self.radical = radical  # kernel of eta, for epireflections; else None
-        self.kind = kind
 
 
 # -- application: permutation flavor -----------------------------------------
@@ -281,7 +303,7 @@ def _preimage_chain(G: PermGroup, seeds_mod, caps: Caps) -> PermGroup:
     chain stops there, with no closure to confirm it.  Otherwise only the
     seeds outside N_i are conjugated, and the closure grows from N_i
     (``normal_closure_codes`` with ``start``)."""
-    N = G.generate((), "1", caps)
+    N = G.trivial(caps)
     while (N2 := normal_closure_codes(G, seeds_mod(N), caps, start=N)) is not N:
         N = N2
     return N
@@ -355,26 +377,36 @@ def _pi_exponent(pres: Presentation, caps: Caps) -> int | None:
 def _localization_radical(F: Localization, G: PermGroup, caps: Caps) -> PermGroup:
     """The least normal N with G/N f-local: the preimage chain on the
     seeds of every condition (``_evaluated_seeds`` for a one-generator A,
-    ``_lifted_seeds`` otherwise).
+    ``_lifted_seeds`` otherwise), unless one of two rules gives N at once.
 
-    When f is A ->> 1 (``F.nullified``), L_f is the nullification P_A.  Let pi be the primes dividing |A^ab|, every
-    prime when A^ab has a Z summand.  If A is solvable or A^ab has a Z
-    summand, then Hom(A, Q) != 1 for a finite Q exactly when Q has an
-    element of some order p in pi.  (<=) A maps onto C_p through A^ab, and
-    C_p onto that element's subgroup.  (=>) A nontrivial image M of A is
-    solvable, so M^ab != 1; M^ab is a quotient of A^ab, so some p in pi
-    divides |M|, and by Cauchy's theorem M has an element of order p.
-    (With a Z summand every prime is in pi.)  By Cauchy again, N is the
-    least normal subgroup with G/N a pi'-group: O^pi'(G), generated by the
-    pi-elements of G.  They are closed under conjugation, so one closure
-    gives N.  An A not certified solvable (``_pi_exponent`` is None) runs
-    the chain.  Both routes give the same N, so no radical depends on the
-    caps A was realized under."""
+    Free source (``F.laws``).  When A = F_k has no relators, every k-tuple
+    of G/N solves R, so N_1 = <<s(x) : x in G^k, s in S>> = V_S(G), the
+    verbal subgroup of S: the values of a law are closed under conjugation
+    (``verbal.verbal_subgroup``).  The chain stops there, as G/N_1
+    satisfies S: a tuple y of G/N_1 lifts to a tuple x of G, and
+    s(y) = s(x) N_1 = N_1.  So N = V_S(G), and a single law of class c
+    gives gamma_(c+1)(G), the memoised lower central series term.
+
+    Nullification (``F.nullified``), when f is A ->> 1.  Let pi be the
+    primes dividing |A^ab|, every prime when A^ab has a Z summand.  If A is
+    solvable or A^ab has a Z summand, then Hom(A, Q) != 1 for a finite Q
+    exactly when Q has an element of some order p in pi.  (<=) A maps onto
+    C_p through A^ab, and C_p onto that element's subgroup.  (=>) A
+    nontrivial image M of A is solvable, so M^ab != 1; M^ab is a quotient
+    of A^ab, so some p in pi divides |M|, and by Cauchy's theorem M has an
+    element of order p.  (With a Z summand every prime is in pi.)  By
+    Cauchy again, N is the least normal subgroup with G/N a pi'-group:
+    O^pi'(G), generated by the pi-elements of G.  They are closed under
+    conjugation, so one closure gives N.  An A not certified solvable
+    (``_pi_exponent`` is None) runs the chain.  Both routes give the same
+    N, so no radical depends on the caps A was realized under."""
+    if F.laws is not None:
+        return verbal_subgroup(G, F.laws, caps)
     if F.nullified is not None and (m := _pi_exponent(F.nullified, caps)) is not None:
         codes = G.codes(caps)
         # o divides m^o exactly when every prime factor of o divides m
         pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
-        return G.generate(pi, "ncl" if len(pi) > 1 else "1", caps)
+        return G.generate(pi, "ncl", caps) if len(pi) > 1 else G.trivial(caps)
     rules = [
         (_evaluated_seeds if len(A.generators) == 1 else _lifted_seeds)(A, S, G, caps)
         for A, S in F.conditions
@@ -416,9 +448,9 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
       (a, b) != 1, i.e. when each of a, b is 1 or of order p: these
       generate S_p(A) x S_p(B), which holds them all.
 
-    Verbal.  For F a variety, abelianization (the verbal subgroup of
-    [x1, x2]) or a nilpotent quotient of class c (gamma_(c+1), the verbal
-    subgroup of [x1, ..., x_(c+1)]), W = V is a verbal subgroup, and if
+    Verbal.  For F = L_f on a free source (``F.laws``: a variety,
+    abelianization, a nilpotent quotient), W = V is the verbal subgroup of
+    the laws by the free-source rule (``_localization_radical``), and if
     V(B) = 1 then V(P) = V(A) x 1.  A surjection h carries V onto V:
     h(w(p_1, ..., p_k)) = w(h p_1, ..., h p_k), and every tuple of the
     target lifts (H. Neumann, Varieties of Groups, 1967).  So
@@ -456,7 +488,7 @@ def _structure_rule(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
         WB = B if len(B.codes(caps)) == 1 else functor_subgroup(F, B, caps)
         codes = [a * nb + b for a in WA.codes(caps) for b in WB.codes(caps)]
         return PermGroup._coded(amb, None, f"{WA.name}x{WB.name}", codes)
-    if isinstance(F, _VERBAL) and functor_subgroup(F, B, caps).is_trivial():
+    if F.laws is not None and functor_subgroup(F, B, caps).is_trivial():
         WA = functor_subgroup(F, rec.first(), caps)
         return PermGroup._coded(amb, None, WA.name, [a * nb for a in WA.codes(caps)])
     if len(rec.over) == B.order(caps):  # g is injective on B
@@ -471,16 +503,7 @@ def _radical(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
     """W by the rule of F's family."""
     if isinstance(F, SpSubfunctor):
         return s_p_subgroup(G, F.p, caps)
-    if isinstance(F, Variety):
-        return verbal_subgroup(G, F.words, caps)
-    if isinstance(F, Abelianization):
-        return lower_central_series(G, 1, caps)[1]
-    if isinstance(F, NilpotentQuotient):
-        c = F.nilpotency_class
-        return lower_central_series(G, c, caps)[c]
-    if isinstance(F, Localization):
-        return _localization_radical(F, G, caps)
-    raise UnsupportedFunctorError(f"unknown functor {F!r}")
+    return _localization_radical(F, G, caps)
 
 
 def _apply_perm(F: FunctorSpec, G: PermGroup, caps: Caps) -> tuple:
@@ -512,32 +535,29 @@ def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _apply_abelian(F: FunctorSpec, A: AbGroup, caps: Caps) -> tuple:
-    if isinstance(F, _VERBAL):
-        # on abelian groups a word acts through its exponent sums; iterated
-        # commutators have zero exponent sums
-        words = F.words if isinstance(F, Variety) else ()
-        sums = _exponent_sums(words, max((w.arity for w in words), default=0))
-        g = gcd(*(e for col in sums for e in col))
-        if g == 0:
-            return _epireflection(A, AbHom.identity_hom(A))
-        return _epireflection(A, ab_quotient(A, IntMatrix.scalar(A.ngens, g))[1])
-    if isinstance(F, Localization):
-        # quotient by the images s(h) of the homs h : A -> L, s in S, until
-        # they all vanish in L
-        eta = AbHom.identity_hom(A)
-        while True:
-            L, cols = eta.codomain, []
-            for source, S in F.conditions:
-                homs = abelian_hom_group(source, L)[1].matrix.columns()
-                cols += [_word_image(w, h, L.ngens) for w in S for h in homs]
-            if all(solve_in_column_lattice(L.snf, c) is not None for c in cols):
-                return _epireflection(A, eta)
-            eta = eta.then(ab_quotient(L, IntMatrix.from_columns(cols, L.ngens))[1])
+def _apply_abelian(F: FunctorSpec, A: AbGroup) -> tuple:
     if isinstance(F, SpSubfunctor):
         T, incl = n_torsion(A, F.p)
         return T, None, incl.matrix
-    raise UnsupportedFunctorError(f"unknown functor {F!r}")
+    if F.laws is not None:
+        # the free-source rule: a law acts on an abelian group through its
+        # exponent sums, so V_S(A) = gA, g their gcd; a class (an iterated
+        # commutator) has none
+        words = [w for w in F.laws if isinstance(w, Word)]
+        g = gcd(*(sum(e for s, e in w.letters if s == i) for w in words for i in range(w.arity)))
+        eta = AbHom.identity_hom(A) if g == 0 else ab_quotient(A, IntMatrix.scalar(A.ngens, g))[1]
+        return _epireflection(A, eta)
+    # quotient by the images s(h) of the homs h : A -> L, s in S, until they
+    # all vanish in L
+    eta = AbHom.identity_hom(A)
+    while True:
+        L, cols = eta.codomain, []
+        for source, S in F.conditions:
+            homs = abelian_hom_group(source, L)[1].matrix.columns()
+            cols += [_word_image(w, h, L.ngens) for w in S for h in homs]
+        if all(solve_in_column_lattice(L.snf, c) is not None for c in cols):
+            return _epireflection(A, eta)
+        eta = eta.then(ab_quotient(L, IntMatrix.from_columns(cols, L.ngens))[1])
 
 
 def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
@@ -559,7 +579,7 @@ def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
         proj = GroupHom._from_codes(G, L, L.gen_codes(caps), caps, mapping=mapping, kernel=W)
         return LocalizedResult(F, G, L, proj, W, EPIREFLECTION)
     if isinstance(G, AbGroup):
-        L, W, matrix = G.memo(("apply", F), lambda: _apply_abelian(F, G, caps))
+        L, W, matrix = G.memo(("apply", F), lambda: _apply_abelian(F, G))
         if W is None:
             return LocalizedResult(F, G, L, AbHom._from_matrix(L, G, matrix), None, SUBFUNCTOR)
         L = G if L is None else L
@@ -622,14 +642,9 @@ class TestMap:
 
     __test__ = False  # not a pytest class; "test map" is the domain term
 
-    def __init__(
-        self,
-        domain_pres: Presentation,
-        codomain_pres: Presentation,
-        images: tuple[Word, ...] | list[Word],
-        name: str = "phi",
-        caps: Caps = DEFAULT_CAPS,
-    ):
+    def __init__(self, domain_pres: Presentation, codomain_pres: Presentation,
+                 images: tuple[Word, ...] | list[Word], name: str = "phi",
+                 caps: Caps = DEFAULT_CAPS):
         images = tuple(images)
         if len(images) != len(domain_pres.generators):
             raise ValueError("one image word per domain generator required")
@@ -637,27 +652,21 @@ class TestMap:
             if w.arity > len(codomain_pres.generators):
                 raise ValueError("image word uses undeclared codomain generators")
         B = realize_presentation(codomain_pres, caps)
-        b_images = tuple(
-            w.evaluate(B.generators, B.identity()) for w in images
-        )
         ident = B.identity()
+        b_images = tuple(w.evaluate(B.generators, ident) for w in images)
         for rel in domain_pres.relators:
             if not rel.evaluate(b_images, ident).is_identity():
                 raise ValueError(
                     f"relator {rel.text(domain_pres.generators)} is not killed: "
                     "phi is not a homomorphism"
                 )
-        self.domain_pres = domain_pres
-        self.codomain_pres = codomain_pres
-        self.images = images
-        self.name = name
+        self.domain_pres, self.codomain_pres = domain_pres, codomain_pres
+        self.images, self.name = images, name
 
     def describe(self) -> str:
         dom = ",".join(self.domain_pres.generators)
         cod = ",".join(self.codomain_pres.generators)
-        imgs = ",".join(
-            w.text(self.codomain_pres.generators) for w in self.images
-        )
+        imgs = ",".join(w.text(self.codomain_pres.generators) for w in self.images)
         return f"{self.name}: <{dom}> -> <{cod}>, [{imgs}]"
 
 
@@ -675,12 +684,8 @@ def standard_quasi_c4_c2() -> tuple[TestMap, QuasiVarietyReflection]:
 class LocalityReport:
     def __init__(self, group: str, test_map: str, hom_count_b: int, hom_count_a: int,
                  is_local: bool, witness: str | None):
-        self.group = group
-        self.test_map = test_map
-        self.hom_count_b = hom_count_b
-        self.hom_count_a = hom_count_a
-        self.is_local = is_local
-        self.witness = witness
+        self.group, self.test_map, self.is_local, self.witness = group, test_map, is_local, witness
+        self.hom_count_b, self.hom_count_a = hom_count_b, hom_count_a
 
     def verdict(self) -> str:
         return "local" if self.is_local else "not local"
@@ -775,45 +780,29 @@ def is_acyclic(F: FunctorSpec, X, caps: Caps = DEFAULT_CAPS) -> bool:
 class IdempotencyReport:
     def __init__(self, functor: str, first_order: int | None, second_order: int | None,
                  idempotent: bool, detail: str):
-        self.functor = functor
-        self.first_order = first_order
-        self.second_order = second_order
-        self.idempotent = idempotent
-        self.detail = detail
+        self.functor, self.first_order, self.second_order = functor, first_order, second_order
+        self.idempotent, self.detail = idempotent, detail
 
 
 def idempotency_check(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> IdempotencyReport:
-    """For a variety (abelianization and nilpotent quotients among them) on
-    a permutation group: compare its radical WG with the radical of WG as a
-    standalone group.  Otherwise: apply twice and compare."""
-    if isinstance(F, _VERBAL) and isinstance(G, PermGroup):
+    """For L_f on a free source (a variety, abelianization and nilpotent
+    quotients among them) on a permutation group: compare its radical WG,
+    the verbal subgroup, with the radical of WG as a standalone group.
+    Otherwise: apply twice and compare."""
+    if F.laws is not None and isinstance(G, PermGroup):
         WG = radical_subgroup(F, G, caps)
-        standalone = PermGroup(WG.degree, WG.generators, name="WG")
-        WWG = radical_subgroup(F, standalone, caps)
+        WWG = radical_subgroup(F, PermGroup(WG.degree, WG.generators, name="WG"), caps)
         same = WG.element_set(caps) == WWG.element_set(caps)
-        return IdempotencyReport(
-            F.describe(),
-            WG.order(caps),
-            WWG.order(caps),
-            same,
-            f"|WG| = {WG.order(caps)}, |W(WG)| = {WWG.order(caps)}",
-        )
-    first = apply(F, G, caps)
-    second = apply(F, first.result, caps)
-    if isinstance(G, PermGroup):
-        o1, o2 = first.result.order(caps), second.result.order(caps)
-        same = o1 == o2
+        o1, o2 = WG.order(caps), WWG.order(caps)
+        detail = f"|WG| = {o1}, |W(WG)| = {o2}"
     else:
-        o1 = first.result.order()
-        o2 = second.result.order()
-        same = (
-            first.result.canonical_invariants()
-            == second.result.canonical_invariants()
-        )
-    return IdempotencyReport(
-        F.describe(),
-        o1,
-        o2,
-        same,
-        f"|LG| = {o1}, |LLG| = {o2}",
-    )
+        L = apply(F, G, caps).result
+        LL = apply(F, L, caps).result
+        if isinstance(G, PermGroup):
+            o1, o2 = L.order(caps), LL.order(caps)
+            same = o1 == o2
+        else:
+            o1, o2 = L.order(), LL.order()
+            same = L.canonical_invariants() == LL.canonical_invariants()
+        detail = f"|LG| = {o1}, |LLG| = {o2}"
+    return IdempotencyReport(F.describe(), o1, o2, same, detail)

@@ -24,6 +24,7 @@ equal, so concurrent first access is safe.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from itertools import chain
 from math import lcm
@@ -48,6 +49,8 @@ class _Ambient:
     """Integer codes for a finite group; subclasses give ``right`` (the map
     x -> x*b), ``conjugator`` (x -> g^-1 x g), ``mul``, ``inv``,
     ``order_of``, ``decode`` and ``encode``."""
+
+    trivial = None  # a weak reference to the trivial subgroup (PermGroup.trivial)
 
     def power(self, a: int, e: int) -> int:
         """a^e by square-and-multiply from the top bit; a^1 costs nothing."""
@@ -428,6 +431,18 @@ class PermGroup:
             start = (start.codes(caps), start.gen_codes(caps))
         codes, gens = _closure(seeds, amb.right, caps.order, start)
         return PermGroup._coded(amb, gens, name=name, codes=codes)
+
+    def trivial(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
+        """The trivial subgroup of this group's ambient, one per ambient: a
+        closure that starts from 1 and adds nothing returns it, so the
+        trivial radicals and series terms of the ambient's groups share it.
+        The ambient holds it by weak reference, as it holds the ambient."""
+        amb = self.ambient(caps)
+        T = amb.trivial and amb.trivial()
+        if T is None:
+            T = PermGroup._coded(amb, (), "1", (0,))
+            amb.trivial = weakref.ref(T)
+        return T
 
     def _sub(self, codes, name: str | None = None) -> "PermGroup":
         """The subgroup with this known closed set of codes of this group's
@@ -820,7 +835,7 @@ def normal_closure_codes(
     the closure grows from its elements; it is returned itself when it
     holds every code."""
     if start is None:
-        start = G.generate((), "1", caps)
+        start = G.trivial(caps)
     have = start.code_set(caps)
     closed = [c for c in set(codes) if c not in have]
     if not closed:

@@ -306,3 +306,26 @@ def test_a_blank_functor_literal_is_an_error_not_a_traceback(literal, capsys):
     assert main(["localize", "--functor", literal, "--group", "cyclic(4)"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("c", [13, 40])
+def test_a_high_nilpotent_class_builds_no_word(c):
+    # [x1, ..., x_(c+1)] has 3 * 2^c - 2 letters; the class is handed on as
+    # it is, so the command answers at once (run with a memory limit, so a
+    # word built after all fails the test and not the machine)
+    import resource
+    import subprocess
+    import sys
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatlab.cli", "localize", "--functor", f"nilpotent class={c}",
+         "--group", "dihedral(8)"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    head, elapsed = proc.stdout.rsplit("elapsed: ", 1)
+    assert head == f"nilpotent(class={c}) applied to dihedral(8): order 8\nradical: order 1\n"
+    assert float(elapsed.strip().rstrip("s")) < 0.25

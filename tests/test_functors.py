@@ -1,4 +1,6 @@
+import gc
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -781,3 +783,127 @@ def test_a_product_over_the_order_cap_fails_though_its_factors_fit():
             functor_subgroup(F, G, caps)
         with pytest.raises(CapExceededError, match="order cap 1000 exceeded"):
             apply(F, direct_product(symmetric(5), symmetric(5)), caps)
+
+
+def _rule_bypassed(F):
+    """F as a plain L_f that runs the general chain: its laws spelled as
+    words and the free-source rule switched off."""
+    (A, S), = F.conditions
+    L = Localization((A, tuple(Word.lcs_word(w) if isinstance(w, int) else w for w in S)))
+    object.__setattr__(L, "laws", None)
+    return L
+
+
+def test_the_free_source_rule_is_the_general_chain():
+    # on a free source the radical is the verbal subgroup of the laws: the
+    # general preimage chain (lifted or evaluated seeds) must stop there
+    battery = default_battery(64)
+    cases = [
+        (Abelianization(), battery),
+        (Variety((parse_word("x1^2"),)), battery),
+        (Variety((parse_word("x1^4"),)), battery),
+        (Variety((parse_word("[x1,x2]"), parse_word("x1^3"))), battery),
+        (NilpotentQuotient(2), [G for G in battery if G.order() <= 24]),
+        (NilpotentQuotient(3), [G for G in battery if G.order() <= 16]),
+    ]
+    checked = 0
+    for F, groups in cases:
+        L = _rule_bypassed(F)
+        assert F.laws is not None and L.laws is None and L.nullified is None
+        for G in groups:
+            chain = _localization_radical(L, G, DEFAULT_CAPS)
+            assert chain.code_set() == radical_subgroup(F, G).code_set(), (F.describe(), G.name)
+            checked += 1
+    assert checked == 4 * 23 + 21 + 20
+    abelian = [ab_from_invariants(r, t) for r, t in
+               [(0, (2,)), (1, ()), (1, (4, 6)), (0, (2, 4, 8)), (2, (3, 9))]]
+    for F, _ in cases:
+        L = _rule_bypassed(F)
+        for M in abelian:
+            rule, chain = apply(F, M), apply(L, M)
+            assert rule.result.canonical_invariants() == chain.result.canonical_invariants()
+            assert rule.radical.canonical_invariants() == chain.radical.canonical_invariants()
+            assert rule.eta.matrix == chain.eta.matrix
+
+
+def test_a_nilpotent_class_reads_the_lower_central_series_itself():
+    # the free-source rule hands a single class to the lcs memo: the radical
+    # is that term, with no verbal closure of it and no "verbal" memo entry
+    for F, c in ((Abelianization(), 1), (NilpotentQuotient(2), 2), (NilpotentQuotient(40), 40)):
+        D16 = dihedral(16)
+        G = PermGroup(D16.degree, D16.generators, name="D16")  # a memo of its own
+        assert radical_subgroup(F, G) is lower_central_series(G, c)[c]
+        assert not [k for k in G._memo if isinstance(k, tuple) and k[0] == "verbal"]
+
+
+def test_every_literal_kind_keeps_its_spec():
+    literals = {
+        ("abelianization", ()): "abelianization",
+        ("nilpotent", (("class", "3"),)): "nilpotent(class=3)",
+        ("variety", (("words", "[x1^2,[x1,x2]]"),)): "variety(x1^2,x1^-1*x2^-1*x1*x2)",
+        ("nullification", (("H", "symmetric(3)"),)): "nullification(<x,y|x^3,y^2,x*y*x*y>)",
+        ("quasivariety", (("cond", "x^4"), ("impose", "x^2"))): "quasivariety(x1^4=>x1^2)",
+        ("orthogonal", (("gens", "x,y"), ("rels", "[x^2,y^2]"), ("impose", "[[x,y]]"))):
+            "orthogonal(<x,y|x^2,y^2>=>x^-1*y^-1*x*y)",
+        ("sp", (("p", "3"),)): "sp(p=3)",
+    }
+    for (kind, params), text in literals.items():
+        F, twin = (parse_functor_literal(kind, dict(params)) for _ in range(2))
+        assert F.describe() == text
+        assert F is not twin and F == twin and hash(F) == hash(twin)
+    assert Variety((Word.lcs_word(1),)) != Abelianization() != NilpotentQuotient(1)
+    # no conditions: every group is local
+    assert radical_subgroup(QuasiVarietyReflection(()), dihedral(8)).is_trivial()
+    assert NilpotentQuotient(2) != NilpotentQuotient(3)
+    # the benchmark's sweeps name each functor's radical layer by type(F)
+    import importlib.util
+
+    import flatlab
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sweeps.py"
+    spec = importlib.util.spec_from_file_location("_sweeps", path)
+    sweeps = sys.modules["_sweeps"] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(sweeps)
+        layers = [sweeps._radical_layer(flatlab, make(flatlab))[0]
+                  for sweep in (sweeps.VARIETY_SWEEP, sweeps.RADICAL_SWEEP)
+                  for _, make in sweep.functors]
+    finally:
+        del sys.modules["_sweeps"]
+        if getattr(sweeps, "_on_gc", None) in gc.callbacks:
+            gc.callbacks.remove(sweeps._on_gc)
+    assert layers == [
+        "functors.radical.abelianization", "functors.radical.nilpotent",
+        "functors.radical.nilpotent", "functors.radical.variety", "functors.apply.sp",
+        *["functors.radical.nullification"] * 4, "functors.radical.quasivariety",
+    ]
+
+
+class _UnreadableCaps(Caps):
+    """Caps whose limits fail the test when read."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name in Caps.__slots__ and name != "_key":
+            raise AssertionError(f"the {name} cap was read")
+        return super().__getattribute__(name)
+
+
+def test_abelian_memo_computations_read_no_cap():
+    # AbGroup.memo keys ("apply", F) without the caps, so what it computes
+    # must read none
+    x = Word.generator(0)
+    functors_ = [
+        *SWEEP_FUNCTORS,
+        NilpotentQuotient(40),
+        Variety((parse_word("[x1,x2]"), parse_word("x1^3"))),
+        parse_functor_literal(
+            "orthogonal", {"gens": "x,y", "rels": "[x^2,y^2]", "impose": "[[x,y]]"}
+        ),
+        QuasiVarietyReflection(((x**6, x**2), (x**9, x**3))),
+    ]
+    for r, t in [(0, (2,)), (1, ()), (1, (4, 6)), (0, (2, 4, 8)), (2, (3, 9))]:
+        for F in functors_:
+            M = ab_from_invariants(r, t)
+            assert apply(F, M, _UnreadableCaps()).result is apply(F, M).result

@@ -79,3 +79,19 @@ def test_demo_output_matches_golden(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (GOLDEN / f"demo-{demo.name[:2]}.txt").read_bytes()
     assert proc.stdout == expected
+
+
+def test_golden_json_does_not_depend_on_call_history(capsys):
+    # one process runs the registry cases and the search in forward, reverse
+    # and three shuffled orders: each case then meets memos that other cases
+    # filled, in a different order each time, and must print its golden bytes
+    import random
+
+    names = [n for n in sorted(CASES) if not n.startswith("run-")]
+    assert len(names) == 9
+    shuffled = [random.Random(seed).sample(names, len(names)) for seed in (1, 2, 3)]
+    for order in [names, names[::-1], *shuffled]:
+        for name in order:
+            assert main(CASES[name] + ["--format", "json"]) == 0
+            golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+            assert capsys.readouterr().out == golden, (order, name)
