@@ -5,7 +5,9 @@ Run:  python demos/01_groups_and_quotients.py
 """
 
 from flatlab import (
+    SpSubfunctor,
     Word,
+    apply,
     cyclic,
     dihedral,
     lower_central_series,
@@ -13,7 +15,6 @@ from flatlab import (
     normal_subgroups,
     quaternion,
     quotient,
-    s_p_subgroup,
     symmetric,
     verbal_subgroup,
 )
@@ -39,8 +40,9 @@ chain = lower_central_series(D8, 3)
 print("Lower central series orders:", [g.order() for g in chain])
 
 # The subgroup generated by elements of order exactly 2.
-print(f"Involutions generate a subgroup of order {s_p_subgroup(D8, 2).order()}"
-      f" in {D8.name}, but only {s_p_subgroup(cyclic(4), 2).order()} in C4.")
+S2 = SpSubfunctor(2)
+print(f"Involutions generate a subgroup of order {apply(S2, D8).result.order()}"
+      f" in {D8.name}, but only {apply(S2, cyclic(4)).result.order()} in C4.")
 
 # Every normal subgroup, exhaustively.
 for G in (D8, quaternion(8), symmetric(4)):

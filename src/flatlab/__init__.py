@@ -8,7 +8,9 @@ Highlights
   arithmetic exact;
 - the functor cast: localizations L_f (variety reflections, nilpotent
   quotients and abelianization on a free source, nullifications,
-  quasi-variety reflections) and the order-p-generated subgroup;
+  quasi-variety reflections) and subfunctors T_A, the subgroup generated
+  by the images of all homs A -> G (the order-p-generated subgroup is
+  T_(C_p));
 - extensions, their pullbacks, three-flag flatness verdicts with element
   witnesses, exhaustive conditional-flatness probes, and a counterexample
   registry runnable from the command line (``flatlab reproduce``).
@@ -75,6 +77,7 @@ from .extensions import (
 from .functors import (
     Abelianization,
     FunctorSpec,
+    GeneratedSubfunctor,
     LocalityReport,
     Localization,
     LocalizedResult,
@@ -109,7 +112,6 @@ from .permgroup import (
 from .verbal import (
     derived_subgroup,
     lower_central_series,
-    s_p_subgroup,
     verbal_subgroup,
 )
 from .words import Presentation, Word, parse_word

@@ -476,7 +476,7 @@ class AbGroup:
         the permutation flavor's two exceptions, ``"extensions"`` and
         ``"homs"``, have no abelian memo.  The one key, ``("apply", F)``,
         holds no caps, as its computation (``abelian_hom_group``,
-        ``ab_quotient``, ``n_torsion``) reads none."""
+        ``ab_quotient``, ``ab_image``) reads none."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()

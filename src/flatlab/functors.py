@@ -1,11 +1,12 @@
-"""The cast of group endofunctors: the localizations L_f and one
-subfunctor, the order-p-generated subgroup S_p, with localization maps,
-induced maps, locality and acyclicity tests.  Every epireflection in the
-cast is an L_f: nullifications, quasi-variety reflections, and, on a free
-source, variety reflections, nilpotent quotients and abelianization.
+"""The cast of group endofunctors, the localizations L_f and the
+subfunctors T_A, with localization maps, induced maps, locality and
+acyclicity tests.  Every epireflection in the cast is an L_f:
+nullifications, quasi-variety reflections, and, on a free source, variety
+reflections, nilpotent quotients and abelianization.  The subgroup S_p
+generated by the elements of order p is T_(C_p).
 
 Epireflections return a surjective structure map eta with its kernel (the
-radical); the subfunctor returns an inclusion.  All functors apply to finite
+radical); a subfunctor returns an inclusion.  All functors apply to finite
 permutation groups and to finitely generated abelian groups.
 
 L_f, f : A = <X | R> ->> <X | R u S>, has one rule per flavor: in G the
@@ -14,7 +15,8 @@ s in S>>; an abelian M is quotiented by the images s(h), h in
 Hom(A, M) = Hom(A^ab, M), until they vanish.  Two rules give the radical
 at once: on a free source it is the verbal subgroup of S, and for
 f = A ->> 1 with A solvable it is generated by the pi-elements of G, pi
-the primes dividing |A^ab|.
+the primes dividing |A^ab|.  T_A is the first step N_1 of P_A's chain,
+generated by the generator images of Hom(A, G), in either flavor.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .abelian import (
     AbHom,
     IntMatrix,
     _exponent_sums,
+    ab_image,
     ab_kernel,
     ab_quotient,
     abelian_hom_group,
-    n_torsion,
     solve_columns,
     solve_in_column_lattice,
 )
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .homs import hom_image_codes, realize_presentation, relator_solutions
 from .permgroup import GroupHom, PermGroup, normal_closure_codes, quotient, right_cosets
-from .verbal import derived_subgroup, is_prime, s_p_subgroup, verbal_subgroup
+from .verbal import derived_subgroup, is_prime, verbal_subgroup
 from .words import Presentation, Word, _split_top_level, parse_word
 
 
@@ -85,6 +87,11 @@ def _free(k: int) -> Presentation:
     return Presentation(tuple(f"x{i + 1}" for i in range(k)), ())
 
 
+def _text(A: Presentation) -> str:
+    """A as the spellings write it, <x,y|x^2,y^2>."""
+    return f"<{','.join(A.generators)}|{','.join(A.relator_texts())}>"
+
+
 class Localization(_Spec):
     """L_f, localization at f : A = <X | R> ->> <X | R u S> (Farjoun, LNM
     1622, 1996): G is f-local when every solution of R in G satisfies S.
@@ -97,7 +104,8 @@ class Localization(_Spec):
     there is one condition and A is free (the free-source rule of
     ``_localization_radical``).  Otherwise ``nullified`` is A when f is
     A ->> 1.  A law is a word or a class c, standing for [x1, ..., x_(c+1)]
-    (``verbal.verbal_subgroup``).  Subclasses spell their key and
+    (``verbal.verbal_subgroup``).  N_1 of P_A's chain, normally closed, is
+    T_A (:class:`GeneratedSubfunctor`).  Subclasses spell their key and
     ``describe()`` text by ``_spelling``."""
 
     __slots__ = ("conditions", "nullified", "laws")
@@ -116,8 +124,7 @@ class Localization(_Spec):
 
     def _spelling(self) -> tuple[tuple, str]:
         return self.conditions, ";".join(
-            f"orthogonal(<{','.join(A.generators)}|{','.join(A.relator_texts())}>"
-            f"=>{','.join(w.text(A.generators) for w in S)})"
+            f"orthogonal({_text(A)}=>{','.join(w.text(A.generators) for w in S)})"
             for A, S in self.conditions
         )
 
@@ -173,8 +180,7 @@ class Nullification(Localization):
         super().__init__((target, tuple(map(Word.generator, range(len(target.generators))))))
 
     def _spelling(self) -> tuple[tuple, str]:
-        gens, rels = ",".join(self.target.generators), ",".join(self.target.relator_texts())
-        return (self.target,), f"nullification(<{gens}|{rels}>)"
+        return (self.target,), f"nullification({_text(self.target)})"
 
 
 class QuasiVarietyReflection(Localization):
@@ -193,25 +199,49 @@ class QuasiVarietyReflection(Localization):
         ) + ")"
 
 
-class SpSubfunctor(_Spec):
-    __slots__ = ("p",)
+class GeneratedSubfunctor(_Spec):
+    """T_A(G) = <h(x) : h in Hom(A, G), x in X> for A = <X | R>, the
+    group-level shadow of A-cellularization, dual to the nullification P_A
+    (Farjoun, LNM 1622, 1996; Farjoun, Göbel & Segev, JPAA 208, 2007).  A
+    subfunctor of the identity: for f : G -> H each f h is a hom A -> H, so
+    f(T_A G) <= T_A H, and T_A G is characteristic, so normal.  S_p is
+    T_(C_p), T_Z the identity, T_1 trivial.  Subclasses spell their key
+    and ``describe()`` text by ``_spelling``."""
+
+    __slots__ = ("source",)
     laws = None  # not an L_f: no free-source rule
+
+    def __init__(self, source: Presentation):
+        object.__setattr__(self, "source", source)
+        self._freeze(*self._spelling())
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return (self.source,), f"generated({_text(self.source)})"
+
+
+class SpSubfunctor(GeneratedSubfunctor):
+    """S_p, generated by the elements of order p: T_A for A = <x | x^p>."""
+
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise FlatlabError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-        self._freeze((p,), f"sp(p={p})")
+        super().__init__(Presentation(("x",), (Word.generator(0, p),)))
+
+    def _spelling(self) -> tuple[tuple, str]:
+        return (self.p,), f"sp(p={self.p})"
 
 
-FunctorSpec = Union[Localization, SpSubfunctor]
+FunctorSpec = Union[Localization, GeneratedSubfunctor]
 
 EPIREFLECTION = "epireflection"
 SUBFUNCTOR = "subfunctor"
 
 
 def functor_kind(F: FunctorSpec) -> str:
-    return SUBFUNCTOR if isinstance(F, SpSubfunctor) else EPIREFLECTION
+    return EPIREFLECTION if isinstance(F, Localization) else SUBFUNCTOR
 
 
 _PARAMETERS = {
@@ -221,6 +251,7 @@ _PARAMETERS = {
     "nullification": ("H",),
     "quasivariety": ("cond", "impose"),
     "orthogonal": ("gens", "rels", "impose"),
+    "generated": ("H",),
     "sp": ("p",),
 }
 
@@ -248,11 +279,9 @@ def parse_functor_literal(kind: str, params: dict, line: int | None = None) -> F
             return NilpotentQuotient(int(params["class"]))
         if kind == "variety":
             return Variety(_word_list(params["words"]))
-        if kind == "nullification":
-            H = parse_group_literal(params["H"])
-            if H.presentation is None:
-                raise FlatlabError("nullification target needs a presentation")
-            return Nullification(H.presentation)
+        if kind in ("nullification", "generated"):  # a catalog group is presented
+            spec = Nullification if kind == "nullification" else GeneratedSubfunctor
+            return spec(parse_group_literal(params["H"]).presentation)
         if kind == "quasivariety":
             # one-variable rules are written in the single letter x
             def one_var(text: str) -> Word:
@@ -406,12 +435,35 @@ def _localization_radical(F: Localization, G: PermGroup, caps: Caps) -> PermGrou
         codes = G.codes(caps)
         # o divides m^o exactly when every prime factor of o divides m
         pi = [c for c, o in zip(codes, map(G.ambient(caps).order_of, codes)) if pow(m, o, o) == 0]
-        return G.generate(pi, "ncl", caps) if len(pi) > 1 else G.trivial(caps)
+        return G.generate(pi, "ncl", caps)
     rules = [
         (_evaluated_seeds if len(A.generators) == 1 else _lifted_seeds)(A, S, G, caps)
         for A, S in F.conditions
     ]
     return _preimage_chain(G, lambda N: set().union(*(rule(N) for rule in rules)), caps)
+
+
+def _generated_subgroup(A: Presentation, G: PermGroup, caps: Caps) -> PermGroup:
+    """T_A(G), generated by the coordinates of the solutions of A's
+    relators in G, the generator images of Hom(A, G).  That set is closed
+    under conjugation, as h followed by an inner automorphism is a hom, so
+    the subgroup it generates is normal with no closure: it is N_1 of the
+    nullification P_A's chain.
+
+    One generator.  A one-generator word takes g to g^e, e its exponent
+    sum, so g solves <x | R> exactly when g^e = 1 for every such e, that is
+    when g^a = 1 for a the gcd of R's exponent sums (a is an integer
+    combination of them, and each is a multiple of a): exactly when
+    order(g) divides a, and a = 0 admits every g.  So the solutions are
+    read off the element orders."""
+    codes = G.codes(caps)
+    if len(A.generators) == 1:
+        a = gcd(*(r.exponent_sum() for r in A.relators))
+        order_of = G.ambient(caps).order_of
+        seeds = [g for g in codes if a % order_of(g) == 0]
+    else:
+        seeds = {c for x in relator_solutions(A, G, codes, (0,), caps) for c in x}
+    return G.generate(seeds, "T_A(G)", caps)
 
 
 def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -422,7 +474,7 @@ def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
 
 
 def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """The subgroup W that F picks in G: S_p for the subfunctor, the radical
+    """The subgroup W that F picks in G: T_A(G) for a subfunctor, the radical
     of an epireflection.  Flatness and induced maps of permutation groups
     read F through W alone.  W is memoised on G per (F, caps), as the rules
     below run cap-guarded steps.  Every rule first lists G under the caps,
@@ -444,9 +496,9 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
       W(A x B) <= W(A) x W(B).  A/(A n W(A x B)) embeds in
       (A x B)/W(A x B), so it lies in C and W(A) <= W(A x B); likewise
       W(B) <= W(A x B), so W(A) x W(B) <= W(A x B).
-    - For S_p, (a, b) has order p exactly when a^p = b^p = 1 and
-      (a, b) != 1, i.e. when each of a, b is 1 or of order p: these
-      generate S_p(A) x S_p(B), which holds them all.
+    - For T_C, C a presentation, Hom(C, A x B) = Hom(C, A) x Hom(C, B):
+      the homs (phi, 1) and (1, psi) give T_C(A) x T_C(B), which holds the
+      image (phi(x), psi(x)) of every generator x under every hom.
 
     Verbal.  For F = L_f on a free source (``F.laws``: a variety,
     abelianization, a nilpotent quotient), W = V is the verbal subgroup of
@@ -501,8 +553,8 @@ def _structure_rule(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
 
 def _radical(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
     """W by the rule of F's family."""
-    if isinstance(F, SpSubfunctor):
-        return s_p_subgroup(G, F.p, caps)
+    if isinstance(F, GeneratedSubfunctor):
+        return _generated_subgroup(F.source, G, caps)
     return _localization_radical(F, G, caps)
 
 
@@ -536,8 +588,17 @@ def _word_image(w: Word, h, n: int) -> tuple[int, ...]:
 
 
 def _apply_abelian(F: FunctorSpec, A: AbGroup) -> tuple:
-    if isinstance(F, SpSubfunctor):
-        T, incl = n_torsion(A, F.p)
+    if isinstance(F, GeneratedSubfunctor):
+        # T_C(A) is spanned by the generator images of the homs C -> A, the
+        # blocks of the columns of Hom(C, A)'s inclusion into A^k: the
+        # values the loop below builds on its first pass for P_C.  For k = 1
+        # the inclusion lands in A and is injective: Hom(C, A) is T_C(A)
+        T, incl = abelian_hom_group(F.source, A)
+        if incl.codomain is not A:
+            n = A.ngens
+            blocks = [h[i:i + n] for h in incl.matrix.columns() for i in range(0, len(h), n)]
+            free = AbGroup(len(blocks), IntMatrix.zeros(len(blocks), 0))
+            T, incl = ab_image(AbHom(free, A, IntMatrix.from_columns(blocks, n)))
         return T, None, incl.matrix
     if F.laws is not None:
         # the free-source rule: a law acts on an abelian group through its
@@ -562,10 +623,10 @@ def _apply_abelian(F: FunctorSpec, A: AbGroup) -> tuple:
 
 def apply(F: FunctorSpec, G, caps: Caps = DEFAULT_CAPS) -> LocalizedResult:
     """Apply the functor; epireflections yield eta: G ->> LG with its radical,
-    the subfunctor yields an inclusion.
+    a subfunctor yields an inclusion.
 
     The memo on G keeps the result, the radical and eta's code map or
-    matrix, none of which references G (the permutation subfunctor's
+    matrix, none of which references G (a permutation subfunctor's
     subgroup is memoised by ``functor_subgroup``), and eta is built around
     G on each call, unchecked, as the memo holds a hom verified between the
     same two groups: so a group that holds its own result dies by reference

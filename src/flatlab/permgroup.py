@@ -425,17 +425,20 @@ class PermGroup:
         self, seeds: Iterable[int], name=None, caps: Caps = DEFAULT_CAPS, start=None
     ) -> "PermGroup":
         """The subgroup generated by the codes ``seeds`` and, when given, the
-        subgroup ``start`` of this group's ambient."""
+        subgroup ``start`` of this group's ambient; the ambient's shared
+        ``trivial()`` when that is 1."""
         amb = self.ambient(caps)
         if start is not None:
             start = (start.codes(caps), start.gen_codes(caps))
         codes, gens = _closure(seeds, amb.right, caps.order, start)
+        if len(codes) == 1:
+            return self.trivial(caps)
         return PermGroup._coded(amb, gens, name=name, codes=codes)
 
     def trivial(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """The trivial subgroup of this group's ambient, one per ambient: a
-        closure that starts from 1 and adds nothing returns it, so the
-        trivial radicals and series terms of the ambient's groups share it.
+        """The trivial subgroup of this group's ambient, one per ambient:
+        ``generate`` returns it for a closure that is 1, so the trivial
+        radicals and series terms of the ambient's groups share it.
         The ambient holds it by weak reference, as it holds the ambient."""
         amb = self.ambient(caps)
         T = amb.trivial and amb.trivial()

@@ -1,4 +1,4 @@
-"""Verbal subgroups, lower central series, and order-p generated subgroups.
+"""Verbal subgroups and lower central series.
 
 The exhaustive route evaluates every word of W on every tuple of group
 elements; because conjugation is an automorphism, w(g_1,...,g_k)^h =
@@ -18,7 +18,7 @@ from math import isqrt
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import CapExceededError, FlatlabError
+from .errors import CapExceededError
 from .permgroup import PermGroup, normal_closure_codes
 from .words import Word
 
@@ -129,14 +129,3 @@ def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
-def s_p_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Subgroup generated by the elements of order exactly p; normal, as
-    conjugation keeps the order of an element (see ``verbal_subgroup``).
-    ``functors.functor_subgroup`` memoises it."""
-    if not is_prime(p):
-        raise FlatlabError(f"{p} is not prime")
-    order_of = G.ambient(caps).order_of
-    seeds = [g for g in G.codes(caps) if order_of(g) == p]
-    return G.generate(seeds, f"S_{p}(G)", caps)

@@ -188,6 +188,17 @@ def test_nullification_functor_literal(capsys):
     assert "order 2" in out
 
 
+def test_generated_functor_literal(capsys):
+    # V4 generates S4: its double transpositions and transpositions are the
+    # images of V4's generators
+    code, out = run_cli(
+        capsys, "localize", "--functor", "generated H=elementary(2,2)", "--group", "symmetric(4)",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == "order 24"
+
+
 def test_search_bound_one_is_empty(capsys):
     code, out = run_cli(
         capsys, "search", "--functor", "sp p=2", "--max-order", "1",

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import pathlib
 import subprocess
@@ -36,6 +37,7 @@ from flatlab.errors import (
 from flatlab.extensions import check_flatness, extensions_from_group, pullback_extension
 from flatlab.functors import (
     Abelianization,
+    GeneratedSubfunctor,
     Localization,
     NilpotentQuotient,
     Nullification,
@@ -59,7 +61,7 @@ from flatlab.functors import (
     radical_subgroup,
     standard_quasi_c4_c2,
 )
-from flatlab.homs import enumerate_homs, hom_count
+from flatlab.homs import enumerate_homs, hom_count, hom_image_codes
 from flatlab.permgroup import (
     GroupHom,
     PermGroup,
@@ -596,6 +598,55 @@ def test_localizations_agree_across_flavors():
             assert apply(F, G).result.order() == apply(F, M).result.order(), (F, G.name)
 
 
+def test_generated_subfunctors_agree_across_flavors():
+    # T_A for A in {1, C2, C4, V4, C2xC4, S3, D8, Q8} on each finite abelian
+    # battery group: the subgroup generated by Hom(A, G)'s generator images
+    # against the span of the blocks of Hom(A, M)'s inclusion
+    sources = [G.presentation for G in (
+        trivial_group(), cyclic(2), cyclic(4), elementary_abelian(2, 2),
+        product(cyclic(2), cyclic(4)), symmetric(3), dihedral(8), quaternion(8))]
+    groups = [G for G in default_battery(64) if G.is_abelian()]
+    assert len(groups) == 15
+    for G in groups:
+        M = perm_to_abelian(G)
+        for A in sources:
+            F = GeneratedSubfunctor(A)
+            perm = perm_to_abelian(apply(F, G).result).canonical_invariants()
+            assert perm == apply(F, M).result.canonical_invariants(), (F.describe(), G.name)
+
+
+def _criterion_4_totals():
+    """The totals of the 12,696 criterion-4 pullbacks: every extension of a
+    ``default_battery(64)`` group pulled back along every hom from a
+    ``default_battery(16)`` group."""
+    return (
+        pullback_extension(ext, f).extension.total
+        for G in default_battery(64)
+        for ext in extensions_from_group(G)
+        for X in default_battery(16)
+        for f in enumerate_homs(X, ext.base)
+    )
+
+
+def test_one_generator_sources_read_their_homs_off_element_orders():
+    # T_A for a one-generator A keeps the g whose order divides a, the gcd
+    # of A's exponent sums; the general rule generates the coordinates of
+    # relator_solutions, here hom_image_codes, instead.  <x | > gives the
+    # identity functor T_Z and <x | x> the trivial one T_1
+    x = Word.generator(0)
+    sources = [Presentation(("x",), rels) for rels in ((x**2,), (x**3,), (x**4,), (), (x,))]
+    T_Z, T_1 = GeneratedSubfunctor(sources[3]), GeneratedSubfunctor(sources[4])
+    checked = 0
+    for G in itertools.chain(default_battery(64), _criterion_4_totals()):
+        for A in sources:
+            general = G.generate({c for h in hom_image_codes(A, G) for c in h})
+            assert functor_subgroup(GeneratedSubfunctor(A), G).code_set() == general.code_set()
+        assert functor_subgroup(T_Z, G).order() == G.order()
+        assert functor_subgroup(T_1, G).is_trivial()
+        checked += 1
+    assert checked == 23 + 12_696
+
+
 def test_orthogonal_literal_is_its_own_localization():
     # x^2 = y^2 = 1 => [x,y] = 1: two involutions must commute
     F = parse_functor_literal("orthogonal", {"gens": "x,y", "rels": "[x^2,y^2]", "impose": "[[x,y]]"})
@@ -655,6 +706,10 @@ SWEEP_FUNCTORS = (
 )
 
 
+# a two-generator T_A: its rule runs relator_solutions
+T_V4 = GeneratedSubfunctor(elementary_abelian(2, 2).presentation)
+
+
 def test_a_product_reads_its_functor_subgroup_off_its_factors():
     # W(A x B) = W(A) x W(B) (the product rule of functor_subgroup) against
     # the family rule on an unfactored copy, on every direct product of two
@@ -674,17 +729,17 @@ def test_a_product_reads_its_functor_subgroup_off_its_factors():
     for P in [*products, *(ext.total for ext in pulled)]:
         assert P._factors is not None
         copy = P.named("copy")  # a copy has no factors: the family rule
-        for F in SWEEP_FUNCTORS:
+        for F in (*SWEEP_FUNCTORS, T_V4):
             assert functor_subgroup(F, P).code_set() == functor_subgroup(F, copy).code_set()
     for ext in pulled:
-        for F in SWEEP_FUNCTORS:
+        for F in (*SWEEP_FUNCTORS, T_V4):
             assert check_flatness(F, ext).is_flat
 
 
 def test_a_pullback_reads_its_functor_subgroup_off_its_fiber():
     # the verbal rule (W(X) = 1 for a verbal functor) and the restriction
     # rule (an injective leg) of functor_subgroup against the family rule on
-    # an unrecorded copy, for the 10 sweep functors on every criterion-4
+    # an unrecorded copy, for the 10 sweep functors and T_V4 on every criterion-4
     # pullback total along a hom that is not trivial; the pairs neither rule
     # serves are compared too, so a rule that serves one of them is caught
     verbal_functors = (Abelianization, NilpotentQuotient, Variety)
@@ -701,14 +756,14 @@ def test_a_pullback_reads_its_functor_subgroup_off_its_fiber():
         pullbacks += 1
         record, copy = P._factors, P.named("copy")  # a copy has no record
         injective = len(record.over) == record.B.order()
-        for F in SWEEP_FUNCTORS:
+        for F in (*SWEEP_FUNCTORS, T_V4):
             if isinstance(F, verbal_functors) and functor_subgroup(F, record.B).is_trivial():
                 served["verbal"] += 1
             elif injective:
                 served["restriction"] += 1
             assert functor_subgroup(F, P).code_set() == functor_subgroup(F, copy).code_set()
     assert pullbacks == 10_456
-    assert served == {"verbal": 27_955, "restriction": 9_438}
+    assert served == {"verbal": 27_955, "restriction": 10_723}
 
 
 def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
@@ -846,12 +901,16 @@ def test_every_literal_kind_keeps_its_spec():
         ("orthogonal", (("gens", "x,y"), ("rels", "[x^2,y^2]"), ("impose", "[[x,y]]"))):
             "orthogonal(<x,y|x^2,y^2>=>x^-1*y^-1*x*y)",
         ("sp", (("p", "3"),)): "sp(p=3)",
+        ("generated", (("H", "elementary(2,2)"),)): "generated(<x,x'|x^2,x'^2,x^-1*x'^-1*x*x'>)",
     }
     for (kind, params), text in literals.items():
         F, twin = (parse_functor_literal(kind, dict(params)) for _ in range(2))
         assert F.describe() == text
         assert F is not twin and F == twin and hash(F) == hash(twin)
     assert Variety((Word.lcs_word(1),)) != Abelianization() != NilpotentQuotient(1)
+    # S_p is the spelling of T_(C_p), with its own key
+    assert SpSubfunctor(2).source == cyclic(2).presentation
+    assert SpSubfunctor(2) != GeneratedSubfunctor(cyclic(2).presentation)
     # no conditions: every group is local
     assert radical_subgroup(QuasiVarietyReflection(()), dihedral(8)).is_trivial()
     assert NilpotentQuotient(2) != NilpotentQuotient(3)
@@ -902,6 +961,7 @@ def test_abelian_memo_computations_read_no_cap():
             "orthogonal", {"gens": "x,y", "rels": "[x^2,y^2]", "impose": "[[x,y]]"}
         ),
         QuasiVarietyReflection(((x**6, x**2), (x**9, x**3))),
+        T_V4,
     ]
     for r, t in [(0, (2,)), (1, ()), (1, (4, 6)), (0, (2, 4, 8)), (2, (3, 9))]:
         for F in functors_:

@@ -261,7 +261,7 @@ def test_readme_scenario_example_parses():
     block = readme.split("## The scenario DSL", 1)[1].split("```\n")[1]
     scn = parse_scenario(block)
     headers = [line for line in block.splitlines() if line.startswith("[")]
-    assert len(scn.sections) == len(headers) == 22
+    assert len(scn.sections) == len(headers) == 23
 
 
 def test_a_finite_abelian_test_map_is_its_word_map():

@@ -15,11 +15,11 @@ from flatlab.catalog import (
     symmetric,
 )
 from flatlab.errors import CapExceededError, FlatlabError
+from flatlab.functors import SpSubfunctor, functor_subgroup
 from flatlab.permgroup import PermGroup, is_normal
 from flatlab.verbal import (
     derived_subgroup,
     lower_central_series,
-    s_p_subgroup,
     verbal_subgroup,
     word_value_codes,
 )
@@ -106,15 +106,15 @@ def test_lcs_depth_of_perfect_group():
 
 def test_s_p_examples():
     D8 = dihedral(8)
-    assert s_p_subgroup(D8, 2).order() == 8
-    assert s_p_subgroup(cyclic(4), 2).order() == 2
-    assert s_p_subgroup(cyclic(4), 3).order() == 1
-    assert s_p_subgroup(symmetric(3), 3).order() == 3
+    assert functor_subgroup(SpSubfunctor(2), D8).order() == 8
+    assert functor_subgroup(SpSubfunctor(2), cyclic(4)).order() == 2
+    assert functor_subgroup(SpSubfunctor(3), cyclic(4)).order() == 1
+    assert functor_subgroup(SpSubfunctor(3), symmetric(3)).order() == 3
 
 
 def test_s_p_requires_prime():
     with pytest.raises(FlatlabError):
-        s_p_subgroup(dihedral(8), 4)
+        functor_subgroup(SpSubfunctor(4), dihedral(8))
 
 
 def test_word_values_caps():
@@ -155,15 +155,27 @@ def test_lcs_from_generators_matches_the_census_chain(battery_pullbacks):
             assert scan.codes() == lower_central_series(G, c)[c].codes()
 
 
+def test_a_closure_that_is_1_is_the_shared_trivial_subgroup():
+    # a verbal subgroup or T_A whose seeds are all 1 is the ambient's one
+    # trivial subgroup, not a fresh group per call
+    C2 = cyclic(2)
+    G = PermGroup(C2.degree, C2.generators)  # a memo of its own
+    T = G.trivial()
+    assert G.generate([0]) is T
+    assert verbal_subgroup(G, [SQUARE]) is T
+    assert functor_subgroup(SpSubfunctor(3), G) is T
+
+
 def test_verbal_and_order_p_subgroups_are_normal_by_construction(battery_groups):
     # both are generated by conjugation-closed seeds, so they are normal with
     # no check; the check they no longer run holds on every group the sweeps
     # build: the variety words of the variety functors (and their
     # idempotency checks) and the involution subfunctor
     words = [[Word.lcs_word(c)] for c in (1, 2, 3)] + [[SQUARE]]
+    S2 = SpSubfunctor(2)
     checked = 0
     for G in battery_groups:
-        for W in [verbal_subgroup(G, w) for w in words] + [s_p_subgroup(G, 2)]:
+        for W in [verbal_subgroup(G, w) for w in words] + [functor_subgroup(S2, G)]:
             assert is_normal(W, G), G.describe()
             checked += 1
     assert checked == 5 * 1_445
