@@ -270,9 +270,10 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
     """The flags by set algebra on the codes of the subgroups W that F picks
-    (``functor_subgroup``); elements are scanned only to name the witness of
-    a failing flag.  K = ker(proj) lives in E's ambient, so iota is the
-    identity on codes.  Naturality gives W(K) <= W(E) and
+    (``functor_subgroup``), unless the source of a pulled-back extension
+    shows it flat (``_fiber_flat``); elements are scanned only to name the
+    witness of a failing flag.  K = ker(proj) lives in E's ambient, so iota
+    is the identity on codes.  Naturality gives W(K) <= W(E) and
     proj(W(E)) <= W(G), both checked.  Two facts decide every flag:
     inner = (K n W(E)) - W(K), and onto, |proj(W(E))| = |W(G)|, which by
     naturality is proj(W(E)) = W(G).
@@ -289,6 +290,8 @@ def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
     injective.  Middle: the kernel of W(E) -> W(G) is W(E) n K, and the
     image of W(K) is W(K) itself, so exactness is inner being empty.
     Right: W(E) -> W(G) is onto iff onto holds."""
+    if _fiber_flat(F, ext, caps):
+        return FlatnessReport(F.describe(), ext.describe(), True, True, True, {})
     K, total = ext.kernel_group, ext.total
     wk = functor_subgroup(F, K, caps).code_set(caps)
     we = functor_subgroup(F, total, caps).code_set(caps)
@@ -326,6 +329,59 @@ def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
         )
     flags = (not inner, onto, True) if epi else (True, not inner, onto)
     return FlatnessReport(F.describe(), ext.describe(), *flags, witnesses)
+
+
+def _fiber_flat(F, ext: Extension, caps: Caps) -> bool:
+    """True when the source of a pulled-back extension shows it flat, with
+    no W(P) and no W(K'); False leaves the verdict, and the witness of a
+    failing flag, to the set algebra of ``_flatness_perm``.
+
+    ext is read as a pullback when its total P is recorded as a subdirect
+    product (``permgroup._Subdirect``) of some A and X = ext.base and its
+    projection is the second one, checked on P's generators.  For a fiber
+    product P = {(e, x) : f(e) = g(x)} of f : E ->> G and g : X -> G, A is
+    E_H = f^-1(g(X)), which holds K = ker f, and K' = ker(pr_X) = K x 1.
+
+    Trivial leg (P = A x X, K' = A x 1).  W(P) = W(A) x W(X) by the
+    product rule of ``functor_subgroup``, and W(A x 1) = W(A) x 1, as a
+    functor commutes with isomorphisms.  So inner = (W(P) n K') - W(K') is
+    empty and pr_X(W(P)) = W(X): flat.
+
+    A fiber product, when W(P) is read off E_H by the verbal rule (F = L_f
+    on a free source with W(X) = 1: W(P) = W(E_H) x 1) or the restriction
+    rule (g injective on X: W(P) = {(e, g^-1(f(e))) : e in W(E_H)}) of
+    ``functor_subgroup``, whose docstring has their proofs.
+
+    Either way a pair of W(P) lies in K' exactly when its E component lies
+    in K, so inner = ((W(E_H) n K) - W(K)) x 1, and g(pr_X(W(P))) =
+    f(W(E_H)).  g is injective on W(X) and on pr_X(W(P)) (verbal: both are
+    1), so onto, pr_X(W(P)) = W(X), is f(W(E_H)) = g(W(X)), and the set
+    algebra's naturality checks read W(K) <= W(E_H) and
+    f(W(E_H)) <= g(W(X)).  So ext is flat, with both checks passed,
+    exactly when W(E_H) n K = W(K) and f(W(E_H)) = g(W(X)).  The caps
+    other than the order are checked on E_H, K and X, whose orders are at
+    most |P|, and the order cap on P."""
+    P, X = ext.total, ext.base
+    rec = P._factors
+    if rec is None or rec.B is not X:
+        return False
+    nx = P.ambient(caps).nb
+    if ext.proj.image_codes != tuple(p % nx for p in P.gen_codes(caps)):
+        return False  # not the second projection
+    P.codes(caps)  # the order cap holds on P
+    wx = functor_subgroup(F, X, caps).code_set(caps)
+    if rec.over is None:
+        functor_subgroup(F, rec.first(), caps)
+        return True
+    if not ((F.laws is not None and len(wx) == 1) or len(rec.over) == len(X.codes(caps))):
+        return False
+    f, K = rec.f, rec.f.kernel()
+    wk = functor_subgroup(F, K, caps).code_set(caps)
+    we = functor_subgroup(F, rec.first(), caps).codes(caps)
+    if not wk.issubset(we) or len(K.code_set(caps).intersection(we)) != len(wk):
+        return False  # W(E_H) n K is not W(K)
+    fw = set(map(f.code_map().__getitem__, we))  # f(W(E_H))
+    return fw == {y for y, xs in rec.over.items() if not wx.isdisjoint(xs)}  # g(W(X))
 
 
 def _cycles(G: PermGroup, code: int) -> str:

@@ -517,8 +517,11 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     first, as it costs less per code.
 
     The verbal and restriction rules check the caps other than the order on
-    E_H, whose order is at most |P|, not on P."""
-    key = ("radical", F, caps)  # G.memo, inlined, as a pullback runs this about 7 times
+    E_H, whose order is at most |P|, not on P.  A pullback's flatness
+    verdict reads the same facts off E_H and builds no W(P) when it is
+    flat (``extensions._fiber_flat``); these rules serve the set algebra
+    that decides every other pullback, and any caller that asks for W(P)."""
+    key = ("radical", F, caps)  # G.memo, inlined, as every pullback verdict runs this
     W = G._memo.get(key)
     if W is None:
         W = G._memo[key] = _structure_rule(F, G, caps)

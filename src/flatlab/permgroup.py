@@ -761,8 +761,13 @@ class GroupHom:
         return self._kernel
 
     def image(self) -> PermGroup:
+        """f(domain); the codomain's shared ``trivial()`` when that is 1."""
         if self._image is None:
-            self._image = self.codomain._sub(self.code_map().values(), name="im")
+            values = set(self.code_map().values())
+            self._image = (
+                self.codomain._sub(values, name="im") if len(values) > 1
+                else self.codomain.trivial(self._caps)
+            )
         return self._image
 
     def fibers(self) -> dict[int, list[int]]:
@@ -1007,7 +1012,7 @@ def pullback_group(
     P = PermGroup._coded(amb, gens, f"pb({E.name or 'E'},{X.name or 'X'})", codes)
     P.order(caps)  # checks the listed codes against the caps, as a closure would
     K2 = PermGroup._coded(amb, kgens, "ker", [k * nx for k in K.codes(caps)])
-    K2._factors = _Subdirect(K, PermGroup._coded(amb.B, (), "1", (0,)))
+    K2._factors = _Subdirect(K, X.trivial(caps))
     if len(over) == 1:
         P._factors = _Subdirect(K, Xf)
     else:  # E_H is E itself when g(X') is all of im f

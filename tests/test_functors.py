@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from flatlab import functors
+from flatlab import extensions, functors
 from flatlab.abelian import (
     AbGroup,
     AbHom,
@@ -34,7 +35,12 @@ from flatlab.errors import (
     RealizationError,
     UnsupportedFunctorError,
 )
-from flatlab.extensions import check_flatness, extensions_from_group, pullback_extension
+from flatlab.extensions import (
+    Extension,
+    check_flatness,
+    extensions_from_group,
+    pullback_extension,
+)
 from flatlab.functors import (
     Abelianization,
     GeneratedSubfunctor,
@@ -766,6 +772,89 @@ def test_a_pullback_reads_its_functor_subgroup_off_its_fiber():
     assert served == {"verbal": 27_955, "restriction": 10_723}
 
 
+def _set_algebra_twin(ext):
+    """ext on an unrecorded copy of its total, with the same projection: its
+    verdict is the set algebra's, on W from the family rule."""
+    copy = ext.total.named(ext.total.name)  # a copy has no record
+    return Extension(GroupHom(copy, ext.base, ext.proj.images))
+
+
+def _route(F, ext):
+    """How check_flatness decides the pulled-back ext."""
+    record = ext.total._factors
+    if not extensions._fiber_flat(F, ext, DEFAULT_CAPS):
+        return "set algebra"
+    if record.over is None:
+        return "product"
+    if F.laws is not None and functor_subgroup(F, ext.base).is_trivial():
+        return "verbal"
+    return "restriction"
+
+
+def test_a_pullback_verdict_read_off_its_fiber_is_the_set_algebra_verdict():
+    # the verdict read off the source (extensions._fiber_flat: the trivial
+    # leg, the verbal and the restriction route) against the set algebra on
+    # an unrecorded copy of P, for the 10 sweep functors and T_V4 on every
+    # criterion-4 pullback, along the trivial hom too; every pullback that
+    # no route serves, or that a route finds not flat, is compared too
+    pullbacks, routes = 0, collections.Counter()
+    for G in default_battery(64):
+        for ext in extensions_from_group(G):
+            for X in default_battery(16):
+                for f in enumerate_homs(X, ext.base):
+                    pulled = pullback_extension(ext, f).extension
+                    twin = _set_algebra_twin(pulled)
+                    pullbacks += 1
+                    for F in (*SWEEP_FUNCTORS, T_V4):
+                        routes[_route(F, pulled)] += 1
+                        verdict = check_flatness(F, pulled).to_dict()
+                        assert verdict == check_flatness(F, twin).to_dict(), F.describe()
+    assert pullbacks == 12_696
+    assert routes == {"product": 24_640, "verbal": 26_015, "restriction": 10_240,
+                      "set algebra": 78_761}
+
+
+def test_a_pullback_that_no_route_finds_flat_reads_its_functor_subgroup_off_its_fiber():
+    # [x1,x2]^2 on A4 -> S4 ->> C2 along a leg from elementary(2, k) onto
+    # C2: W(X) = 1, so the verbal route applies, and W(S4) n A4 = A4 while
+    # W(A4) = 1, so it is not left exact. The set algebra then reads W(P) off
+    # E_H = S4, whose census of 24^2 pairs fits, and never scans the
+    # |P|^2 pairs of P itself
+    law = Variety((parse_word("[x1,x2]^2"),))
+    ext = next(e for e in extensions_from_group(symmetric(4)) if e.kernel_group.order() == 12)
+    tight = Caps(tuple_scan=24**2)
+    for k, caps in ((2, tight), (7, DEFAULT_CAPS)):  # |P| = 48, 1,536
+        X = elementary_abelian(2, k)
+        f = next(f for f in enumerate_homs(X, ext.base) if any(f.image_codes))
+        pulled = pullback_extension(ext, f).extension
+        assert pulled.total.order() ** 2 > caps.tuple_scan
+        assert _route(law, pulled) == "set algebra"
+        report = check_flatness(law, pulled, caps).to_dict()
+        flags = (report["left_injective"], report["middle_exact"], report["right_surjective"])
+        assert flags == (False, True, True)
+        if k == 2:  # the family rule on P needs 48^2 pairs
+            twin = _set_algebra_twin(pulled)
+            assert report == check_flatness(law, twin).to_dict()
+            with pytest.raises(CapExceededError):
+                check_flatness(law, _set_algebra_twin(pulled), caps)
+
+
+def test_only_the_second_projection_of_a_product_is_read_off_its_factors():
+    # C2 x C2 onto its second factor is a pullback along the trivial hom;
+    # onto the same C2 by the product of the coordinates it is not, and the
+    # set algebra decides it
+    C2 = cyclic(2)
+    D = direct_product(C2, C2)  # recorded with C2 as its second factor
+    g = C2.generators[0]
+    second = Extension(GroupHom(D, C2, [C2.identity(), g]))
+    other = Extension(GroupHom(D, C2, [g, g]))
+    for F in (*SWEEP_FUNCTORS, T_V4):
+        assert (_route(F, second), _route(F, other)) == ("product", "set algebra")
+        for ext in (second, other):
+            assert check_flatness(F, ext).to_dict() == \
+                check_flatness(F, _set_algebra_twin(ext)).to_dict()
+
+
 def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
     # a radical or quotient filled under the default caps is not handed out
     # under caps that its computation exceeds
@@ -792,13 +881,27 @@ def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
 
 def test_every_entry_point_fails_warm_as_it_fails_fresh():
     # each cap-guarded entry point, under a cap just below what it needs,
-    # fails on a fresh group and, with the same message, on a group whose
-    # memos a call under the default caps has filled
+    # fails on a fresh group, twice, and, with the same message, on a group
+    # whose memos a call under the default caps has filled
     def outcome(run, G, caps):
         try:
             return repr(run(G, caps))
         except CapExceededError as exc:
             return f"cap: {exc}"
+
+    def fiber_verdict(kernel_order, X, leg=GroupHom.is_injective):
+        # the verdict of G's extension with that kernel pulled back along a
+        # leg from X, read off the fiber: the order of P, W(X), then W(K)
+        # and, unless the leg is trivial, W(E_H) = W(G), each scanning
+        # |group|^2 pairs for the law
+        law = Variety((parse_word("[x1,x2]*x1^2"),))
+
+        def run(G, caps):
+            ext = next(e for e in extensions_from_group(G) if e.kernel_group.order() == kernel_order)
+            f = next(f for f in enumerate_homs(X, ext.base) if leg(f))
+            return check_flatness(law, pullback_extension(ext, f).extension, caps).to_dict()
+
+        return run
 
     commutator = parse_word("[x1,x2]")
     cases = [
@@ -811,11 +914,19 @@ def test_every_entry_point_fails_warm_as_it_fails_fresh():
         (lambda G, caps: is_isomorphic(G, symmetric(4), caps),
          (Caps(iso_order=23), Caps(order=23))),
         (lambda G, caps: [N.codes() for N in normal_subgroups(G, caps)], (Caps(order=23),)),
+        # flat pullbacks: W(X), then W(K) and W(E_H), over the cap
+        (fiber_verdict(1, symmetric(4)), (Caps(tuple_scan=24**2 - 1),)),
+        (fiber_verdict(12, cyclic(2)), (Caps(tuple_scan=12**2 - 1), Caps(tuple_scan=24**2 - 1))),
+        # along the trivial hom: P = A4 x C4 over the order cap, then W(K)
+        (fiber_verdict(12, cyclic(4), lambda f: not any(f.image_codes)),
+         (Caps(order=47), Caps(tuple_scan=12**2 - 1))),
     ]
     for run, tight in cases:
         for caps in tight:
             S4 = symmetric(4)
-            fresh = outcome(run, PermGroup(S4.degree, S4.generators, name="S4"), caps)
+            G = PermGroup(S4.degree, S4.generators, name="S4")
+            fresh = outcome(run, G, caps)
+            assert outcome(run, G, caps) == fresh
             G = PermGroup(S4.degree, S4.generators, name="S4")  # a memo of its own
             full = outcome(run, G, Caps())
             assert fresh.startswith("cap: ") and not full.startswith("cap: ")

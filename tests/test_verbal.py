@@ -15,8 +15,9 @@ from flatlab.catalog import (
     symmetric,
 )
 from flatlab.errors import CapExceededError, FlatlabError
+from flatlab.extensions import Extension, pullback_extension
 from flatlab.functors import SpSubfunctor, functor_subgroup
-from flatlab.permgroup import PermGroup, is_normal
+from flatlab.permgroup import GroupHom, PermGroup, is_normal
 from flatlab.verbal import (
     derived_subgroup,
     lower_central_series,
@@ -156,14 +157,21 @@ def test_lcs_from_generators_matches_the_census_chain(battery_pullbacks):
 
 
 def test_a_closure_that_is_1_is_the_shared_trivial_subgroup():
-    # a verbal subgroup or T_A whose seeds are all 1 is the ambient's one
-    # trivial subgroup, not a fresh group per call
+    # a verbal subgroup or T_A whose seeds are all 1, the image of a trivial
+    # hom and the second factor of a pullback's kernel K' = K x 1 are the
+    # ambient's one trivial subgroup, not a fresh group per call
     C2 = cyclic(2)
     G = PermGroup(C2.degree, C2.generators)  # a memo of its own
     T = G.trivial()
     assert G.generate([0]) is T
     assert verbal_subgroup(G, [SQUARE]) is T
     assert functor_subgroup(SpSubfunctor(3), G) is T
+    X = PermGroup(C2.degree, C2.generators)
+    trivial_hom = GroupHom(X, G, [G.identity()])
+    assert trivial_hom.image() is T
+    for f in (trivial_hom, GroupHom.identity_hom(G)):
+        K2 = pullback_extension(Extension(GroupHom.identity_hom(G)), f).extension.kernel_group
+        assert K2._factors.B is f.domain.trivial()
 
 
 def test_verbal_and_order_p_subgroups_are_normal_by_construction(battery_groups):
