@@ -37,11 +37,13 @@ from .errors import (
 from .functors import (
     EPIREFLECTION,
     FunctorSpec,
+    GeneratedSubfunctor,
     LocalityReport,
     TestMap,
     apply,
     functor_kind,
     functor_subgroup,
+    generator_images,
     induce,
     is_local_wrt,
 )
@@ -347,20 +349,33 @@ def _fiber_flat(F, ext: Extension, caps: Caps) -> bool:
     functor commutes with isomorphisms.  So inner = (W(P) n K') - W(K') is
     empty and pr_X(W(P)) = W(X): flat.
 
-    A fiber product, when W(P) is read off E_H by the verbal rule (F = L_f
-    on a free source with W(X) = 1: W(P) = W(E_H) x 1) or the restriction
-    rule (g injective on X: W(P) = {(e, g^-1(f(e))) : e in W(E_H)}) of
-    ``functor_subgroup``, whose docstring has their proofs.
+    A fiber product.  Both projections carry W into W, so W(P) lies in
+    W(E_H) x_H W(X), H = g(X), and a pair of W(P) in K' has its E
+    component in W(E_H) n K.  So inner is empty when W(E_H) n K = W(K),
+    checked with the set algebra's naturality check W(K) <= W(E_H).  The
+    onto flag, pr_X(W(P)) = W(X), is read off the source on three routes:
 
-    Either way a pair of W(P) lies in K' exactly when its E component lies
-    in K, so inner = ((W(E_H) n K) - W(K)) x 1, and g(pr_X(W(P))) =
-    f(W(E_H)).  g is injective on W(X) and on pr_X(W(P)) (verbal: both are
-    1), so onto, pr_X(W(P)) = W(X), is f(W(E_H)) = g(W(X)), and the set
-    algebra's naturality checks read W(K) <= W(E_H) and
-    f(W(E_H)) <= g(W(X)).  So ext is flat, with both checks passed,
-    exactly when W(E_H) n K = W(K) and f(W(E_H)) = g(W(X)).  The caps
-    other than the order are checked on E_H, K and X, whose orders are at
-    most |P|, and the order cap on P."""
+    - Verbal: F = L_f on a free source, W = V the verbal subgroup of its
+      laws, for any W(X).  A surjection h carries V onto V, as every tuple
+      of its target lifts and h(w(p_1, ..., p_k)) = w(h p_1, ..., h p_k),
+      so pr_X, being onto, gives onto.  f(W(E_H)) = g(W(X)), both V(H), is
+      checked as the naturality check on the projection.
+    - Restriction: g injective on X.  pr_E : P -> E_H is then an
+      isomorphism (``functor_subgroup``), so pr_X(W(P)) = g^-1(f(W(E_H)))
+      and onto is f(W(E_H)) = g(W(X)).
+    - T_A for a one-generator A.  Hom(A, -) preserves limits (Mac Lane,
+      CWM V.4), so Hom(A, P) = Hom(A, E_H) x_Hom(A, H) Hom(A, X), and
+      pr_X(T_A P) is generated by the psi(A) for the psi in Hom(A, X) with
+      g psi in f Hom(A, E_H).  A hom from A is its generator's image
+      (``functors.generator_images``), so pr_X(T_A P) is generated by the
+      x in X with g(x) in f(Hom(A, E_H)) that are images of A's generator,
+      and onto is that subgroup being T_A(X).  When f(Hom(A, E_H)) is all
+      of H, every image of A's generator in X is such an x.
+
+    Every other pullback goes to the set algebra: an L_f not on a free
+    source along a leg neither trivial nor injective, and a T_A with more
+    generators along such a leg.  The caps other than the order are checked
+    on E_H, K and X, whose orders are at most |P|, and the order cap on P."""
     P, X = ext.total, ext.base
     rec = P._factors
     if rec is None or rec.B is not X:
@@ -373,15 +388,24 @@ def _fiber_flat(F, ext: Extension, caps: Caps) -> bool:
     if rec.over is None:
         functor_subgroup(F, rec.first(), caps)
         return True
-    if not ((F.laws is not None and len(wx) == 1) or len(rec.over) == len(X.codes(caps))):
+    over, EH = rec.over, rec.first()
+    naturality = F.laws is not None or len(over) == len(X.codes(caps))  # verbal, restriction
+    if not (naturality or isinstance(F, GeneratedSubfunctor) and len(F.source.generators) == 1):
         return False
-    f, K = rec.f, rec.f.kernel()
+    K, fmap = rec.f.kernel(), rec.f.code_map()
     wk = functor_subgroup(F, K, caps).code_set(caps)
-    we = functor_subgroup(F, rec.first(), caps).codes(caps)
+    we = functor_subgroup(F, EH, caps).codes(caps)
     if not wk.issubset(we) or len(K.code_set(caps).intersection(we)) != len(wk):
         return False  # W(E_H) n K is not W(K)
-    fw = set(map(f.code_map().__getitem__, we))  # f(W(E_H))
-    return fw == {y for y, xs in rec.over.items() if not wx.isdisjoint(xs)}  # g(W(X))
+    if naturality:  # f(W(E_H)) = g(W(X))
+        fw = set(map(fmap.__getitem__, we))
+        return fw == {y for y, xs in over.items() if not wx.isdisjoint(xs)}
+    A = F.source  # f(Hom(A, E_H)), then the x over it in Hom(A, X)
+    hit = set(map(fmap.__getitem__, generator_images(A, EH, EH.codes(caps), caps)))
+    if len(hit) == len(over):
+        return True
+    seeds = generator_images(A, X, [x for y in hit for x in over[y]], caps)
+    return len(X.generate(seeds, None, caps).codes(caps)) == len(wx)
 
 
 def _cycles(G: PermGroup, code: int) -> str:
@@ -484,10 +508,16 @@ def induced_sequence(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) 
 
 
 class ProbeEntry:
-    def __init__(self, test_group: str, hom: str, report: FlatnessReport):
+    """One pullback of a probe; ``hom`` formats its leg f when read."""
+
+    def __init__(self, test_group: str, f, report: FlatnessReport):
         self.test_group = test_group
-        self.hom = hom
+        self.f = f
         self.report = report
+
+    @property
+    def hom(self) -> str:
+        return hom_description(self.f)
 
     def to_dict(self) -> dict:
         return {
@@ -553,7 +583,7 @@ def probe_conditional_flatness(
         for f in _homs_into_base(X, ext, caps):
             pulled = pullback_extension(ext, f, caps)
             rep = check_flatness(F, pulled.extension, caps)
-            entries.append(ProbeEntry(X.describe(), hom_description(f), rep))
+            entries.append(ProbeEntry(X.describe(), f, rep))
     return ProbeReport(ext.describe(), F.describe(), base_report.is_flat, entries)
 
 

@@ -455,15 +455,21 @@ def _generated_subgroup(A: Presentation, G: PermGroup, caps: Caps) -> PermGroup:
     when g^a = 1 for a the gcd of R's exponent sums (a is an integer
     combination of them, and each is a multiple of a): exactly when
     order(g) divides a, and a = 0 admits every g.  So the solutions are
-    read off the element orders."""
+    read off the element orders (``generator_images``)."""
     codes = G.codes(caps)
     if len(A.generators) == 1:
-        a = gcd(*(r.exponent_sum() for r in A.relators))
-        order_of = G.ambient(caps).order_of
-        seeds = [g for g in codes if a % order_of(g) == 0]
+        seeds = generator_images(A, G, codes, caps)
     else:
         seeds = {c for x in relator_solutions(A, G, codes, (0,), caps) for c in x}
     return G.generate(seeds, "T_A(G)", caps)
+
+
+def generator_images(A: Presentation, G: PermGroup, codes, caps: Caps) -> list[int]:
+    """The g of ``codes`` that a hom from the one-generator A takes its
+    generator to: those whose order divides the gcd of R's exponent sums."""
+    a = gcd(*(r.exponent_sum() for r in A.relators))
+    order_of = G.ambient(caps).order_of
+    return [g for g in codes if a % order_of(g) == 0]
 
 
 def radical_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:

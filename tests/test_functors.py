@@ -38,6 +38,7 @@ from flatlab.errors import (
 from flatlab.extensions import (
     Extension,
     check_flatness,
+    extension_from_normal_subgroup,
     extensions_from_group,
     pullback_extension,
 )
@@ -788,15 +789,19 @@ def _route(F, ext):
         return "product"
     if F.laws is not None and functor_subgroup(F, ext.base).is_trivial():
         return "verbal"
-    return "restriction"
+    if len(record.over) == ext.base.order():
+        return "restriction"
+    return "verbal, W(X) != 1" if F.laws is not None else "one-generator T_A"
 
 
 def test_a_pullback_verdict_read_off_its_fiber_is_the_set_algebra_verdict():
     # the verdict read off the source (extensions._fiber_flat: the trivial
-    # leg, the verbal and the restriction route) against the set algebra on
-    # an unrecorded copy of P, for the 10 sweep functors and T_V4 on every
-    # criterion-4 pullback, along the trivial hom too; every pullback that
-    # no route serves, or that a route finds not flat, is compared too
+    # leg, the verbal route with W(X) = 1 and with W(X) != 1, the
+    # restriction route and the one-generator T_A route) against the set
+    # algebra on an unrecorded copy of P, for the 10 sweep functors and T_V4
+    # on every criterion-4 pullback, along the trivial hom too; every
+    # pullback that no route serves, or that a route finds not flat, is
+    # compared too
     pullbacks, routes = 0, collections.Counter()
     for G in default_battery(64):
         for ext in extensions_from_group(G):
@@ -811,7 +816,8 @@ def test_a_pullback_verdict_read_off_its_fiber_is_the_set_algebra_verdict():
                         assert verdict == check_flatness(F, twin).to_dict(), F.describe()
     assert pullbacks == 12_696
     assert routes == {"product": 24_640, "verbal": 26_015, "restriction": 10_240,
-                      "set algebra": 78_761}
+                      "verbal, W(X) != 1": 10_665, "one-generator T_A": 7_965,
+                      "set algebra": 60_131}
 
 
 def test_a_pullback_that_no_route_finds_flat_reads_its_functor_subgroup_off_its_fiber():
@@ -853,6 +859,80 @@ def test_only_the_second_projection_of_a_product_is_read_off_its_factors():
         for ext in (second, other):
             assert check_flatness(F, ext).to_dict() == \
                 check_flatness(F, _set_algebra_twin(ext)).to_dict()
+
+
+def test_the_t_a_read_finds_the_prop_4_6_shape_not_onto_and_keeps_its_witness():
+    # D8 ->> V4 pulled back along V4 -> V4, (a, b) -> (1, x), which is
+    # neither trivial nor injective: E_H = C4, whose S_2 = Z = S_2(Z), so
+    # inner is empty, but f(Hom(C2, E_H)) = {1}, and the x of V4 with
+    # x^2 = 1 over 1 generate only the leg's kernel, not S_2(V4) = V4. The
+    # route declines and the set algebra names the witness. Along C4 onto x
+    # the same read finds onto true
+    F, D8 = SpSubfunctor(2), dihedral(8)
+    ext = extension_from_normal_subgroup(D8, derived_subgroup(D8))
+    x = ext.proj.apply(D8.generators[0])  # the image of the rotation
+
+    def leg(X, images):
+        return next(f for f in enumerate_homs(X, ext.base) if f.images == images)
+
+    V4 = elementary_abelian(2, 2)
+    pulled = pullback_extension(ext, leg(V4, (ext.base.identity(), x))).extension
+    E_H = pulled.total._factors.first()
+    assert E_H.order() == 4 and functor_subgroup(F, E_H).code_set() == ext.kernel_group.code_set()
+    assert _route(F, pulled) == "set algebra"
+    report = check_flatness(F, pulled).to_dict()
+    assert report == check_flatness(F, _set_algebra_twin(pulled)).to_dict()
+    assert report["witnesses"] == {"right": (
+        "base element (2 3) is in the subfunctor of the base but not in the image of the "
+        "subfunctor of the total group")}
+    along_c4 = pullback_extension(ext, leg(cyclic(4), (x,))).extension
+    assert _route(F, along_c4) == "one-generator T_A"
+    assert check_flatness(F, along_c4).to_dict() == \
+        check_flatness(F, _set_algebra_twin(along_c4)).to_dict()
+
+
+def test_x1_squared_along_c4_reads_its_verdict_though_w_of_c4_is_c2():
+    # the variety x1^2 pulled back along a leg from C4 that is neither
+    # trivial nor injective, where W(C4) = C2 is not 1: on V4 ->> V4/N2 the
+    # verbal route reads it flat, on C4 ->> C4/N2 W(C4) n N2 = N2 is not
+    # W(N2) = 1 and the set algebra decides; each verdict is its twin's
+    F = Variety((parse_word("x1^2"),))
+    C4 = cyclic(4)
+    assert functor_subgroup(F, C4).order() == 2
+    routes = []
+    for G in (elementary_abelian(2, 2), C4):
+        ext = next(e for e in extensions_from_group(G) if e.kernel_group.order() == 2)
+        f = next(f for f in enumerate_homs(C4, ext.base) if any(f.image_codes))
+        pulled = pullback_extension(ext, f).extension
+        routes.append(_route(F, pulled))
+        report = check_flatness(F, pulled).to_dict()
+        assert report == check_flatness(F, _set_algebra_twin(pulled)).to_dict()
+        assert report["is_flat"]
+    assert routes == ["verbal, W(X) != 1", "set algebra"]
+
+
+def test_a_pullback_over_the_order_cap_fails_on_each_new_read():
+    # the one-generator T_A read and the verbal read with W(X) != 1 read
+    # E_H, K and X, all of which fit, yet the order cap holds on P, of
+    # order 8, itself, on the first call and on a memo hit alike
+    small = Caps(order=7)
+    for F, route, G in ((SpSubfunctor(2), "one-generator T_A", dihedral(8)),
+                        (Variety((parse_word("x1^2"),)), "verbal, W(X) != 1",
+                         elementary_abelian(2, 2))):
+        G = PermGroup(G.degree, G.generators, name=G.name)  # a memo of its own
+        ext = next(e for e in extensions_from_group(G) if e.kernel_group.order() == 2)
+        f = next(f for f in enumerate_homs(cyclic(4), ext.base)
+                 if any(f.image_codes) and not f.is_injective())
+        pulled = pullback_extension(ext, f).extension
+        assert pulled.total.order() == 8
+        for _ in range(2):
+            with pytest.raises(CapExceededError) as exc:
+                check_flatness(F, pulled, small)
+            assert str(exc.value) == "order cap 7 exceeded"
+        assert _route(F, pulled) == route
+        assert check_flatness(F, pulled).is_flat
+        with pytest.raises(CapExceededError, match="order cap 7 exceeded"):
+            check_flatness(F, pulled, small)
 
 
 def test_a_memoised_radical_fails_under_the_caps_a_fresh_group_fails_under():
