@@ -25,7 +25,7 @@ from .errors import CapExceededError, FlatlabError, ScenarioError
 from .extensions import check_flatness
 from .functors import apply, functor_from_fields
 from .permgroup import PermGroup
-from .words import parse_fields
+from .words import parse_fields, positive_int
 
 _CAP_ALIASES = {
     "order": "order",
@@ -54,13 +54,7 @@ def parse_caps(text: str | None) -> Caps:
             raise FlatlabError(
                 f"unknown cap {key!r}; known: {', '.join(sorted(_CAP_ALIASES))}"
             )
-        try:
-            n = int(value)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise FlatlabError(f"cap {key!r} needs a positive integer, got {value!r}")
-        overrides[_CAP_ALIASES[key]] = n
+        overrides[_CAP_ALIASES[key]] = positive_int(value, f"cap {key!r}")
     return DEFAULT_CAPS.with_(**overrides)
 
 
@@ -131,7 +125,8 @@ def cmd_search(args) -> int:
     started = time.monotonic()
     F = functor_from_fields(*parse_fields(args.functor, None))
     rep = search_counterexamples(
-        F, args.max_order, args.probe_max_order, caps
+        F, positive_int(args.max_order, "--max-order"),
+        positive_int(args.probe_max_order, "--probe-max-order"), caps
     )
     lines = [
         f"search {rep.functor} over catalog <= {rep.max_order} "
@@ -244,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="hunt for counterexamples")
     p_search.add_argument("--functor", required=True)
-    p_search.add_argument("--max-order", type=int, required=True)
-    p_search.add_argument("--probe-max-order", type=int, default=16)
+    p_search.add_argument("--max-order", required=True)
+    p_search.add_argument("--probe-max-order", default="16")
     add_common(p_search)
     p_search.set_defaults(func=cmd_search)
 

@@ -271,14 +271,13 @@ def check_flatness(F: FunctorSpec, ext: Extension, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
-    """The flags by set algebra on the codes of the subgroups W that F picks
-    (``functor_subgroup``), unless the source of a pulled-back extension
-    shows it flat (``_fiber_flat``); elements are scanned only to name the
-    witness of a failing flag.  K = ker(proj) lives in E's ambient, so iota
-    is the identity on codes.  Naturality gives W(K) <= W(E) and
-    proj(W(E)) <= W(G), both checked.  Two facts decide every flag:
-    inner = (K n W(E)) - W(K), and onto, |proj(W(E))| = |W(G)|, which by
-    naturality is proj(W(E)) = W(G).
+    """The flags from two facts about the subgroups W that F picks
+    (``functor_subgroup``), inner = (K n W(E)) - W(K) and proj(W(E)): read
+    off the source of a pullback (``_fiber_facts``), or by set algebra on
+    codes.  Elements are scanned only to name the witness of a failing
+    flag.  K = ker(proj) lives in E's ambient, so iota is the identity on
+    codes.  Naturality gives W(K) <= W(E) and proj(W(E)) <= W(G), both
+    checked, so onto, |proj(W(E))| = |W(G)|, is proj(W(E)) = W(G).
 
     Epireflection, F = G/W.  Left: K/W(K) -> E/W(E) is injective iff
     K n W(E) lies in W(K), i.e. iff inner is empty.  Middle: K and W(E) are
@@ -292,20 +291,22 @@ def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
     injective.  Middle: the kernel of W(E) -> W(G) is W(E) n K, and the
     image of W(K) is W(K) itself, so exactness is inner being empty.
     Right: W(E) -> W(G) is onto iff onto holds."""
-    if _fiber_flat(F, ext, caps):
+    facts = _fiber_facts(F, ext, caps)
+    if facts == ((), None):  # inner empty, onto
         return FlatnessReport(F.describe(), ext.describe(), True, True, True, {})
-    K, total = ext.kernel_group, ext.total
-    wk = functor_subgroup(F, K, caps).code_set(caps)
-    we = functor_subgroup(F, total, caps).code_set(caps)
-    wg = functor_subgroup(F, ext.base, caps).code_set(caps)
-    proj = ext.proj.code_map()
-    proj_we = set(map(proj.__getitem__, we))
+    K, total, proj = ext.kernel_group, ext.total, ext.proj.code_map()
     epi = functor_kind(F) == EPIREFLECTION
-    if not (wk <= we and proj_we <= wg):
-        leg = "projection" if wk <= we else "inclusion"
+    if facts is None:  # the set algebra on W(P)
+        wk = functor_subgroup(F, K, caps).code_set(caps)
+        we = functor_subgroup(F, total, caps).code_set(caps)
+        inner = we.intersection(K.codes(caps)) - wk if wk <= we else None
+        facts = inner, set(map(proj.__getitem__, we))
+    wg = functor_subgroup(F, ext.base, caps).code_set(caps)
+    inner, proj_we = facts[0], wg if facts[1] is None else facts[1]
+    if inner is None or not proj_we <= wg:
+        leg = "inclusion" if inner is None else "projection"
         raise FlatlabError(f"naturality failed: {leg} does not preserve "
                            f"{'radical' if epi else 'the subfunctor'}")
-    inner = we.intersection(K.codes(caps)) - wk
     onto = len(proj_we) == len(wg)
     witnesses: dict[str, str] = {}
     if inner and epi:
@@ -333,10 +334,11 @@ def _flatness_perm(F, ext: Extension, caps: Caps) -> FlatnessReport:
     return FlatnessReport(F.describe(), ext.describe(), *flags, witnesses)
 
 
-def _fiber_flat(F, ext: Extension, caps: Caps) -> bool:
-    """True when the source of a pulled-back extension shows it flat, with
-    no W(P) and no W(K'); False leaves the verdict, and the witness of a
-    failing flag, to the set algebra of ``_flatness_perm``.
+def _fiber_facts(F, ext: Extension, caps: Caps):
+    """The two facts of ``_flatness_perm`` read off the source of a
+    pulled-back extension, with no W(P) and no W(K'): inner as codes of P,
+    () when empty, and pr_X(W(P)) as codes of X, None when it is W(X).
+    None when the source does not show them exactly.
 
     ext is read as a pullback when its total P is recorded as a subdirect
     product (``permgroup._Subdirect``) of some A and X = ext.base and its
@@ -346,66 +348,73 @@ def _fiber_flat(F, ext: Extension, caps: Caps) -> bool:
 
     Trivial leg (P = A x X, K' = A x 1).  W(P) = W(A) x W(X) by the
     product rule of ``functor_subgroup``, and W(A x 1) = W(A) x 1, as a
-    functor commutes with isomorphisms.  So inner = (W(P) n K') - W(K') is
-    empty and pr_X(W(P)) = W(X): flat.
+    functor commutes with isomorphisms: flat.
 
     A fiber product.  Both projections carry W into W, so W(P) lies in
-    W(E_H) x_H W(X), H = g(X), and a pair of W(P) in K' has its E
-    component in W(E_H) n K.  So inner is empty when W(E_H) n K = W(K),
-    checked with the set algebra's naturality check W(K) <= W(E_H).  The
-    onto flag, pr_X(W(P)) = W(X), is read off the source on three routes:
+    W(E_H) x_H W(X), H = g(X), and inner in ((W(E_H) n K) - W(K)) x 1: it
+    is empty when that is.  W(K) <= W(E_H) is the set algebra's naturality
+    check W(K') <= W(P).  Three routes read the rest:
 
     - Verbal: F = L_f on a free source, W = V the verbal subgroup of its
-      laws, for any W(X).  A surjection h carries V onto V, as every tuple
-      of its target lifts and h(w(p_1, ..., p_k)) = w(h p_1, ..., h p_k),
-      so pr_X, being onto, gives onto.  f(W(E_H)) = g(W(X)), both V(H), is
-      checked as the naturality check on the projection.
-    - Restriction: g injective on X.  pr_E : P -> E_H is then an
-      isomorphism (``functor_subgroup``), so pr_X(W(P)) = g^-1(f(W(E_H)))
-      and onto is f(W(E_H)) = g(W(X)).
+      laws.  A surjection h carries V onto V: h(w(p_1, ..., p_k)) =
+      w(h p_1, ..., h p_k), and every tuple of its target lifts (H.
+      Neumann, Varieties of Groups, 1967).  So pr_X(V(P)) = V(X) and
+      pr_E(V(P)) = V(E_H).  When V(X) = 1, V(P) lies in P n (E_H x 1),
+      where pr_E is injective, so V(P) = V(E_H) x 1 and inner is
+      ((V(E_H) n K) - V(K)) x 1.
+    - Restriction: g injective on X.  pr_E : P -> E_H is then a bijection,
+      as (e, x) in P has x = g^-1(f(e)), so an isomorphism, and a functor
+      commutes with isomorphisms: W(P) = {(e, g^-1 f(e)) : e in W(E_H)}.
+      So inner is ((W(E_H) n K) - W(K)) x 1, and pr_X(W(P)) is
+      g^-1(f(W(E_H))), of order |W(E_H)| / |W(E_H) n K|.
     - T_A for a one-generator A.  Hom(A, -) preserves limits (Mac Lane,
       CWM V.4), so Hom(A, P) = Hom(A, E_H) x_Hom(A, H) Hom(A, X), and
       pr_X(T_A P) is generated by the psi(A) for the psi in Hom(A, X) with
       g psi in f Hom(A, E_H).  A hom from A is its generator's image
       (``functors.generator_images``), so pr_X(T_A P) is generated by the
-      x in X with g(x) in f(Hom(A, E_H)) that are images of A's generator,
-      and onto is that subgroup being T_A(X).  When f(Hom(A, E_H)) is all
-      of H, every image of A's generator in X is such an x.
+      x in X with g(x) in f(Hom(A, E_H)) that are images of A's generator:
+      by all of them, T_A(X), when f(Hom(A, E_H)) is H.
 
-    Every other pullback goes to the set algebra: an L_f not on a free
-    source along a leg neither trivial nor injective, and a T_A with more
-    generators along such a leg.  The caps other than the order are checked
-    on E_H, K and X, whose orders are at most |P|, and the order cap on P."""
+    The set algebra decides a non-empty inner off the restriction route
+    and the verbal route with V(X) = 1, and an L_f not on a free source or
+    a T_A with more generators along a leg neither trivial nor injective.
+    The caps other than the order are checked on E_H, K and X, whose
+    orders are at most |P|, and the order cap on P."""
     P, X = ext.total, ext.base
     rec = P._factors
     if rec is None or rec.B is not X:
-        return False
+        return None
     nx = P.ambient(caps).nb
     if ext.proj.image_codes != tuple(p % nx for p in P.gen_codes(caps)):
-        return False  # not the second projection
+        return None  # not the second projection
     P.codes(caps)  # the order cap holds on P
-    wx = functor_subgroup(F, X, caps).code_set(caps)
+    n_wx = len(functor_subgroup(F, X, caps).codes(caps))
     if rec.over is None:
         functor_subgroup(F, rec.first(), caps)
-        return True
+        return (), None
     over, EH = rec.over, rec.first()
-    naturality = F.laws is not None or len(over) == len(X.codes(caps))  # verbal, restriction
-    if not (naturality or isinstance(F, GeneratedSubfunctor) and len(F.source.generators) == 1):
-        return False
+    verbal, injective = F.laws is not None, len(over) == len(X.codes(caps))
+    if not (verbal or injective or isinstance(F, GeneratedSubfunctor)
+            and len(F.source.generators) == 1):
+        return None
     K, fmap = rec.f.kernel(), rec.f.code_map()
     wk = functor_subgroup(F, K, caps).code_set(caps)
     we = functor_subgroup(F, EH, caps).codes(caps)
-    if not wk.issubset(we) or len(K.code_set(caps).intersection(we)) != len(wk):
-        return False  # W(E_H) n K is not W(K)
-    if naturality:  # f(W(E_H)) = g(W(X))
-        fw = set(map(fmap.__getitem__, we))
-        return fw == {y for y, xs in over.items() if not wx.isdisjoint(xs)}
+    kwe = K.code_set(caps).intersection(we)
+    if not wk <= kwe or len(kwe) != len(wk) and not (injective or verbal and n_wx == 1):
+        return None  # naturality fails, or inner is not read exactly
+    inner = () if len(kwe) == len(wk) else [k * nx for k in kwe - wk]
+    if verbal or injective and len(we) == len(kwe) * n_wx:
+        return inner, None
+    if injective:
+        return inner, {over[fmap[e]][0] for e in we}
     A = F.source  # f(Hom(A, E_H)), then the x over it in Hom(A, X)
     hit = set(map(fmap.__getitem__, generator_images(A, EH, EH.codes(caps), caps)))
     if len(hit) == len(over):
-        return True
+        return inner, None
     seeds = generator_images(A, X, [x for y in hit for x in over[y]], caps)
-    return len(X.generate(seeds, None, caps).codes(caps)) == len(wx)
+    prx = X.generate(seeds, None, caps).code_set(caps)
+    return inner, None if len(prx) == n_wx else prx
 
 
 def _cycles(G: PermGroup, code: int) -> str:

@@ -485,13 +485,13 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
     read F through W alone.  W is memoised on G per (F, caps), as the rules
     below run cap-guarded steps.  Every rule first lists G under the caps,
     as a memo hit does, so no verdict depends on which rule or call came
-    first.  Three structure rules read W of a subdirect product
-    P <= A x B (``_factors``, a ``permgroup._Subdirect``) off its factors,
-    in this order; the family rule (``_radical``) serves every other G.
-    Pair codes are a * |B's ambient| + b.
+    first.  The product rule reads W of a direct product P = A x B
+    (``_factors``, a ``permgroup._Subdirect``) off its factors; every other
+    G, a fiber product included, takes the rule of F's family, the family
+    rule.  Pair codes are a * |B's ambient| + b.
 
-    Product.  For P = A x B, W(P) = W(A) x W(B), read off the factors'
-    memoised W (a trivial factor is its own W).
+    Product.  W(A x B) = W(A) x W(B), read off the factors' memoised W (a
+    trivial factor is its own W).
 
     - Every epireflection in the cast gives the least normal N with G/N in
       a class C closed under subgroups and finite products: a variety
@@ -506,27 +506,8 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
       the homs (phi, 1) and (1, psi) give T_C(A) x T_C(B), which holds the
       image (phi(x), psi(x)) of every generator x under every hom.
 
-    Verbal.  For F = L_f on a free source (``F.laws``: a variety,
-    abelianization, a nilpotent quotient), W = V is the verbal subgroup of
-    the laws by the free-source rule (``_localization_radical``), and if
-    V(B) = 1 then V(P) = V(A) x 1.  A surjection h carries V onto V:
-    h(w(p_1, ..., p_k)) = w(h p_1, ..., h p_k), and every tuple of the
-    target lifts (H. Neumann, Varieties of Groups, 1967).  So
-    pr_A(V(P)) = V(pr_A P) = V(A) and pr_B(V(P)) = V(B) = 1: V(P) lies in
-    P n (A x 1), where pr_A is injective, and is {(a, 1) : a in V(A)}.
-
-    Restriction.  For every functor, when P is a fiber product along a leg
-    g that is injective on B: pr_A : P -> A = E_H is then a bijection, as
-    (e, x) in P has g(x) = f(e), so x = g^-1(f(e)); it is an isomorphism,
-    and a functor commutes with isomorphisms, so
-    W(P) = {(e, g^-1(f(e))) : e in W(E_H)}.  The verbal rule is tried
-    first, as it costs less per code.
-
-    The verbal and restriction rules check the caps other than the order on
-    E_H, whose order is at most |P|, not on P.  A pullback's flatness
-    verdict reads the same facts off E_H and builds no W(P) when it is
-    flat (``extensions._fiber_flat``); these rules serve the set algebra
-    that decides every other pullback, and any caller that asks for W(P)."""
+    A pullback's flatness verdict reads its facts about W(P) off E_H and X
+    where it can (``extensions._fiber_facts``)."""
     key = ("radical", F, caps)  # G.memo, inlined, as every pullback verdict runs this
     W = G._memo.get(key)
     if W is None:
@@ -537,31 +518,15 @@ def functor_subgroup(F: FunctorSpec, G: PermGroup, caps: Caps = DEFAULT_CAPS) ->
 
 
 def _structure_rule(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
+    """W by the product rule for a direct product, else by the family rule."""
     G.codes(caps)  # the order cap holds on G, not only on its factors
-    rec = G._factors
-    if rec is None:
-        return _radical(F, G, caps)
-    amb, B = G.ambient(caps), rec.B
-    nb = amb.nb  # a product ambient; every code list below is sorted
-    if rec.over is None:  # a trivial factor is its own W
-        A = rec.first()
-        WA = A if len(A.codes(caps)) == 1 else functor_subgroup(F, A, caps)
-        WB = B if len(B.codes(caps)) == 1 else functor_subgroup(F, B, caps)
+    factors = G._factors and G._factors.direct
+    if factors:  # a trivial factor is its own W
+        WA, WB = (H if len(H.codes(caps)) == 1 else functor_subgroup(F, H, caps) for H in factors)
+        amb = G.ambient(caps)
+        nb = amb.nb  # a product ambient; every code list below is sorted
         codes = [a * nb + b for a in WA.codes(caps) for b in WB.codes(caps)]
         return PermGroup._coded(amb, None, f"{WA.name}x{WB.name}", codes)
-    if F.laws is not None and functor_subgroup(F, B, caps).is_trivial():
-        WA = functor_subgroup(F, rec.first(), caps)
-        return PermGroup._coded(amb, None, WA.name, [a * nb for a in WA.codes(caps)])
-    if len(rec.over) == B.order(caps):  # g is injective on B
-        WA = functor_subgroup(F, rec.first(), caps)
-        fmap, over = rec.f.code_map(), rec.over
-        codes = [a * nb + over[fmap[a]][0] for a in WA.codes(caps)]
-        return PermGroup._coded(amb, None, WA.name, codes)
-    return _radical(F, G, caps)
-
-
-def _radical(F: FunctorSpec, G: PermGroup, caps: Caps) -> PermGroup:
-    """W by the rule of F's family."""
     if isinstance(F, GeneratedSubfunctor):
         return _generated_subgroup(F.source, G, caps)
     return _localization_radical(F, G, caps)

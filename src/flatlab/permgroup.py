@@ -362,7 +362,7 @@ class PermGroup:
         if self._amb is None:
             caps = caps or DEFAULT_CAPS
             if self._factors is not None:  # a direct product
-                A, B = self._factors.first(), self._factors.B
+                A, B = self._factors.direct
                 self._amb = _ProductAmbient(A.ambient(caps), B.ambient(caps))
             else:
                 self._amb = _TableAmbient(self._gens, self.degree, caps.order)
@@ -584,19 +584,21 @@ class PermGroup:
 
 class _Subdirect:
     """The record of a group P <= A x B that projects onto A and onto B, a
-    subdirect product, with pair codes a * |B's ambient| + b.  ``over`` is
-    None when P is all of A x B: a direct product, a pullback along the
-    trivial hom, a pullback's kernel K' = K x 1.  Otherwise P is the fiber
-    product {(e, x) : f(e) = g(x)} along a leg g that is not trivial,
-    ``over`` maps each y in g(B) to the sorted x with g(x) = y, and A is
+    subdirect product, with pair codes a * |B's ambient| + b.  ``direct``
+    is (A, B) and ``over`` None when P is all of A x B: a direct product, a
+    pullback along the trivial hom, a pullback's kernel K' = K x 1.
+    Otherwise P is the fiber product {(e, x) : f(e) = g(x)} along a leg g
+    that is not trivial, which ``extensions._fiber_facts`` reads: ``over``
+    maps each y in g(B) to the sorted x with g(x) = y, and A is
     E_H = f^-1(g(B)), listed as ``a_codes``.  Unless it is E itself, E_H
     is built on its first read and memoised on E under its codes, so the
     pullbacks over one g(B) share it, and share its memoised radicals."""
 
-    __slots__ = ("_a", "B", "f", "a_codes", "over")
+    __slots__ = ("_a", "B", "f", "a_codes", "over", "direct")
 
     def __init__(self, A, B, f=None, a_codes=None, over=None):
         self._a, self.B, self.f, self.a_codes, self.over = A, B, f, a_codes, over
+        self.direct = (A, B) if over is None else None
 
     def first(self) -> PermGroup:
         """A, built in E's ambient for a fiber product; the memo value

@@ -59,7 +59,7 @@ from .functors import FunctorSpec, TestMap, apply, functor_from_fields
 from .homs import realize_presentation
 from .perm import parse_cycle_string
 from .permgroup import GroupHom, PermGroup, is_isomorphic
-from .words import Presentation, Word, _split_top_level, parse_fields, parse_word
+from .words import Presentation, Word, _split_top_level, parse_fields, parse_word, positive_int
 
 _HEADER = re.compile(r"^\[\s*(group|hom|extension|functor|directive)\s*([A-Za-z_0-9.'-]*)\s*\]\s*(.*)$")
 
@@ -449,7 +449,7 @@ def _run_pullback(sec: Section, scn: Scenario, caps: Caps) -> tuple:
 def _run_probe(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
     ext = _lookup(scn.extensions, sec.require("extension"), sec.line, "extension")
-    max_order = int(sec.get("max_order", "8") or 8)
+    max_order = positive_int(sec.get("max_order") or "8", "max_order=", sec.line)
     allow = (sec.get("allow_nonflat", "false") or "false").lower() == "true"
     catalog = default_battery(max_order)
     probe = probe_conditional_flatness(F, ext, catalog, caps, allow_nonflat_base=allow)
@@ -510,8 +510,8 @@ def _run_search(sec: Section, scn: Scenario, caps: Caps) -> tuple:
     from .search import search_counterexamples  # only a search directive loads it
 
     F = _lookup(scn.functors, sec.require("functor"), sec.line, "functor")
-    max_order = int(sec.require("max_order"))
-    probe_max = int(sec.get("probe_max_order", "16") or 16)
+    max_order = positive_int(sec.require("max_order"), "max_order=", sec.line)
+    probe_max = positive_int(sec.get("probe_max_order") or "16", "probe_max_order=", sec.line)
     rep = search_counterexamples(F, max_order, probe_max, caps)
     verdict = "empty" if not rep.hits else "found"
     summary = f"{F.describe()} over catalog <= {max_order}"

@@ -318,3 +318,14 @@ def parse_fields(
                 )
             form = tok
     return form, fields
+
+
+def positive_int(text: str, what: str, line: int | None = None) -> int:
+    """``text`` as a positive integer, for a field or an option ``what``."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ScenarioError(f"{what} needs a positive integer, got {text!r}", line)
+    return n

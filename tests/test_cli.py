@@ -340,3 +340,15 @@ def test_a_high_nilpotent_class_builds_no_word(c):
     head, elapsed = proc.stdout.rsplit("elapsed: ", 1)
     assert head == f"nilpotent(class={c}) applied to dihedral(8): order 8\nradical: order 1\n"
     assert float(elapsed.strip().rstrip("s")) < 0.25
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-order", "-3"), ("--max-order", "0"), ("--max-order", "x"),
+    ("--probe-max-order", "0"),
+])
+def test_a_search_bound_below_1_is_an_error_not_an_empty_search(option, value, capsys):
+    argv = ["search", "--functor", "abelianization", "--max-order", "4", option, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} needs a positive integer, got {value!r}")

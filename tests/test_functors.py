@@ -743,36 +743,6 @@ def test_a_product_reads_its_functor_subgroup_off_its_factors():
             assert check_flatness(F, ext).is_flat
 
 
-def test_a_pullback_reads_its_functor_subgroup_off_its_fiber():
-    # the verbal rule (W(X) = 1 for a verbal functor) and the restriction
-    # rule (an injective leg) of functor_subgroup against the family rule on
-    # an unrecorded copy, for the 10 sweep functors and T_V4 on every criterion-4
-    # pullback total along a hom that is not trivial; the pairs neither rule
-    # serves are compared too, so a rule that serves one of them is caught
-    verbal_functors = (Abelianization, NilpotentQuotient, Variety)
-    totals = (
-        pullback_extension(ext, f).extension.total
-        for G in default_battery(64)
-        for ext in extensions_from_group(G)
-        for X in default_battery(16)
-        for f in enumerate_homs(X, ext.base)
-        if any(f.image_codes)
-    )
-    pullbacks, served = 0, {"verbal": 0, "restriction": 0}
-    for P in totals:
-        pullbacks += 1
-        record, copy = P._factors, P.named("copy")  # a copy has no record
-        injective = len(record.over) == record.B.order()
-        for F in (*SWEEP_FUNCTORS, T_V4):
-            if isinstance(F, verbal_functors) and functor_subgroup(F, record.B).is_trivial():
-                served["verbal"] += 1
-            elif injective:
-                served["restriction"] += 1
-            assert functor_subgroup(F, P).code_set() == functor_subgroup(F, copy).code_set()
-    assert pullbacks == 10_456
-    assert served == {"verbal": 27_955, "restriction": 10_723}
-
-
 def _set_algebra_twin(ext):
     """ext on an unrecorded copy of its total, with the same projection: its
     verdict is the set algebra's, on W from the family rule."""
@@ -781,9 +751,11 @@ def _set_algebra_twin(ext):
 
 
 def _route(F, ext):
-    """How check_flatness decides the pulled-back ext."""
+    """How check_flatness decides the pulled-back ext: the route whose
+    exact facts extensions._fiber_facts reads off the source, or the set
+    algebra on W(P) when it reads none."""
     record = ext.total._factors
-    if not extensions._fiber_flat(F, ext, DEFAULT_CAPS):
+    if extensions._fiber_facts(F, ext, DEFAULT_CAPS) is None:
         return "set algebra"
     if record.over is None:
         return "product"
@@ -795,37 +767,52 @@ def _route(F, ext):
 
 
 def test_a_pullback_verdict_read_off_its_fiber_is_the_set_algebra_verdict():
-    # the verdict read off the source (extensions._fiber_flat: the trivial
+    # the verdict read off the source (extensions._fiber_facts: the trivial
     # leg, the verbal route with W(X) = 1 and with W(X) != 1, the
-    # restriction route and the one-generator T_A route) against the set
-    # algebra on an unrecorded copy of P, for the 10 sweep functors and T_V4
-    # on every criterion-4 pullback, along the trivial hom too; every
-    # pullback that no route serves, or that a route finds not flat, is
-    # compared too
-    pullbacks, routes = 0, collections.Counter()
+    # restriction route and the one-generator T_A route), witnesses
+    # included, against the set algebra on an unrecorded copy of P, for the
+    # 10 sweep functors and T_V4 on every criterion-4 pullback, along the
+    # trivial hom too; every pullback that no route reads is compared too. A
+    # verdict a route decides, flat or not, builds no W(P). The pullbacks of
+    # one pass of each benchmark sweep (flat sources, probes of order <= 4
+    # for its first five functors, <= 3 for the rest) are all read
+    pullbacks, routes, sweeps = 0, collections.Counter(), collections.Counter()
     for G in default_battery(64):
         for ext in extensions_from_group(G):
+            flat = {F for F in SWEEP_FUNCTORS if check_flatness(F, ext).is_flat}
             for X in default_battery(16):
                 for f in enumerate_homs(X, ext.base):
                     pulled = pullback_extension(ext, f).extension
                     twin = _set_algebra_twin(pulled)
                     pullbacks += 1
                     for F in (*SWEEP_FUNCTORS, T_V4):
-                        routes[_route(F, pulled)] += 1
+                        route = _route(F, pulled)
+                        routes[route] += 1
+                        variety = F in SWEEP_FUNCTORS[:5]
+                        if F in flat and X.order() <= (4 if variety else 3):
+                            sweeps["variety" if variety else "radical", route] += 1
                         verdict = check_flatness(F, pulled).to_dict()
                         assert verdict == check_flatness(F, twin).to_dict(), F.describe()
+                        if route != "set algebra":
+                            assert ("radical", F, DEFAULT_CAPS) not in pulled.total._memo
     assert pullbacks == 12_696
-    assert routes == {"product": 24_640, "verbal": 26_015, "restriction": 10_240,
-                      "verbal, W(X) != 1": 10_665, "one-generator T_A": 7_965,
-                      "set algebra": 60_131}
+    assert routes == {"product": 24_640, "verbal": 27_955, "restriction": 10_723,
+                      "verbal, W(X) != 1": 10_665, "one-generator T_A": 8_748,
+                      "set algebra": 56_925}
+    # 7,505 and 2,700 pullbacks, none of them by the set algebra
+    assert sweeps == {("variety", "product"): 2_365, ("variety", "verbal"): 3_920,
+                      ("variety", "restriction"): 579, ("variety", "verbal, W(X) != 1"): 125,
+                      ("variety", "one-generator T_A"): 516,
+                      ("radical", "product"): 1_563, ("radical", "restriction"): 1_137}
 
 
 def test_a_pullback_that_no_route_finds_flat_reads_its_functor_subgroup_off_its_fiber():
     # [x1,x2]^2 on A4 -> S4 ->> C2 along a leg from elementary(2, k) onto
-    # C2: W(X) = 1, so the verbal route applies, and W(S4) n A4 = A4 while
-    # W(A4) = 1, so it is not left exact. The set algebra then reads W(P) off
-    # E_H = S4, whose census of 24^2 pairs fits, and never scans the
-    # |P|^2 pairs of P itself
+    # C2: W(X) = 1, so the verbal route reads inner exactly, and
+    # W(S4) n A4 = A4 while W(A4) = 1, so it is not left exact. The verdict
+    # and its witness are read off E_H = S4, whose census of 24^2 pairs
+    # fits, with no W(P): the family rule on the unrecorded twin scans
+    # |P|^2 pairs and exceeds the cap
     law = Variety((parse_word("[x1,x2]^2"),))
     ext = next(e for e in extensions_from_group(symmetric(4)) if e.kernel_group.order() == 12)
     tight = Caps(tuple_scan=24**2)
@@ -834,10 +821,11 @@ def test_a_pullback_that_no_route_finds_flat_reads_its_functor_subgroup_off_its_
         f = next(f for f in enumerate_homs(X, ext.base) if any(f.image_codes))
         pulled = pullback_extension(ext, f).extension
         assert pulled.total.order() ** 2 > caps.tuple_scan
-        assert _route(law, pulled) == "set algebra"
+        assert _route(law, pulled) == "verbal"
         report = check_flatness(law, pulled, caps).to_dict()
         flags = (report["left_injective"], report["middle_exact"], report["right_surjective"])
         assert flags == (False, True, True)
+        assert ("radical", law, caps) not in pulled.total._memo
         if k == 2:  # the family rule on P needs 48^2 pairs
             twin = _set_algebra_twin(pulled)
             assert report == check_flatness(law, twin).to_dict()
@@ -866,8 +854,8 @@ def test_the_t_a_read_finds_the_prop_4_6_shape_not_onto_and_keeps_its_witness():
     # neither trivial nor injective: E_H = C4, whose S_2 = Z = S_2(Z), so
     # inner is empty, but f(Hom(C2, E_H)) = {1}, and the x of V4 with
     # x^2 = 1 over 1 generate only the leg's kernel, not S_2(V4) = V4. The
-    # route declines and the set algebra names the witness. Along C4 onto x
-    # the same read finds onto true
+    # read finds onto false and the verdict names the set algebra's witness.
+    # Along C4 onto x the same read finds onto true
     F, D8 = SpSubfunctor(2), dihedral(8)
     ext = extension_from_normal_subgroup(D8, derived_subgroup(D8))
     x = ext.proj.apply(D8.generators[0])  # the image of the rotation
@@ -879,7 +867,7 @@ def test_the_t_a_read_finds_the_prop_4_6_shape_not_onto_and_keeps_its_witness():
     pulled = pullback_extension(ext, leg(V4, (ext.base.identity(), x))).extension
     E_H = pulled.total._factors.first()
     assert E_H.order() == 4 and functor_subgroup(F, E_H).code_set() == ext.kernel_group.code_set()
-    assert _route(F, pulled) == "set algebra"
+    assert _route(F, pulled) == "one-generator T_A"
     report = check_flatness(F, pulled).to_dict()
     assert report == check_flatness(F, _set_algebra_twin(pulled)).to_dict()
     assert report["witnesses"] == {"right": (

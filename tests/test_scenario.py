@@ -321,3 +321,24 @@ def test_a_negative_abelian_rank_is_a_scenario_error():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert exc.value.line == 2 and "rank must be >= 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("directive, field", [
+    ("search functor=S2 max_order=x", "max_order"),
+    ("search functor=S2 max_order=-4 expect=empty", "max_order"),
+    ("search functor=S2 max_order=4 probe_max_order=0", "probe_max_order"),
+    ("probe functor=S2 extension=E max_order=1.5", "max_order"),
+])
+def test_an_order_bound_that_is_not_a_positive_integer_is_a_scenario_error(directive, field):
+    # no Python traceback, and no empty battery passing expect=empty
+    text = (
+        "[group C4] catalog spec=cyclic(4)\n"
+        "[group C2] catalog spec=cyclic(2)\n"
+        "[hom pr] from=C4 to=C2 images=x\n"
+        "[extension E] surjection=pr\n"
+        "[functor S2] kind=sp p=2\n"
+        f"[directive] {directive}\n"
+    )
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert exc.value.line == 6 and f"{field}= needs a positive integer" in str(exc.value)
